@@ -17,8 +17,8 @@ import numpy as np
 from .allocation import (Allocation, InfeasibleBudgetError, allocate_fixed_nu,
                          lpnq_allocation)
 from .instance import TaskDataset, sample_task
-from .relevance import (LAZY_LAMBDA, lambda_rule, lasso, min_l2_solution,
-                        support_size)
+from .relevance import (LAZY_LAMBDA, kkt_residual, lambda_rule, lasso,
+                        min_l2_solution, support_size)
 from .trainer import (FitOptions, excess_risk, fit_source, fit_target_head,
                       head_for, subspace_distance)
 
@@ -170,18 +170,42 @@ def _heads_for_snapshot(B, datasets, k):
     return np.column_stack(cols)
 
 
+def _lasso_estimate(W_hat, w_hat, p):
+    """Lasso relevance estimate and its solver diagnostics."""
+    lam = _lambda_for(p, W_hat, w_hat)
+    nu, info = lasso(W_hat, w_hat, lam)
+    return nu, {"steps": int(info["sweeps"]),
+                "kkt_residual": kkt_residual(W_hat, w_hat, nu, lam),
+                "converged": bool(info["converged"])}
+
+
+def _relevance_record(diags):
+    """One stage's relevance record from its Lasso calls; warns when any
+    of them did not converge."""
+    record = {"steps": sum(d["steps"] for d in diags),
+              "kkt_residual": max(d["kkt_residual"] for d in diags),
+              "converged": all(d["converged"] for d in diags)}
+    if not record["converged"]:
+        warnings.warn("the Lasso relevance estimate did not converge (KKT "
+                      f"residual {record['kkt_residual']:.3e})",
+                      RuntimeWarning, stacklevel=3)
+    return record
+
+
 def _estimate_nu(model, datasets, target_ds, k, p, method):
     """Relevance estimate from the fitted model, snapshot-averaged over the
     last A trailing representation iterates (they coincide once the
-    deterministic solver has converged)."""
+    deterministic solver has converged). Returns (nu, record), the record
+    holding the Lasso diagnostics (None for the min-L2 route)."""
     A = max(1, int(p["snapshot_average"]))
     snaps = model.snapshots[-A:] if A > 1 else (model.B_hat,)
-    nus = []
+    nus, diags = [], []
     for B in snaps:
         W_hat = _heads_for_snapshot(B, datasets, k)
         w_hat = head_for(B, target_ds)
         if method == "lasso":
-            nu = lasso(W_hat, w_hat, _lambda_for(p, W_hat, w_hat))[0]
+            nu, diag = _lasso_estimate(W_hat, w_hat, p)
+            diags.append(diag)
         else:
             try:
                 nu = min_l2_solution(W_hat, w_hat)
@@ -191,7 +215,7 @@ def _estimate_nu(model, datasets, target_ds, k, p, method):
                               RuntimeWarning, stacklevel=2)
                 nu = np.linalg.lstsq(W_hat, w_hat, rcond=None)[0]
         nus.append(nu)
-    return np.mean(nus, axis=0)
+    return np.mean(nus, axis=0), (_relevance_record(diags) if diags else None)
 
 
 def _finish(strategy, oracle, p, allocations, summaries, model, nu_history,
@@ -270,7 +294,7 @@ def _two_phase(oracle, d, k, T, params, strategy):
     A = max(1, int(p["snapshot_average"]))
     model1 = fit_source(datasets1, k, _fit_options(p, snapshots=A))
     method = "lasso" if strategy == "L1" else "min_l2"
-    nu_hat = _estimate_nu(model1, datasets1, target_ds, k, p, method)
+    nu_hat, record = _estimate_nu(model1, datasets1, target_ds, k, p, method)
 
     # Phase 2: concentrate the budget by the estimated relevance
     if strategy == "L1":
@@ -289,6 +313,8 @@ def _two_phase(oracle, d, k, T, params, strategy):
     model2 = fit_target_head(model2, target_ds)
 
     summaries = [_stage_summary(model1, gt), _stage_summary(model2, gt)]
+    if record is not None:
+        summaries[0]["relevance"] = record
     return _finish(strategy, oracle, p, [alloc1, alloc2], summaries, model2,
                    [nu_hat], np.abs(nu_hat).sum(), support_size(nu_hat),
                    N_tot, N_floor, int(alloc2.n.sum()) + p["n_target"], t0, p)
@@ -350,10 +376,11 @@ def run_multistage(oracle, d, k, T, params=None):
         merged = [_merge_parts(t, parts[t], oracle.seed) for t in range(T)]
         init_B = None if (model is None or p["cold_start"]) else model.B_hat
         model = fit_source(merged, k, _fit_options(p), init_B=init_B)
-        summaries.append(_stage_summary(model, gt))
         w_hat = head_for(model.B_hat, target_ds)
         W_hat = _heads_for_snapshot(model.B_hat, merged, k)
-        nu_hat = lasso(W_hat, w_hat, _lambda_for(p, W_hat, w_hat))[0]
+        nu_hat, diag = _lasso_estimate(W_hat, w_hat, p)
+        summaries.append({**_stage_summary(model, gt),
+                          "relevance": _relevance_record([diag])})
         nu_history.append(nu_hat)
     model = fit_target_head(model, target_ds)
     total = int(counts.sum()) + p["n_target"]

@@ -80,56 +80,37 @@ def l1_oracle_lp(W, w):
     return res.x[:T] - res.x[T:]
 
 
-def _cd_sweeps(W, w, nu, r, norms2, lam, tol, max_sweeps, objective,
-               indices=None):
-    """Cyclic coordinate-descent sweeps at a fixed lam; mutates nu and r.
-    Sweeps the given coordinate subset (all coordinates by default).
-    Returns (sweeps_used, stationary)."""
-    if indices is None:
-        indices = range(nu.size)
-    for sweep in range(1, max_sweeps + 1):
-        delta_max = 0.0
-        for j in indices:
-            nj = norms2[j]
-            if nj == 0.0:
-                continue
-            old = nu[j]
-            rho = W[:, j] @ r + nj * old
-            new = math.copysign(max(abs(rho) - lam, 0.0), rho) / nj
-            if new != old:
-                r += W[:, j] * (old - new)
-                nu[j] = new
-                delta_max = max(delta_max, abs(new - old))
-        if objective is not None:
-            objective.append(0.5 * float(r @ r) + lam * float(np.sum(np.abs(nu))))
-        if sweep % 64 == 0:
-            r[:] = w - W @ nu  # shed accumulated drift in the running residual
-        if delta_max <= tol * (1.0 + np.max(np.abs(nu), initial=0.0)):
-            return sweep, True
-    return max_sweeps, False
+# a lasso path with more kinks than this reports converged=False
+_MAX_PATH_STEPS = 10000
+# columns whose distance from the active span is below this fraction of
+# their norm (and zero columns) never enter the path
+_SPAN_RTOL = 1e-9
+# kinks this close to lam = 0, relative to lam_max, are round-off
+_ZERO_LAM_RTOL = 1e-12
 
 
-def lasso(W, w, lam, tol=1e-12, max_iters=100000, record_objective=False,
-          kkt_tol=None):
+def lasso(W, w, lam):
     """L1-regularized least squares: min_nu 0.5||w - W nu||^2 + lam ||nu||_1.
 
-    Cyclic coordinate descent with exact soft-threshold updates from a zero
-    start, sweeping coordinates in index order; the returned vector is the
-    fixed point of that scheme, which also pins down a deterministic answer
-    when the minimizer is not unique. Zero-norm columns keep nu_t = 0.
+    Exact homotopy (the Lasso modification of LARS): the minimizer is
+    piecewise linear in the penalty, so the path starts at
+    lam_max = ||W^T w||_inf with the top-correlated column active and walks
+    down kink by kink, each kink the nearest column entry (an inactive
+    correlation reaching the penalty) or drop (an active coefficient
+    reaching zero), until it reaches the target lam. The returned nu_S
+    solves the fixed-sign normal equations on the final support, so
+    lam -> 0 lands on the minimum-L1 interpolant.
 
-    For lam far below ||W^T w||_inf, plain CD creeps along null(W) in
-    O(lam)-sized steps and would never reach the minimizer; the solve then
-    runs over a geometric lam path (factor 1/2) with warm starts, which is
-    still deterministic, and finishes at the target lam under a
-    fresh-residual KKT stop.  If full-coordinate sweeps stall above the KKT
-    tolerance, a support-restricted polish takes over: CD over the current
-    active set (strongly convex once the support has <= k columns of a
-    generic W) with one coordinate freed per round, picked by largest KKT
-    violation.
+    Columns in the span of the active columns never enter, so the active
+    Gram matrix stays invertible and the support never exceeds rank(W);
+    zero-norm columns keep nu_t = 0. Ties pick the lowest index, the index
+    that just entered or left is not re-processed at the same kink, and
+    kinks within round-off of lam = 0 are ignored.
 
-    Returns (nu, info); info carries sweeps, converged, degenerate, and the
-    per-sweep objective values when record_objective is set.
+    Returns (nu, info): info["sweeps"] counts path steps, "converged" is
+    whether the KKT residual is at most 1e-11 * (1 + lam_max) (False also
+    when the path runs out of steps), and "degenerate" flags lam = 0 on a
+    wide system, where the minimizer need not be unique.
     """
     W = np.asarray(W, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -138,161 +119,81 @@ def lasso(W, w, lam, tol=1e-12, max_iters=100000, record_objective=False,
     if W.ndim != 2 or w.shape != (W.shape[0],):
         raise ValueError("need W of shape (k, T) and w of shape (k,)")
     k, T = W.shape
-    norms2 = np.einsum("ij,ij->j", W, W)
-    lam_max = float(np.max(np.abs(W.T @ w), initial=0.0))
-    if kkt_tol is None:
-        kkt_tol = 1e-11 * (1.0 + lam_max)
+    lam = float(lam)
+    corr = W.T @ w
+    lam_max = float(np.max(np.abs(corr), initial=0.0))
+    norms = np.linalg.norm(W, axis=0)
     nu = np.zeros(T)
-    r = w.copy()
-    objective = [] if record_objective else None
-
-    stages = []
-    if lam_max > 0.0 and lam < 1e-3 * lam_max:
-        level = 0.5 * lam_max
-        floor = max(lam, 1e-16 * lam_max)
-        while level > floor:
-            stages.append(level)
-            level *= 0.5
-    stages.append(lam)
-
-    total = 0
-    converged = False
-    for stage_lam in stages[:-1]:
-        used, _ = _cd_sweeps(W, w, nu, r, norms2, stage_lam,
-                             max(tol, 1e-10), min(1000, max_iters - total),
-                             objective)
-        total += used
-        if total >= max_iters:
-            break
-    prev_kkt = math.inf
-    while total < max_iters:
-        used, stationary = _cd_sweeps(W, w, nu, r, norms2, lam, tol,
-                                      min(64, max_iters - total), objective)
-        total += used
-        r[:] = w - W @ nu
-        res = kkt_residual(W, w, nu, lam)
-        if res <= kkt_tol:
-            converged = True
-            break
-        if stationary and res >= 0.999 * prev_kkt:
-            break  # fixed point for this lam; no measurable progress left
-        prev_kkt = res
-    converged = False  # re-proved below; an oversized support can hide a
-    # near-flat valley that the KKT residual alone cannot resolve
-    for _ in range(4 * T + 16):
-        if total >= max_iters:
-            break
-        r[:] = w - W @ nu
-        support = [j for j in range(T) if nu[j] != 0.0 and norms2[j] > 0.0]
-        if len(support) > k:
-            support = _reduce_support(W, nu, support)
-            r[:] = w - W @ nu
-        res = kkt_residual(W, w, nu, lam)
-        if res <= kkt_tol:
-            converged = True
-            break
-        improved = False
-        if support:
-            cand = nu.copy()
-            if _exact_on_support(W, w, cand, lam, support):
-                cres = kkt_residual(W, w, cand, lam)
-                rc = w - W @ cand
-                obj_cand = 0.5 * float(rc @ rc) + lam * float(np.abs(cand).sum())
-                obj_cur = 0.5 * float(r @ r) + lam * float(np.abs(nu).sum())
-                if cres < res and obj_cand <= obj_cur + 1e-15 * (1.0 + obj_cur):
-                    nu[:] = cand
-                    r[:] = rc
-                    res = cres
-                    improved = True
-            if not improved:
-                used, _ = _cd_sweeps(W, w, nu, r, norms2, lam, 1e-15,
-                                     min(200, max_iters - total),
-                                     objective, support)
-                total += used
-                r[:] = w - W @ nu
-                res = kkt_residual(W, w, nu, lam)
-            if res <= kkt_tol:
-                converged = True
+    signs = np.zeros(T)
+    steps, exhausted = 0, False
+    if lam < lam_max:
+        j = int(np.argmax(np.abs(corr)))
+        active = [j]
+        signs[j] = np.sign(corr[j])
+        level = lam_max
+        stop = max(lam, _ZERO_LAM_RTOL * lam_max)
+        added, dropped, dropped_sign = j, -1, 0.0
+        while steps < _MAX_PATH_STEPS:
+            steps += 1
+            WA = W[:, active]
+            G = WA.T @ WA
+            sol = np.linalg.solve(G, np.column_stack([WA.T @ w,
+                                                      signs[active]]))
+            nu_A = sol[:, 0] - level * sol[:, 1]
+            direction = sol[:, 1]  # d nu_A / d(-lam)
+            c = W.T @ (w - WA @ nu_A)
+            a = W.T @ (WA @ direction)
+            # inactive columns: |c_j - g a_j| reaches level - g from inside
+            Q = np.linalg.qr(WA)[0]
+            off_span = np.linalg.norm(W - Q @ (Q.T @ W), axis=0)
+            can_enter = off_span > _SPAN_RTOL * norms
+            can_enter[active] = False
+            with np.errstate(divide="ignore", invalid="ignore"):
+                up = np.where(a < 1.0, np.maximum(level - c, 0.0) / (1.0 - a),
+                              np.inf)
+                down = np.where(a > -1.0,
+                                np.maximum(level + c, 0.0) / (1.0 + a), np.inf)
+            if dropped >= 0:  # it may re-enter only on the opposite bound
+                (up if dropped_sign > 0.0 else down)[dropped] = np.inf
+            enter = np.where(can_enter, np.minimum(up, down), np.inf)
+            # active coefficients moving towards zero
+            with np.errstate(divide="ignore", invalid="ignore"):
+                drop = np.where(direction * signs[active] < 0.0,
+                                np.maximum(-nu_A / direction, 0.0), np.inf)
+            if added in active:
+                drop[active.index(added)] = np.inf
+            j_in = int(np.argmin(enter))
+            i_out = int(np.argmin(drop))
+            gap = min(enter[j_in], drop[i_out])
+            if not level - gap > stop:
                 break
-        g = W.T @ r
-        best, best_v = -1, 0.0
-        for j in range(T):
-            if nu[j] == 0.0 and norms2[j] > 0.0:
-                v = abs(g[j]) - lam
-                if v > best_v:
-                    best, best_v = j, v
-        if best >= 0:
-            nu[best] = math.copysign(best_v, g[best]) / norms2[best]
-            r -= W[:, best] * nu[best]
-        elif not improved:
-            break  # violation sits on the active set and nothing moved
+            level -= gap
+            if enter[j_in] <= drop[i_out]:
+                signs[j_in] = 1.0 if c[j_in] - gap * a[j_in] > 0.0 else -1.0
+                active = sorted(active + [j_in])
+                added, dropped = j_in, -1
+            else:
+                dropped = active.pop(i_out)
+                dropped_sign, signs[dropped] = signs[dropped], 0.0
+                added = -1
+        else:
+            exhausted = True
+        # fixed-sign normal equations on the final support, in index order
+        # (a single active column always moves away from zero, so the
+        # support is never empty)
+        WS, s = W[:, active], signs[active]
+        nu_S = np.linalg.solve(WS.T @ WS, WS.T @ w - lam * s)
+        # a coefficient pinned at zero along a tied stretch of the path
+        # comes back as round-off of either sign
+        nu_S[nu_S * s < 0.0] = 0.0
+        nu[active] = nu_S
+    converged = kkt_residual(W, w, nu, lam) <= 1e-11 * (1.0 + lam_max)
     info = {
-        "sweeps": total,
-        "converged": converged,
+        "sweeps": steps,
+        "converged": bool(converged and not exhausted),
         "degenerate": bool(lam == 0.0 and min(k, T) < T),
     }
-    if record_objective:
-        info["objective"] = objective
     return nu, info
-
-
-def _reduce_support(W, nu, support):
-    """Walk flat directions of a rank-deficient active set to a vertex.
-
-    Moving along null(W_S) keeps the residual fixed; the L1 term changes
-    linearly, so walking the non-increasing direction until a coordinate
-    hits zero never increases the objective. Mutates nu; returns the
-    (possibly shrunk) support list."""
-    S = list(support)
-    while len(S) > 1:
-        WS = W[:, S]
-        _, sig, Vt = np.linalg.svd(WS, full_matrices=True)
-        rank = int(np.sum(sig > 1e-10 * max(sig[0], 1e-300)))
-        if rank >= len(S):
-            break
-        u = Vt[-1]
-        signs = np.sign(nu[S])
-        if signs @ u > 0.0:
-            u = -u
-        shrink = u * signs < 0.0
-        if not shrink.any():
-            u = -u
-            shrink = u * signs < 0.0
-            if not shrink.any():
-                break
-        steps = -nu[S][shrink] / u[shrink]
-        t = float(np.min(steps))
-        vals = nu[S] + t * u
-        vals[np.abs(vals) <= 1e-12 * np.max(np.abs(vals), initial=0.0)] = 0.0
-        nu[S] = vals
-        S = [j for j in S if nu[j] != 0.0]
-    return S
-
-
-def _exact_on_support(W, w, nu, lam, support):
-    """Solve the fixed-sign stationarity system restricted to the support,
-    dropping sign-flipped coordinates until the solution is consistent.
-    Mutates nu and returns True on success, False to fall back to CD."""
-    S = list(support)
-    s = np.sign(nu[S])
-    for _ in range(len(S) + 1):
-        if not S:
-            return False
-        WS = W[:, S]
-        try:
-            sol = np.linalg.solve(WS.T @ WS, WS.T @ w - lam * s)
-        except np.linalg.LinAlgError:
-            return False
-        if not np.all(np.isfinite(sol)):
-            return False
-        keep = sol * s > 0.0
-        if keep.all():
-            nu[:] = 0.0
-            nu[S] = sol
-            return True
-        S = [j for j, ok in zip(S, keep) if ok]
-        s = s[keep]
-    return False
 
 
 def kkt_residual(W, w, nu, lam):

@@ -12,6 +12,7 @@ are exact minimizers, so the recorded loss history is non-increasing.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import scipy.linalg
@@ -111,8 +112,13 @@ def _b_step_cg(u, H, G, W, B, d, k):
     rhs = np.zeros((d, k))
     for t in active:
         rhs += u[t] * np.outer(H[t], W[:, t])
-    sol, _ = scipy.sparse.linalg.cg(op, rhs.ravel(order="F"),
-                                    x0=B.ravel(order="F"), rtol=1e-12, atol=0.0)
+    sol, info = scipy.sparse.linalg.cg(op, rhs.ravel(order="F"),
+                                       x0=B.ravel(order="F"), rtol=1e-12,
+                                       atol=0.0)
+    if info != 0:
+        warnings.warn(f"conjugate gradients in the B-step returned info "
+                      f"{info}; the step may be inexact", RuntimeWarning,
+                      stacklevel=3)
     return sol.reshape(d, k, order="F")
 
 

@@ -4,6 +4,8 @@ These deliberately avoid the library's own solvers so that agreement
 between the two routes is evidence, not circularity.
 """
 
+import itertools
+
 import numpy as np
 
 
@@ -72,3 +74,42 @@ def pg_continuous_allocation(nu, N_tot, N_floor, max_iters=20000,
         else:
             stall = 0
     return x, fx
+
+
+def lasso_oracle(W, w, lam):
+    """Brute-force Lasso minimizer for desk-scale systems (T <= 7).
+
+    Enumerates every support of size <= k with every sign pattern, solves
+    the fixed-sign stationarity system W_S^T W_S nu_S = W_S^T w - lam s,
+    keeps the candidates whose signs agree and whose off-support
+    correlations satisfy |W_j^T r| <= lam, and returns (nu, objective) of
+    the one with the smallest objective 0.5||w - W nu||^2 + lam ||nu||_1.
+    """
+    W = np.asarray(W, dtype=float)
+    w = np.asarray(w, dtype=float)
+    k, T = W.shape
+    if T > 7:
+        raise ValueError("the enumeration is meant for T <= 7")
+    slack = 1e-9 * (1.0 + float(np.max(np.abs(W.T @ w), initial=0.0)))
+    best_nu, best_obj = None, np.inf
+    for size in range(min(k, T) + 1):
+        for S in itertools.combinations(range(T), size):
+            WS = W[:, list(S)]
+            if size and np.linalg.matrix_rank(WS) < size:
+                continue
+            for s in itertools.product((-1.0, 1.0), repeat=size):
+                s = np.array(s)
+                nu = np.zeros(T)
+                if size:
+                    nu_S = np.linalg.solve(WS.T @ WS, WS.T @ w - lam * s)
+                    if np.any(nu_S * s <= 0.0):
+                        continue
+                    nu[list(S)] = nu_S
+                r = w - W @ nu
+                off = np.setdiff1d(np.arange(T), S)
+                if off.size and np.max(np.abs(W[:, off].T @ r)) > lam + slack:
+                    continue
+                obj = 0.5 * float(r @ r) + lam * float(np.abs(nu).sum())
+                if obj < best_obj:
+                    best_nu, best_obj = nu, obj
+    return best_nu, best_obj

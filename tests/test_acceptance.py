@@ -165,7 +165,7 @@ def test_criterion_05_lasso_matches_exact_lp():
         worst_gap = max(worst_gap, gap)
         worst_kkt = max(worst_kkt, kkt_residual(W, w, nu_cd, lam))
     ok = worst_gap <= gap_tol and worst_kkt <= kkt_tol
-    _line(5, "coordinate-descent Lasso agrees with the exact LP", ok,
+    _line(5, "Lasso agrees with the exact LP", ok,
           f"worst rel L1 gap {worst_gap:.3e} <= {gap_tol:.0e}, worst KKT "
           f"residual {worst_kkt:.3e} <= {kkt_tol:.0e}; 50 instances")
     assert ok

@@ -17,6 +17,7 @@ from amtrl import (
     run_multistage,
     run_passive,
 )
+from amtrl import pipeline
 
 
 def _oracle(gt, seed=0):
@@ -221,3 +222,43 @@ def test_snapshot_averaging_and_cold_start_run():
     cold = run_l1_amtrl(_oracle(gt), gt.d, gt.k, gt.T,
                         {**base, "cold_start": True})
     assert warm.status == "ok" and cold.status == "ok"
+
+
+def test_relevance_diagnostics_are_recorded_per_stage():
+    gt = make_random_instance(8, 2, 6, sigma_z=0.2, seed=3)
+    res = run_l1_amtrl(_oracle(gt), gt.d, gt.k, gt.T,
+                       {"N_tot_phase2": 1200, "N_floor": 30,
+                        "n_target": 300})
+    rec = res.stage_summaries[0]["relevance"]
+    assert rec["converged"] and rec["steps"] >= 1
+    assert 0.0 <= rec["kkt_residual"] <= 1e-10
+    assert "relevance" not in res.stage_summaries[1]  # refit, no estimate
+    multi = run_multistage(_oracle(gt), gt.d, gt.k, gt.T,
+                           {"S": 3, "L": 2.0, "beta_1": 300, "N_floor": 10,
+                            "n_target": 300})
+    assert all(s["relevance"]["converged"] for s in multi.stage_summaries)
+    l2 = run_l2_amtrl(_oracle(gt), gt.d, gt.k, gt.T,
+                      {"N_tot_phase2": 1200, "N_floor": 30, "n_target": 300})
+    assert all("relevance" not in s for s in l2.stage_summaries)
+
+
+def test_unconverged_relevance_solve_warns_and_is_flagged(monkeypatch):
+    real_lasso = pipeline.lasso
+
+    def stalled(W, w, lam):
+        nu, info = real_lasso(W, w, lam)
+        return nu, {**info, "converged": False}
+
+    monkeypatch.setattr(pipeline, "lasso", stalled)
+    gt = make_random_instance(8, 2, 6, sigma_z=0.2, seed=3)
+    with pytest.warns(RuntimeWarning, match="did not converge"):
+        res = run_l1_amtrl(_oracle(gt), gt.d, gt.k, gt.T,
+                           {"N_tot_phase2": 1200, "N_floor": 30,
+                            "n_target": 300})
+    assert res.stage_summaries[0]["relevance"]["converged"] is False
+    with pytest.warns(RuntimeWarning, match="did not converge"):
+        multi = run_multistage(_oracle(gt), gt.d, gt.k, gt.T,
+                               {"S": 2, "L": 2.0, "beta_1": 300,
+                                "N_floor": 10, "n_target": 300})
+    assert [s["relevance"]["converged"] for s in multi.stage_summaries] \
+        == [False, False]

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amtrl import (
     LAZY_LAMBDA,
@@ -16,7 +18,9 @@ from amtrl import (
     solve_relevance,
     support_size,
 )
+from amtrl import relevance
 from amtrl.relevance import re_condition_diagnostic
+from oracles import lasso_oracle
 
 
 def _rand_system(seed, k=4, T=10):
@@ -205,3 +209,137 @@ def test_re_condition_diagnostic():
         re_condition_diagnostic(W, support=[])
     with pytest.raises(ValueError):
         re_condition_diagnostic(W, support=[10])
+
+
+@st.composite
+def _small_systems(draw):
+    """Desk-scale (W, w): generic, rank-deficient, or with repeated,
+    negated and zero columns."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    k = draw(st.integers(1, 4))
+    T = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["generic", "low_rank", "tied"]))
+    rng = np.random.default_rng(seed)
+    if kind == "low_rank":
+        r = int(rng.integers(1, k + 1))
+        W = rng.standard_normal((k, r)) @ rng.standard_normal((r, T))
+    else:
+        W = rng.standard_normal((k, T))
+    if kind == "tied":
+        for j in range(1, T):
+            pick = rng.integers(0, 4)
+            if pick == 0:
+                W[:, j] = rng.choice([-1.0, 1.0]) * W[:, rng.integers(0, j)]
+            elif pick == 1:
+                W[:, j] = 0.0
+    return W, rng.standard_normal(k)
+
+
+def _lam_max(W, w):
+    return float(np.max(np.abs(W.T @ w), initial=0.0))
+
+
+_lam_fractions = st.one_of(st.just(0.0), st.just(1e-10),
+                           st.floats(1e-6, 0.999))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_systems(), _lam_fractions)
+def test_lasso_matches_brute_force_oracle(system, frac):
+    W, w = system
+    lam = frac * _lam_max(W, w)
+    nu, _ = lasso(W, w, lam)
+    _, best = lasso_oracle(W, w, lam)
+    r = w - W @ nu
+    obj = 0.5 * float(r @ r) + lam * float(np.abs(nu).sum())
+    assert obj <= best + 1e-10 * (1.0 + abs(best))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 7),
+       st.floats(1e-3, 0.999))
+def test_lasso_solution_matches_oracle_when_unique(seed, k, T, frac):
+    # a generic W at lam > 0 has a unique minimizer
+    rng = np.random.default_rng(seed)
+    W, w = rng.standard_normal((k, T)), rng.standard_normal(k)
+    lam = frac * _lam_max(W, w)
+    nu, _ = lasso(W, w, lam)
+    ref, _ = lasso_oracle(W, w, lam)
+    np.testing.assert_allclose(nu, ref, atol=1e-8 * (1.0 + np.abs(ref).sum()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_systems(), _lam_fractions)
+def test_lasso_kkt_and_support_properties(system, frac):
+    W, w = system
+    lam_max = _lam_max(W, w)
+    lam = frac * lam_max
+    nu, info = lasso(W, w, lam)
+    assert info["converged"]
+    assert kkt_residual(W, w, nu, lam) <= 1e-10 * (1.0 + lam_max)
+    assert np.count_nonzero(nu) <= np.linalg.matrix_rank(W)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_systems(), st.floats(1.0, 100.0))
+def test_lasso_above_lambda_max_is_exactly_zero(system, factor):
+    W, w = system
+    nu, info = lasso(W, w, factor * _lam_max(W, w))
+    np.testing.assert_array_equal(nu, np.zeros(W.shape[1]))
+    assert info["sweeps"] == 0 and info["converged"]
+
+
+def _tied_system(seed):
+    """k=3, T=8: each later column repeats, negates or zeroes an earlier
+    one, or stays fresh; w is either random or on a column."""
+    rng = np.random.default_rng(seed)
+    W = rng.standard_normal((3, 8))
+    for j in range(1, 8):
+        kind = rng.integers(0, 5)
+        i = int(rng.integers(0, j))
+        if kind == 0:
+            W[:, j] = W[:, i]
+        elif kind == 1:
+            W[:, j] = -W[:, i]
+        elif kind == 2:
+            W[:, j] = 0.0
+    if rng.integers(0, 2):
+        return W, 1.7 * W[:, int(rng.integers(0, 8))]
+    return W, rng.standard_normal(3)
+
+
+def test_lasso_tied_and_anti_parallel_columns():
+    for seed in range(100):
+        W, w = _tied_system(seed)
+        for lam in (0.0, 1e-10, 1e-3):
+            nu, info = lasso(W, w, lam)
+            assert np.all(np.isfinite(nu))
+            assert kkt_residual(W, w, nu, lam) <= 1e-8
+            assert info["converged"], (seed, lam)
+            assert np.all(nu[np.linalg.norm(W, axis=0) == 0.0] == 0.0)
+
+
+def test_lasso_integer_designs_and_exactly_sparse_targets():
+    # integer-valued designs tie correlations and pin coefficients at zero
+    # exactly; targets built from a few columns put kinks at lam = 0
+    for seed in range(5000, 5400):
+        rng = np.random.default_rng(seed)
+        k, T = int(rng.integers(1, 7)), int(rng.integers(1, 12))
+        W = rng.standard_normal((k, T))
+        if seed % 2 == 0:
+            W = np.round(W)
+        w = W @ (np.round(rng.standard_normal(T)) * (rng.random(T) < 0.4))
+        lam_max = float(np.max(np.abs(W.T @ w), initial=0.0))
+        for frac in (0.0, 1e-10, 1e-3, 0.1):
+            nu, info = lasso(W, w, frac * lam_max)
+            assert info["converged"], (seed, frac)
+
+
+def test_lasso_reports_an_exhausted_path(monkeypatch):
+    W, w = _rand_system(3, k=4, T=10)
+    nu, info = lasso(W, w, 1e-10)
+    assert info["converged"] and info["sweeps"] > 1
+    monkeypatch.setattr(relevance, "_MAX_PATH_STEPS", 1)
+    nu, info = lasso(W, w, 1e-10)
+    assert info["sweeps"] == 1 and not info["converged"]
+    assert np.all(np.isfinite(nu))

@@ -1,8 +1,12 @@
 """Alternating least-squares representation fitting."""
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
+from amtrl import trainer
 from amtrl import (
     FitOptions,
     TaskDataset,
@@ -158,3 +162,38 @@ def test_head_for_recovers_true_head_noiseless():
     # with B fixed at the truth, the head solve is plain least squares
     w = head_for(gt.B_star, ds)
     np.testing.assert_allclose(w, gt.W_star[:, 1], atol=1e-10)
+
+
+def test_matrix_free_b_step_matches_dense(monkeypatch):
+    gt = make_random_instance(10, 3, 8, sigma_z=0.3, seed=6)
+    data = _datasets(gt, 60, seed=3)
+    dense = fit_source(data, gt.k)
+    monkeypatch.setattr(trainer, "DENSE_VECB_LIMIT", 1)
+    calls = []
+    original = trainer._b_step_cg
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(trainer, "_b_step_cg", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        cg = fit_source(data, gt.k)
+    assert len(calls) == cg.iterations  # every B-step went matrix-free
+    assert cg.converged and dense.converged
+    np.testing.assert_allclose(cg.B_hat, dense.B_hat, atol=1e-8)
+    np.testing.assert_allclose(cg.W_hat, dense.W_hat, atol=1e-8)
+    hist = np.asarray(cg.train_loss_history)
+    assert np.all(np.diff(hist) <= 1e-12 * np.maximum(np.abs(hist[:-1]), 1.0))
+
+
+def test_matrix_free_b_step_warns_when_cg_stops_early(monkeypatch):
+    gt = make_random_instance(8, 2, 5, sigma_z=0.3, seed=1)
+    data = _datasets(gt, 40, seed=1)
+    monkeypatch.setattr(trainer, "DENSE_VECB_LIMIT", 1)
+    real_cg = scipy.sparse.linalg.cg
+    monkeypatch.setattr(scipy.sparse.linalg, "cg",
+                        lambda *a, **kw: (real_cg(*a, **kw)[0], 7))
+    with pytest.warns(RuntimeWarning, match="info 7"):
+        fit_source(data, gt.k, FitOptions(max_iters=2))
