@@ -18,9 +18,9 @@ from .instance import (GroundTruth, TaskDataset, almost_sparse_nu,
                        sample_task, save_instance)
 from .pipeline import (RunResult, TaskOracle, run_known_nu, run_l1_amtrl,
                        run_l2_amtrl, run_multistage, run_passive)
-from .relevance import (LAZY_LAMBDA, RelevanceVector, kkt_residual,
-                        l1_oracle_lp, lambda_rule, lasso, min_l2_solution,
-                        norm_bound_check, solve_relevance, support_size)
+from .relevance import (LAZY_LAMBDA, kkt_residual, l1_oracle_lp, lambda_rule,
+                        lasso, min_l2_solution, norm_bound_check,
+                        support_size)
 from .trainer import (FitOptions, FittedModel, excess_risk, fit_source,
                       fit_target_head, head_for, load_model, save_model,
                       subspace_distance)
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Allocation", "CostFunction", "FitOptions", "FittedModel", "GroundTruth",
-    "InfeasibleBudgetError", "LAZY_LAMBDA", "RelevanceVector", "RunResult",
+    "InfeasibleBudgetError", "LAZY_LAMBDA", "RunResult",
     "TaskDataset", "TaskOracle", "allocate_fixed_nu", "almost_sparse_nu",
     "bilevel_oracle",
     "continuous_allocation", "cost_aware_allocate", "cost_support_oracle",
@@ -41,5 +41,5 @@ __all__ = [
     "nu_tilde_objective", "random_feasible_allocation", "run_known_nu",
     "run_l1_amtrl", "run_l2_amtrl", "run_multistage", "run_passive",
     "saltus_cost", "sample_task", "save_instance", "save_model",
-    "solve_relevance", "subspace_distance", "support_size",
+    "subspace_distance", "support_size",
 ]

@@ -1,11 +1,10 @@
 """Batch experiment front-end: configs, sweeps, CSV output, verification.
 
 A SweepConfig (usually loaded from JSON) names an instance, a strategy
-list, a budget grid, and seed count; the sweep runner executes the grid,
-optionally fanned out over a thread pool capped by AMTRL_THREADS, and
-writes one CSV row per run plus per-strategy summary and plot data. The
-verify suite re-proves the package's core numerical properties and emits
-a machine-readable report.
+list, a budget grid, and seed count; the sweep runner executes the grid
+serially in the calling thread and writes one CSV row per run plus
+per-strategy summary and plot data. The verify suite re-proves the
+package's core numerical properties and emits a machine-readable report.
 """
 
 import csv
@@ -14,7 +13,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +44,6 @@ class SweepConfig:
     lambda_policy: str = "lazy"
     lambda_value: float = None
     n_target: int = 500
-    snapshot_average: int = 1
     multistage: dict = field(default_factory=lambda: {"S": 3, "L": 2.0})
     out_dir: str = "."
 
@@ -158,8 +155,7 @@ def _multistage_beta1(N_tot, S, L):
 def run_single(gt, strategy, seed, N_tot, cfg):
     """One strategy run; returns (row dict, RunResult or None)."""
     base = {"n_target": cfg.n_target, "lambda_policy": cfg.lambda_policy,
-            "lambda": cfg.lambda_value,
-            "snapshot_average": cfg.snapshot_average}
+            "lambda": cfg.lambda_value}
     oracle = pipeline.TaskOracle(gt, seed=seed)
     d, k, T = gt.d, gt.k, gt.T
     t0 = time.perf_counter()
@@ -223,37 +219,16 @@ def read_rows_csv(path):
         return list(csv.DictReader(fh))
 
 
-def _worker_count(n_jobs):
-    cap = os.environ.get("AMTRL_THREADS", "").strip()
-    if cap:
-        try:
-            cap = int(cap)
-        except ValueError:
-            raise ConfigError(f"AMTRL_THREADS must be an integer, got {cap!r}")
-        if cap < 1:
-            raise ConfigError("AMTRL_THREADS must be >= 1")
-        return min(cap, n_jobs)
-    return min(os.cpu_count() or 1, n_jobs)
-
-
 def run_sweep(cfg, out_dir=None):
     """Execute strategies x budgets x seeds; write runs.csv, summary.csv and
     per-strategy plot data; returns (rows, summary rows)."""
     out_dir = out_dir or cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
     gt = make_instance(cfg.instance)
-    jobs = [(strategy, budget, seed)
+    rows = [run_single(gt, strategy, seed, budget, cfg)[0]
             for strategy in cfg.strategies
             for budget in cfg.budgets
             for seed in range(cfg.seeds)]
-    workers = _worker_count(len(jobs))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(
-                lambda j: run_single(gt, j[0], j[2], j[1], cfg), jobs))
-    else:
-        outcomes = [run_single(gt, s, seed, b, cfg) for s, b, seed in jobs]
-    rows = [row for row, _ in outcomes]
     rows.sort(key=lambda r: (r["strategy"], r["N_tot"], r["seed"]))
     write_rows_csv(os.path.join(out_dir, "runs.csv"), rows)
 

@@ -19,18 +19,13 @@ from .allocation import (Allocation, InfeasibleBudgetError, allocate_fixed_nu,
 from .instance import TaskDataset, sample_task
 from .relevance import (LAZY_LAMBDA, kkt_residual, lambda_rule, lasso,
                         min_l2_solution, support_size)
-from .trainer import (FitOptions, excess_risk, fit_source, fit_target_head,
-                      head_for, subspace_distance)
+from .trainer import (excess_risk, fit_source, fit_target_head, head_for,
+                      subspace_distance)
 
 _DEFAULTS = {
     "n_target": 500,
     "lambda_policy": "lazy",
     "lambda": None,
-    "snapshot_average": 1,
-    "cold_start": False,
-    "fit_tol": 1e-10,
-    "fit_max_iters": 500,
-    "fit_seed": 0,
 }
 
 
@@ -115,11 +110,6 @@ def _check_dims(oracle, d, k, T):
                          f" got (d={d}, k={k}, T={T})")
 
 
-def _fit_options(p, snapshots=1):
-    return FitOptions(tol=p["fit_tol"], max_iters=p["fit_max_iters"],
-                      seed=p["fit_seed"], snapshots=snapshots)
-
-
 def _stage_summary(model, gt):
     return {
         "loss": float(model.train_loss_history[-1]),
@@ -160,7 +150,7 @@ def _lambda_for(p, W, w):
     raise ValueError(f"unknown lambda_policy {policy!r}")
 
 
-def _heads_for_snapshot(B, datasets, k):
+def _source_heads(B, datasets, k):
     cols = []
     for ds in datasets:
         if ds.n == 0:
@@ -171,51 +161,36 @@ def _heads_for_snapshot(B, datasets, k):
 
 
 def _lasso_estimate(W_hat, w_hat, p):
-    """Lasso relevance estimate and its solver diagnostics."""
+    """Lasso relevance estimate and the stage's relevance record of its
+    solver diagnostics; warns when the Lasso did not converge."""
     lam = _lambda_for(p, W_hat, w_hat)
     nu, info = lasso(W_hat, w_hat, lam)
-    return nu, {"steps": int(info["sweeps"]),
-                "kkt_residual": kkt_residual(W_hat, w_hat, nu, lam),
-                "converged": bool(info["converged"])}
-
-
-def _relevance_record(diags):
-    """One stage's relevance record from its Lasso calls; warns when any
-    of them did not converge."""
-    record = {"steps": sum(d["steps"] for d in diags),
-              "kkt_residual": max(d["kkt_residual"] for d in diags),
-              "converged": all(d["converged"] for d in diags)}
+    record = {"steps": int(info["sweeps"]),
+              "kkt_residual": kkt_residual(W_hat, w_hat, nu, lam),
+              "converged": bool(info["converged"])}
     if not record["converged"]:
         warnings.warn("the Lasso relevance estimate did not converge (KKT "
                       f"residual {record['kkt_residual']:.3e})",
                       RuntimeWarning, stacklevel=3)
-    return record
+    return nu, record
 
 
 def _estimate_nu(model, datasets, target_ds, k, p, method):
-    """Relevance estimate from the fitted model, snapshot-averaged over the
-    last A trailing representation iterates (they coincide once the
-    deterministic solver has converged). Returns (nu, record), the record
-    holding the Lasso diagnostics (None for the min-L2 route)."""
-    A = max(1, int(p["snapshot_average"]))
-    snaps = model.snapshots[-A:] if A > 1 else (model.B_hat,)
-    nus, diags = [], []
-    for B in snaps:
-        W_hat = _heads_for_snapshot(B, datasets, k)
-        w_hat = head_for(B, target_ds)
-        if method == "lasso":
-            nu, diag = _lasso_estimate(W_hat, w_hat, p)
-            diags.append(diag)
-        else:
-            try:
-                nu = min_l2_solution(W_hat, w_hat)
-            except ValueError:
-                warnings.warn("estimated heads are rank-deficient; using a "
-                              "plain least-squares relevance estimate",
-                              RuntimeWarning, stacklevel=2)
-                nu = np.linalg.lstsq(W_hat, w_hat, rcond=None)[0]
-        nus.append(nu)
-    return np.mean(nus, axis=0), (_relevance_record(diags) if diags else None)
+    """Relevance estimate from the fitted representation. Returns
+    (nu, record), the record holding the Lasso diagnostics (None for the
+    min-L2 route)."""
+    W_hat = _source_heads(model.B_hat, datasets, k)
+    w_hat = head_for(model.B_hat, target_ds)
+    if method == "lasso":
+        return _lasso_estimate(W_hat, w_hat, p)
+    try:
+        nu = min_l2_solution(W_hat, w_hat)
+    except ValueError:
+        warnings.warn("estimated heads are rank-deficient; using a "
+                      "plain least-squares relevance estimate",
+                      RuntimeWarning, stacklevel=2)
+        nu = np.linalg.lstsq(W_hat, w_hat, rcond=None)[0]
+    return nu, None
 
 
 def _finish(strategy, oracle, p, allocations, summaries, model, nu_history,
@@ -245,7 +220,7 @@ def run_known_nu(oracle, d, k, T, nu_ref, q, params=None):
     N_tot, N_floor = int(_require(p, "N_tot")), int(p.get("N_floor", 0))
     alloc = lpnq_allocation(nu_ref, q, N_tot, N_floor, strategy="known_nu")
     datasets = [oracle.sample(t, int(alloc.n[t]), draw=0) for t in range(T)]
-    model = fit_source(datasets, k, _fit_options(p))
+    model = fit_source(datasets, k)
     target_ds = oracle.sample(T, p["n_target"], draw=0)
     model = fit_target_head(model, target_ds)
     nu_ref = np.asarray(nu_ref, dtype=float)
@@ -264,7 +239,7 @@ def run_passive(oracle, d, k, T, params=None):
     N_tot, N_floor = int(_require(p, "N_tot")), int(p.get("N_floor", 0))
     alloc = allocate_fixed_nu(np.ones(T), N_tot, N_floor, strategy="passive")
     datasets = [oracle.sample(t, int(alloc.n[t]), draw=0) for t in range(T)]
-    model = fit_source(datasets, k, _fit_options(p))
+    model = fit_source(datasets, k)
     target_ds = oracle.sample(T, p["n_target"], draw=0)
     model = fit_target_head(model, target_ds)
     return _finish("passive", oracle, p, [alloc],
@@ -291,8 +266,7 @@ def _two_phase(oracle, d, k, T, params, strategy):
                         continuous=np.full(T, float(N_floor)))
     datasets1 = [oracle.sample(t, N_floor, draw=0) for t in range(T)]
     target_ds = oracle.sample(T, p["n_target"], draw=0)
-    A = max(1, int(p["snapshot_average"]))
-    model1 = fit_source(datasets1, k, _fit_options(p, snapshots=A))
+    model1 = fit_source(datasets1, k)
     method = "lasso" if strategy == "L1" else "min_l2"
     nu_hat, record = _estimate_nu(model1, datasets1, target_ds, k, p, method)
 
@@ -308,8 +282,7 @@ def _two_phase(oracle, d, k, T, params, strategy):
         if inc > 0:
             parts.append(oracle.sample(t, inc, draw=1))
         merged.append(_merge_parts(t, parts, oracle.seed))
-    init_B = None if p["cold_start"] else model1.B_hat
-    model2 = fit_source(merged, k, _fit_options(p), init_B=init_B)
+    model2 = fit_source(merged, k, init_B=model1.B_hat)
     model2 = fit_target_head(model2, target_ds)
 
     summaries = [_stage_summary(model1, gt), _stage_summary(model2, gt)]
@@ -374,16 +347,15 @@ def run_multistage(oracle, d, k, T, params=None):
                 parts[t].append(oracle.sample(t, inc, draw=stage))
         counts = np.maximum(counts, alloc.n)
         merged = [_merge_parts(t, parts[t], oracle.seed) for t in range(T)]
-        init_B = None if (model is None or p["cold_start"]) else model.B_hat
-        model = fit_source(merged, k, _fit_options(p), init_B=init_B)
+        init_B = None if model is None else model.B_hat
+        model = fit_source(merged, k, init_B=init_B)
         w_hat = head_for(model.B_hat, target_ds)
-        W_hat = _heads_for_snapshot(model.B_hat, merged, k)
-        nu_hat, diag = _lasso_estimate(W_hat, w_hat, p)
-        summaries.append({**_stage_summary(model, gt),
-                          "relevance": _relevance_record([diag])})
+        W_hat = _source_heads(model.B_hat, merged, k)
+        nu_hat, record = _lasso_estimate(W_hat, w_hat, p)
+        summaries.append({**_stage_summary(model, gt), "relevance": record})
         nu_history.append(nu_hat)
     model = fit_target_head(model, target_ds)
     total = int(counts.sum()) + p["n_target"]
-    return _finish("L1", oracle, p, allocations, summaries, model,
+    return _finish("multistage", oracle, p, allocations, summaries, model,
                    nu_history, np.abs(nu_hat).sum(), support_size(nu_hat),
                    int(counts.sum()), N_floor, total, t0, p)

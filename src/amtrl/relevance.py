@@ -18,23 +18,6 @@ from . import simplex
 _RANK_RTOL = 1e-10
 
 
-@dataclasses.dataclass(frozen=True)
-class RelevanceVector:
-    """A solved relevance vector plus solver diagnostics."""
-
-    nu: np.ndarray
-    solver: str
-    lam: float | None
-    kkt_residual: float | None
-    support_size: int
-    residual_l2: float
-
-    def __post_init__(self):
-        nu = np.array(self.nu, dtype=float)
-        nu.setflags(write=False)
-        object.__setattr__(self, "nu", nu)
-
-
 def support_size(nu, tol=None):
     """Number of entries of nu above the dead-band tolerance."""
     nu = np.asarray(nu, dtype=float)
@@ -108,9 +91,10 @@ def lasso(W, w, lam):
     kinks within round-off of lam = 0 are ignored.
 
     Returns (nu, info): info["sweeps"] counts path steps, "converged" is
-    whether the KKT residual is at most 1e-11 * (1 + lam_max) (False also
-    when the path runs out of steps), and "degenerate" flags lam = 0 on a
-    wide system, where the minimizer need not be unique.
+    whether the KKT residual is at most 1e-11 * (1 + lam_max) plus the
+    round-off bound 8 eps ||W||_2 (||W||_2 ||nu||_1 + ||w||_2) of computing
+    it (False also when the path runs out of steps), and "degenerate" flags
+    lam = 0 on a wide system, where the minimizer need not be unique.
     """
     W = np.asarray(W, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -187,7 +171,11 @@ def lasso(W, w, lam):
         # comes back as round-off of either sign
         nu_S[nu_S * s < 0.0] = 0.0
         nu[active] = nu_S
-    converged = kkt_residual(W, w, nu, lam) <= 1e-11 * (1.0 + lam_max)
+    W_norm = np.linalg.norm(W, 2)
+    round_off = 8.0 * np.finfo(float).eps * W_norm * (
+        W_norm * np.abs(nu).sum() + np.linalg.norm(w))
+    converged = (kkt_residual(W, w, nu, lam)
+                 <= 1e-11 * (1.0 + lam_max) + round_off)
     info = {
         "sweeps": steps,
         "converged": bool(converged and not exhausted),
@@ -232,29 +220,6 @@ def lambda_rule(k, R, C_W, sigma_min):
 
 
 LAZY_LAMBDA = 1e-10
-
-
-def solve_relevance(W, w, method="lasso", lam=LAZY_LAMBDA):
-    """One-stop solver returning a RelevanceVector with diagnostics."""
-    W = np.asarray(W, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if method == "lasso":
-        nu, _ = lasso(W, w, lam)
-        kkt = kkt_residual(W, w, nu, lam)
-        used_lam = lam
-    elif method == "min_l2":
-        nu = min_l2_solution(W, w)
-        kkt, used_lam = None, None
-    elif method == "lp":
-        nu = l1_oracle_lp(W, w)
-        kkt, used_lam = None, None
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return RelevanceVector(
-        nu=nu, solver=method, lam=used_lam, kkt_residual=kkt,
-        support_size=support_size(nu),
-        residual_l2=float(np.linalg.norm(W @ nu - w)),
-    )
 
 
 @dataclasses.dataclass(frozen=True)

@@ -21,16 +21,17 @@ import scipy.sparse.linalg
 # above this many entries in vec(B), the B-step switches from a dense
 # normal-equation solve to conjugate gradients on the same system
 DENSE_VECB_LIMIT = 20000
+# ridge on each task's Gram matrix in the spectral initialization
+_INIT_RIDGE = 1e-8
 
 
 @dataclasses.dataclass(frozen=True)
 class FitOptions:
+    """Stopping rule: relative loss decrease at most tol, or max_iters
+    alternating steps."""
+
     tol: float = 1e-10
     max_iters: int = 500
-    init: str = "spectral"
-    seed: int = 0
-    snapshots: int = 1
-    init_ridge: float = 1e-8
 
 
 @dataclasses.dataclass(frozen=True)
@@ -45,7 +46,6 @@ class FittedModel:
     train_loss_history: list
     iterations: int
     converged: bool
-    snapshots: tuple = ()
 
 
 def _loss_gram(u, yty, H, G, B, W):
@@ -122,19 +122,22 @@ def _b_step_cg(u, H, G, W, B, d, k):
     return sol.reshape(d, k, order="F")
 
 
-def _spectral_init(u, H, G, d, k, ridge, rng):
+def _spectral_init(u, H, G, d, k):
+    """Top-k left singular vectors of the per-task ridge solutions, padded
+    with fixed-seed random directions when they span fewer than k."""
     cols = []
     for t in range(len(u)):
         if u[t] == 0.0:
             cols.append(np.zeros(d))
         else:
-            cols.append(np.linalg.solve(G[t] + ridge * np.eye(d), H[t]))
+            cols.append(np.linalg.solve(G[t] + _INIT_RIDGE * np.eye(d), H[t]))
     M = np.column_stack(cols) if cols else np.zeros((d, 1))
     U, s, _ = np.linalg.svd(M, full_matrices=False)
     rank = int(np.sum(s > 1e-12 * max(1.0, s[0] if s.size else 0.0)))
     avail = min(rank, k)
     if avail == k:
         return U[:, :k]
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=0))
     pad = np.column_stack([U[:, :avail], rng.standard_normal((d, k - avail))])
     return np.linalg.qr(pad)[0][:, :k]
 
@@ -147,10 +150,9 @@ def fit_source(datasets, k, options=None, init_B=None):
             datasets[t]. Tasks with n = 0 are carried with a zero head and
             contribute nothing to the objective.
         k: latent dimension of the representation.
-        options: FitOptions; options.snapshots > 1 keeps the trailing B
-            iterates on the model for snapshot-averaged relevance estimation.
+        options: FitOptions (stopping rule); None means FitOptions().
         init_B: optional d x k warm start for the representation; it is
-            re-orthonormalized and overrides options.init.
+            re-orthonormalized and replaces the spectral initialization.
 
     Returns:
         FittedModel with a non-increasing train_loss_history.
@@ -171,18 +173,13 @@ def fit_source(datasets, k, options=None, init_B=None):
     H = [ds.X.T @ ds.Y for ds in datasets]
     yty = [float(ds.Y @ ds.Y) for ds in datasets]
 
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=options.seed))
     if init_B is not None:
         init_B = np.asarray(init_B, dtype=float)
         if init_B.shape != (d, k):
             raise ValueError(f"init_B must be {d} x {k}, got {init_B.shape}")
         B = np.linalg.qr(init_B)[0]
-    elif options.init == "spectral":
-        B = _spectral_init(u, H, G, d, k, options.init_ridge, rng)
-    elif options.init == "random":
-        B = np.linalg.qr(rng.standard_normal((d, k)))[0]
     else:
-        raise ValueError(f"unknown init {options.init!r}")
+        B = _spectral_init(u, H, G, d, k)
 
     W = _w_step(u, H, G, B, np.zeros((k, T)))
 
@@ -196,8 +193,6 @@ def fit_source(datasets, k, options=None, init_B=None):
 
     history = []
     history.append(loss(B, W))
-    keep = max(1, int(options.snapshots))
-    snaps = [B.copy()]
     converged = False
     dense = d * k <= DENSE_VECB_LIMIT
     for _ in range(options.max_iters):
@@ -207,16 +202,13 @@ def fit_source(datasets, k, options=None, init_B=None):
         W = R @ W
         W = _w_step(u, H, G, B, W)
         history.append(loss(B, W))
-        snaps.append(B.copy())
-        if len(snaps) > keep:
-            snaps.pop(0)
         prev, cur = history[-2], history[-1]
         if prev - cur <= options.tol * max(abs(prev), 1e-300):
             converged = True
             break
     return FittedModel(B_hat=B, W_hat=W, w_target_hat=None,
                        train_loss_history=history, iterations=len(history) - 1,
-                       converged=converged, snapshots=tuple(snaps))
+                       converged=converged)
 
 
 def head_for(B_hat, dataset):

@@ -169,9 +169,12 @@ def test_multistage_single_stage_is_floored_uniform():
 
 def test_parameter_validation():
     gt = make_random_instance(6, 2, 4, sigma_z=0.1, seed=0)
-    with pytest.raises(ValueError):
-        run_passive(_oracle(gt), gt.d, gt.k, gt.T,
-                    {"N_tot": 100, "bogus": 1})
+    for key, value in (("bogus", 1), ("snapshot_average", 3),
+                       ("cold_start", True), ("fit_tol", 1e-8),
+                       ("fit_max_iters", 50), ("fit_seed", 1)):
+        with pytest.raises(ValueError, match="unknown params"):
+            run_passive(_oracle(gt), gt.d, gt.k, gt.T,
+                        {"N_tot": 100, key: value})
     with pytest.raises(ValueError):
         run_passive(_oracle(gt), gt.d, gt.k, gt.T, {})  # N_tot missing
     with pytest.raises(ValueError):
@@ -212,16 +215,6 @@ def test_lambda_policies():
     with pytest.raises(ValueError):
         run_l1_amtrl(_oracle(gt), gt.d, gt.k, gt.T,
                      {**base, "lambda_policy": "huh"})
-
-
-def test_snapshot_averaging_and_cold_start_run():
-    gt = make_random_instance(8, 2, 5, sigma_z=0.2, seed=3)
-    base = {"N_tot_phase2": 800, "N_floor": 30, "n_target": 300}
-    warm = run_l1_amtrl(_oracle(gt), gt.d, gt.k, gt.T,
-                        {**base, "snapshot_average": 3})
-    cold = run_l1_amtrl(_oracle(gt), gt.d, gt.k, gt.T,
-                        {**base, "cold_start": True})
-    assert warm.status == "ok" and cold.status == "ok"
 
 
 def test_relevance_diagnostics_are_recorded_per_stage():

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amtrl import (
-    LAZY_LAMBDA,
     kkt_residual,
     l1_oracle_lp,
     lambda_rule,
@@ -15,7 +14,6 @@ from amtrl import (
     make_random_instance,
     min_l2_solution,
     norm_bound_check,
-    solve_relevance,
     support_size,
 )
 from amtrl import relevance
@@ -157,19 +155,6 @@ def test_lambda_rule():
         lambda_rule(k=0, R=1.0, C_W=1.0, sigma_min=1.0)
     with pytest.raises(ValueError):
         lambda_rule(k=4, R=1.0, C_W=1.0, sigma_min=0.0)
-
-
-def test_solve_relevance_dispatch():
-    W, w = _rand_system(7)
-    out_lasso = solve_relevance(W, w, method="lasso", lam=LAZY_LAMBDA)
-    assert out_lasso.solver == "lasso" and out_lasso.kkt_residual is not None
-    assert out_lasso.residual_l2 <= 1e-6
-    out_l2 = solve_relevance(W, w, method="min_l2")
-    np.testing.assert_allclose(out_l2.nu, min_l2_solution(W, w), atol=1e-10)
-    out_lp = solve_relevance(W, w, method="lp")
-    assert out_lp.support_size <= W.shape[0]
-    with pytest.raises(ValueError):
-        solve_relevance(W, w, method="huh")
 
 
 def test_norm_bound_check_consistency():
@@ -333,6 +318,22 @@ def test_lasso_integer_designs_and_exactly_sparse_targets():
         for frac in (0.0, 1e-10, 1e-3, 0.1):
             nu, info = lasso(W, w, frac * lam_max)
             assert info["converged"], (seed, frac)
+
+
+def test_lasso_converged_on_ill_conditioned_designs():
+    # sigma_min(W) = 5.2e-6 with the target mostly along its direction:
+    # ||nu||_1 reaches about 4e5, so the exact path's KKT residual is
+    # round-off near 1e-10, above the fixed 1e-11 * (1 + lam_max) alone
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        U = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+        V = np.linalg.qr(rng.standard_normal((9, 6)))[0]
+        W = U @ np.diag([3.0, 2.0, 1.5, 1.0, 0.7, 5.2e-6]) @ V.T
+        w = U[:, -1] + 0.1 * U[:, 0]
+        for lam in (0.0, 1e-10, 1e-8):
+            nu, info = lasso(W, w, lam)
+            assert info["converged"], (seed, lam)
+            assert kkt_residual(W, w, nu, lam) <= 1e-8
 
 
 def test_lasso_reports_an_exhausted_path(monkeypatch):
