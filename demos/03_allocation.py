@@ -13,8 +13,8 @@ from amtrl import (
     continuous_allocation,
     lpnq_allocation,
     nu_tilde_objective,
-    random_feasible_allocation,
 )
+from amtrl.harness import rival_excess
 
 
 def main():
@@ -37,17 +37,13 @@ def main():
     rng = np.random.default_rng(0)
     nu_r = rng.uniform(0.2, 3.0, 8)
     N, F = 400, 5
-    ours = nu_tilde_objective(nu_r, allocate_fixed_nu(nu_r, N, F))
-    rivals = []
-    for _ in range(2000):
-        n = random_feasible_allocation(8, N, F, rng)
-        if np.all(n[nu_r != 0] > 0):
-            rivals.append(nu_tilde_objective(nu_r, n))
+    alloc = allocate_fixed_nu(nu_r, N, F)
+    excess = rival_excess(nu_r, alloc, rng, 2000)
     print(f"\n8 random tasks, budget {N}, floor {F}:")
-    print(f"  water-filling objective {ours:.6f}")
-    print(f"  best of {len(rivals)} random feasible allocations "
-          f"{min(rivals):.6f}")
-    print(f"  water-filling wins or ties: {ours <= min(rivals) + 1e-12}")
+    print(f"  water-filling objective {nu_tilde_objective(nu_r, alloc):.6f}")
+    print(f"  relative excess over the best of 2000 random feasible "
+          f"allocations {excess:.3e}")
+    print(f"  water-filling wins or ties: {excess <= 1e-12}")
 
 
 if __name__ == "__main__":

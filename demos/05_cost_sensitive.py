@@ -12,7 +12,6 @@ import numpy as np
 from amtrl import (
     allocate_fixed_nu,
     cost_aware_allocate,
-    cost_support_oracle,
     eval_cost,
     l1_oracle_lp,
     make_almost_sparse_instance,
@@ -41,17 +40,6 @@ def main():
     print(f"  uniform:    {int(np.sum(uniform.n > 20))} tasks above the "
           f"threshold, cost {c_unif:.0f}")
     print(f"  cost ratio: {c_aware / c_unif:.3f}")
-
-    # a desk-scale instance is small enough to brute-force the best support
-    gt2, _ = make_almost_sparse_instance(d=8, k=3, T=10, sigma_z=0.5,
-                                         seed=7)
-    fns2 = [saltus_cost(50.0, 1.0, 0)] * 10
-    support, cost, n = cost_support_oracle(
-        gt2.W_star, gt2.w_target_star, er_budget=0.05, cost_fns=fns2)
-    print(f"\nbrute-force cheapest support on a 10-task instance: "
-          f"{list(support)}, cost {cost:.1f}")
-    print(f"  counts on that support: "
-          f"{[int(round(n[t])) for t in support]}")
 
 
 if __name__ == "__main__":

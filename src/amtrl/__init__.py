@@ -7,10 +7,9 @@ pipeline (end-to-end strategies), harness (sweeps and verification).
 """
 
 from .allocation import (Allocation, CostFunction, InfeasibleBudgetError,
-                         allocate_fixed_nu, bilevel_oracle, continuous_allocation,
-                         cost_aware_allocate, cost_support_oracle, eval_cost,
-                         linear_cost, lpnq_allocation, nu_tilde_objective,
-                         random_feasible_allocation, saltus_cost)
+                         allocate_fixed_nu, continuous_allocation,
+                         cost_aware_allocate, eval_cost, linear_cost,
+                         lpnq_allocation, nu_tilde_objective, saltus_cost)
 from .instance import (GroundTruth, TaskDataset, almost_sparse_nu,
                        load_instance,
                        make_aligned_worstcase_instance,
@@ -31,14 +30,13 @@ __all__ = [
     "Allocation", "CostFunction", "FitOptions", "FittedModel", "GroundTruth",
     "InfeasibleBudgetError", "LAZY_LAMBDA", "RunResult",
     "TaskDataset", "TaskOracle", "allocate_fixed_nu", "almost_sparse_nu",
-    "bilevel_oracle",
-    "continuous_allocation", "cost_aware_allocate", "cost_support_oracle",
+    "continuous_allocation", "cost_aware_allocate",
     "eval_cost", "excess_risk", "fit_source", "fit_target_head", "head_for",
     "kkt_residual", "l1_oracle_lp", "lambda_rule", "lasso", "linear_cost",
     "load_instance", "load_model", "lpnq_allocation",
     "make_aligned_worstcase_instance", "make_almost_sparse_instance",
     "make_random_instance", "min_l2_solution", "norm_bound_check",
-    "nu_tilde_objective", "random_feasible_allocation", "run_known_nu",
+    "nu_tilde_objective", "run_known_nu",
     "run_l1_amtrl", "run_l2_amtrl", "run_multistage", "run_passive",
     "saltus_cost", "sample_task", "save_instance", "save_model",
     "subspace_distance", "support_size",

@@ -2,19 +2,17 @@
 
 Converts a relevance vector into per-task sample counts via water-filling
 with a per-task floor, evaluates the allocation-weighted relevance norm
-that governs the excess-risk bound, searches the joint
-relevance-and-allocation problem with a desk-scale alternating oracle,
-and prices allocations under per-task cost functions.
+that governs the excess-risk bound, keeps the above-floor budget on the
+support of a sparse relevance vector, and prices allocations under
+linear or saltus per-task costs. The brute-force joint-optimum and
+cheapest-support searches that check these routes live with the tests.
 """
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .relevance import l1_oracle_lp, min_l2_solution
 
 STRATEGIES = ("L1", "L2", "LpNq", "passive", "known_nu", "cost_aware")
 
@@ -54,10 +52,6 @@ class Allocation:
             c.setflags(write=False)
             object.__setattr__(self, "continuous", c)
 
-    @property
-    def T(self):
-        return self.n.size
-
 
 def _check_budget(T, N_tot, N_floor):
     if N_floor < 0 or N_tot < 0:
@@ -73,7 +67,8 @@ def continuous_allocation(nu, N_tot, N_floor):
     The map c' -> sum_t max(c'|nu_t|, N_floor) is piecewise linear with at
     most T breakpoints, so c' is found by a sorted scan, not bisection.
     Internally |nu| is normalized by its max, which makes the result
-    exactly invariant under positive rescaling of nu.
+    exactly invariant under rescaling nu by a power of two; other positive
+    factors can move the normalized weights by an ulp.
     Returns (x, c_prime) with c_prime in the units of the original nu.
     """
     a = np.abs(np.asarray(nu, dtype=float))
@@ -195,84 +190,7 @@ def nu_tilde_objective(nu, allocation):
     return float(np.sum(nu[mask] ** 2 / n[mask]))
 
 
-def random_feasible_allocation(T, N_tot, N_floor, rng):
-    """Uniformly random integer allocation meeting the budget and floors."""
-    _check_budget(T, N_tot, N_floor)
-    spare = int(N_tot - T * N_floor)
-    counts = rng.multinomial(spare, np.full(T, 1.0 / T))
-    return counts + N_floor
-
-
-def bilevel_oracle(W, w, N_tot, N_floor, n_random_starts=8, seed=0,
-                   max_iters=500, tol=1e-14):
-    """Desk-scale search for the joint relevance/allocation optimum.
-
-    Alternates an allocation step (water-filling at the current nu) with a
-    relevance step (weighted minimum-norm solve of W nu = w, the
-    stationarity system of the allocation-weighted norm at fixed counts),
-    from several starts: the min-L2 and min-L1 solutions plus random
-    null-space perturbations. Returns (nu, Allocation) for the best start.
-    """
-    W = np.asarray(W, dtype=float)
-    w = np.asarray(w, dtype=float)
-    k, T = W.shape
-    if T > 30:
-        raise ValueError("bilevel_oracle is desk-scale; requires T <= 30")
-    sv = np.linalg.svd(W, compute_uv=False)
-    if sv[-1] <= 1e-10 * max(sv[0], 1e-300):
-        raise ValueError("W is rank-deficient")
-    _check_budget(T, N_tot, N_floor)
-
-    nu2 = min_l2_solution(W, w)
-    starts = [nu2, l1_oracle_lp(W, w)]
-    if T > k and n_random_starts > 0:
-        rng = np.random.default_rng(seed)
-        null_basis = np.linalg.svd(W, full_matrices=True)[2][k:]
-        scale = max(float(np.linalg.norm(nu2)), 1e-12)
-        for _ in range(n_random_starts):
-            xi = rng.standard_normal(T - k)
-            starts.append(nu2 + scale * (null_basis.T @ xi))
-
-    def objective(nu, x):
-        mask = nu != 0.0
-        if np.any(x[mask] <= 0.0):
-            return math.inf
-        return float(np.sum(nu[mask] ** 2 / x[mask]))
-
-    best_nu, best_obj = None, math.inf
-    for nu in starts:
-        nu = nu.copy()
-        prev = math.inf
-        for _ in range(max_iters):
-            if np.all(nu == 0.0):
-                x = np.full(T, N_tot / T)
-            else:
-                x, _ = continuous_allocation(nu, N_tot, N_floor)
-            D = x  # weights of the quadratic; zero rows pin nu_t to zero
-            M = (W * D) @ W.T
-            rhs = w
-            try:
-                alpha = np.linalg.solve(M, rhs)
-            except np.linalg.LinAlgError:
-                alpha = np.linalg.lstsq(M, rhs, rcond=None)[0]
-            nu = D * (W.T @ alpha)
-            cur = objective(nu, x)
-            if abs(prev - cur) <= tol * max(abs(prev), 1e-300):
-                break
-            prev = cur
-        if np.all(nu == 0.0):
-            continue
-        x, _ = continuous_allocation(nu, N_tot, N_floor)
-        cur = objective(nu, x)
-        if cur < best_obj:
-            best_obj, best_nu = cur, nu
-    if best_nu is None:
-        raise RuntimeError("all bilevel starts degenerated")
-    alloc = allocate_fixed_nu(best_nu, N_tot, N_floor, strategy="known_nu")
-    return best_nu, alloc
-
-
-COST_KINDS = ("linear", "saltus", "piecewise_concave")
+COST_KINDS = ("linear", "saltus")
 
 
 @dataclass(frozen=True)
@@ -280,49 +198,28 @@ class CostFunction:
     """Per-task sampling cost, non-negative and non-decreasing in n.
 
     linear: C_var * n. saltus: free up to N_free, then a fixed charge plus
-    a linear rate. piecewise_concave: concave increasing, given by
-    breakpoints (first must be 0) and non-increasing slopes.
+    a linear rate.
     """
 
     kind: str
     C_fix: float = 0.0
     C_var: float = 0.0
     N_free: int = 0
-    breakpoints: tuple = ()
-    slopes: tuple = ()
 
     def __post_init__(self):
         if self.kind not in COST_KINDS:
             raise ValueError(f"unknown cost kind {self.kind!r}")
         if self.C_fix < 0 or self.C_var < 0 or self.N_free < 0:
             raise ValueError("cost parameters must be non-negative")
-        if self.kind == "piecewise_concave":
-            b, s = self.breakpoints, self.slopes
-            if len(b) != len(s) or not b or b[0] != 0:
-                raise ValueError("need breakpoints starting at 0, one slope "
-                                 "per piece")
-            if any(b[i] >= b[i + 1] for i in range(len(b) - 1)):
-                raise ValueError("breakpoints must increase")
-            if any(s[i] < s[i + 1] for i in range(len(s) - 1)) or s[-1] < 0:
-                raise ValueError("slopes must be non-negative and "
-                                 "non-increasing")
 
     def value(self, n):
         if n < 0:
             raise ValueError("negative sample count")
         if self.kind == "linear":
             return self.C_var * n
-        if self.kind == "saltus":
-            if n <= self.N_free:
-                return 0.0
-            return self.C_fix + self.C_var * (n - self.N_free)
-        total = 0.0
-        for i, b in enumerate(self.breakpoints):
-            hi = self.breakpoints[i + 1] if i + 1 < len(self.breakpoints) \
-                else math.inf
-            if n > b:
-                total += self.slopes[i] * (min(n, hi) - b)
-        return total
+        if n <= self.N_free:
+            return 0.0
+        return self.C_fix + self.C_var * (n - self.N_free)
 
 
 def linear_cost(C_var):
@@ -352,22 +249,20 @@ def eval_cost(allocation, phase1, cost_fns):
     return float(sum(cf.value(int(n)) for cf, n in zip(cost_fns, combined)))
 
 
-def cost_aware_allocate(nu, N_tot, N_floor, cost_fns=None,
-                        support_tol=None):
+def cost_aware_allocate(nu, N_tot, N_floor):
     """Allocation whose above-floor increments stay on the support of nu.
 
     Tasks off the support receive exactly the floor; the remaining budget
     is water-filled across the support proportionally to |nu_t|. Driven by
     a minimum-L1 relevance vector this touches at most k tasks, which is
-    what keeps fixed per-task charges small. cost_fns is accepted for
-    interface symmetry with eval_cost; the split itself is cost-free.
+    what keeps fixed per-task charges small. The split itself is cost-free.
     """
     nu = np.asarray(nu, dtype=float)
     T = nu.size
     _check_budget(T, N_tot, N_floor)
-    if support_tol is None:
-        support_tol = 1e-9 * (1.0 + float(np.max(np.abs(nu), initial=0.0)))
-    supp = np.abs(nu) > support_tol
+    # relative dead band, so the support (like the water-filling) does not
+    # change when nu is rescaled
+    supp = np.abs(nu) > 1e-9 * float(np.max(np.abs(nu), initial=0.0))
     s = int(supp.sum())
     if s == 0:
         warnings.warn("nu is identically zero; falling back to a uniform "
@@ -385,133 +280,3 @@ def cost_aware_allocate(nu, N_tot, N_floor, cost_fns=None,
     return Allocation(n=n, N_tot=int(N_tot), N_floor=int(N_floor),
                       strategy="cost_aware", c_prime=float(sub.c_prime),
                       continuous=x)
-
-
-def _min_cost_on_support(c, cost_fns, er_budget):
-    """Cheapest continuous counts meeting sum c_t/n_t <= er_budget on one
-    support; c_t = nu_t^2 > 0. Exact for linear and saltus kinds via
-    payer-subset enumeration. Returns (cost, n) or None if infeasible."""
-    m = len(c)
-    kinds = {cf.kind for cf in cost_fns}
-    if "piecewise_concave" in kinds:
-        raise ValueError("the enumeration oracle handles linear and saltus "
-                         "costs only")
-    best = None
-    for payer_mask in range(1 << m):
-        payers = [i for i in range(m) if payer_mask >> i & 1]
-        free_load = 0.0
-        feasible = True
-        for i in range(m):
-            if i in payers:
-                continue
-            cf = cost_fns[i]
-            cap = cf.N_free if cf.kind == "saltus" else 0
-            if cap == 0:
-                feasible = False  # non-payer with no free samples
-                break
-            free_load += c[i] / cap
-        if not feasible or free_load > er_budget + 1e-15:
-            continue
-        slack = er_budget - free_load
-        n = [float(cost_fns[i].N_free) if cost_fns[i].kind == "saltus"
-             else 0.0 for i in range(m)]
-        if payers:
-            if slack <= 0.0:
-                continue
-            rates = [cost_fns[i].C_var for i in payers]
-            if any(v <= 0 for v in rates):
-                continue  # free linear growth is degenerate; skip
-            floors = [float(cost_fns[i].N_free)
-                      if cost_fns[i].kind == "saltus" else 0.0
-                      for i in payers]
-            active = list(range(len(payers)))
-            vals = [0.0] * len(payers)
-            for _ in range(len(payers) + 1):
-                load_fixed = sum(c[payers[j]] / vals[j]
-                                 for j in range(len(payers))
-                                 if j not in active)
-                rem = slack - load_fixed
-                if rem <= 0.0:
-                    active = None
-                    break
-                s_root = sum(math.sqrt(c[payers[j]] * rates[j])
-                             for j in active)
-                clamped = False
-                for j in active:
-                    vals[j] = math.sqrt(c[payers[j]] / rates[j]) \
-                        * s_root / rem
-                for j in list(active):
-                    if vals[j] < floors[j]:
-                        vals[j] = floors[j]
-                        active.remove(j)
-                        clamped = True
-                if not clamped:
-                    break
-            if active is None:
-                continue
-            for j, i in enumerate(payers):
-                n[i] = vals[j]
-        total = 0.0
-        for i in range(m):
-            cf = cost_fns[i]
-            if i in payers:
-                if cf.kind == "saltus":
-                    total += cf.C_fix + cf.C_var * (n[i] - cf.N_free)
-                else:
-                    total += cf.C_var * n[i]
-        if best is None or total < best[0]:
-            best = (total, list(n))
-    return best
-
-
-def cost_support_oracle(W, w, er_budget, cost_fns, max_support=None):
-    """Brute-force cheapest support for the cost-constrained problem.
-
-    Enumerates supports up to max_support (default k + 2) on desk-scale
-    instances (T <= 15), solving W_S nu_S = w on each (restricted min-L1
-    when underdetermined) and pricing the cheapest counts that keep the
-    allocation-weighted norm within er_budget. Returns
-    (support, cost, n) for the best support found.
-    """
-    W = np.asarray(W, dtype=float)
-    w = np.asarray(w, dtype=float)
-    k, T = W.shape
-    if T > 15:
-        raise ValueError("cost_support_oracle is desk-scale; requires "
-                         "T <= 15")
-    if er_budget <= 0:
-        raise ValueError("er_budget must be positive")
-    if len(cost_fns) != T:
-        raise ValueError("need one cost function per task")
-    if max_support is None:
-        max_support = min(T, k + 2)
-    best = None
-    wnorm = float(np.linalg.norm(w))
-    for size in range(1, max_support + 1):
-        for S in itertools.combinations(range(T), size):
-            WS = W[:, S]
-            nu_S, *_ = np.linalg.lstsq(WS, w, rcond=None)
-            if np.linalg.norm(WS @ nu_S - w) > 1e-9 * (1.0 + wnorm):
-                continue
-            if size > k:
-                try:
-                    nu_S = l1_oracle_lp(WS, w)
-                except ValueError:
-                    continue
-            c = nu_S ** 2
-            keep = c > 0.0
-            sub_fns = [cost_fns[t] for t, kp in zip(S, keep) if kp]
-            sub_c = c[keep]
-            sol = _min_cost_on_support(list(sub_c), sub_fns, er_budget)
-            if sol is None:
-                continue
-            cost, counts = sol
-            n = np.zeros(T)
-            for t, amount in zip((t for t, kp in zip(S, keep) if kp),
-                                 counts):
-                n[t] = amount
-            if best is None or cost < best[1] - 1e-12 * (1.0 + abs(cost)):
-                best = (tuple(t for t, kp in zip(S, keep) if kp), cost, n)
-    if best is None:
-        raise ValueError("no feasible support meets the er_budget")
-    return best

@@ -3,8 +3,12 @@
 A SweepConfig (usually loaded from JSON) names an instance, a strategy
 list, a budget grid, and seed count; the sweep runner executes the grid
 serially in the calling thread and writes one CSV row per run plus
-per-strategy summary and plot data. The verify suite re-proves the
-package's core numerical properties and emits a machine-readable report.
+per-strategy summary and plot data. The verify section holds one
+function per core numerical property (water-filling optimality, the
+floor-free closed form, LP sparsity, the norm ceilings, Lasso/LP
+agreement, monotone and exact fitting); `amtrl verify` runs them on its own
+frozen draws and emits a machine-readable report, and the acceptance gate
+calls the same functions with its own seeds and tolerances.
 """
 
 import csv
@@ -70,6 +74,10 @@ class SweepConfig:
             raise ConfigError("lambda_policy 'explicit' needs a lambda value")
         if not isinstance(self.instance, dict):
             raise ConfigError("instance must be a mapping")
+        unknown = set(self.multistage) - {"S", "L", "beta_1"}
+        if unknown:
+            raise ConfigError(f"unknown multistage keys: {sorted(unknown)}; "
+                              "choose from S, L, beta_1")
 
 
 def config_from_dict(raw):
@@ -267,17 +275,6 @@ def summarize(rows):
     return out
 
 
-def loglog_slope(summary, strategy):
-    """Least-squares slope of log10 median ER against log10 N_tot."""
-    pts = [(s["N_tot"], s["median_ER"]) for s in summary
-           if s["strategy"] == strategy and s["median_ER"] > 0]
-    if len(pts) < 2:
-        raise ValueError(f"need at least 2 budget points for {strategy!r}")
-    x = np.log10([p[0] for p in pts])
-    y = np.log10([p[1] for p in pts])
-    return float(np.polyfit(x, y, 1)[0])
-
-
 def _to_jsonable(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
@@ -325,12 +322,13 @@ def cmd_run(cfg, out_dir=None):
 
 
 def cmd_nu_solve(cfg, out_dir=None):
-    """Solve the configured instance's relevance vectors three ways."""
+    """Solve the configured instance's relevance vectors three ways; the
+    Lasso uses the penalty the pipelines would choose under the config's
+    lambda policy."""
     gt = make_instance(cfg.instance)
     W, w = gt.W_star, gt.w_target_star
-    lam = relevance.LAZY_LAMBDA
-    if cfg.lambda_policy == "explicit":
-        lam = float(cfg.lambda_value)
+    lam = pipeline.lambda_for({"lambda_policy": cfg.lambda_policy,
+                               "lambda": cfg.lambda_value}, W, w)
     nu_lp = relevance.l1_oracle_lp(W, w)
     nu_l2 = relevance.min_l2_solution(W, w)
     nu_lasso = relevance.lasso(W, w, lam)[0]
@@ -356,33 +354,56 @@ def cmd_nu_solve(cfg, out_dir=None):
 
 # ---------------------------------------------------------------------------
 # verification suite
+#
+# One function per numerical property. `amtrl verify` and the acceptance
+# gate both call these; each caller picks its own seeds, case counts and
+# tolerances.
 
-def _verify_allocation_optimality(tol, n_cases, rng):
-    worst = 0.0
-    for _ in range(n_cases):
+def random_family(count, seed, sigma_min_floor, instance_offset=100):
+    """Random instances with k in 1..6, T in max(2,k)..30, d in
+    max(8,k)..40: instance s draws its shape from seed + s and is built
+    from seed + instance_offset + s."""
+    for s in range(count):
+        rng = np.random.default_rng(seed + s)
+        k = int(rng.integers(1, 7))
+        T = int(rng.integers(max(2, k), 31))
+        d = int(rng.integers(max(8, k), 41))
+        yield instance.make_random_instance(
+            d, k, T, sigma_z=0.1, sigma_min_floor=sigma_min_floor,
+            seed=seed + instance_offset + s)
+
+
+def allocation_cases(rng, count):
+    """(nu, water-filling Allocation) pairs: T in 2..20, |nu_t| in
+    [0.2, 3] with random signs, floor 0..3 and at least 30 samples per
+    task, so every rounded count stays positive. Drawn lazily, one case at
+    a time, so a caller may draw rivals from the same rng in between."""
+    for _ in range(count):
         T = int(rng.integers(2, 21))
-        # bounded magnitude spread plus a budget of >= 30 per task keeps
-        # every rounded count positive, so the objective stays finite
         nu = rng.uniform(0.2, 3.0, T) * rng.choice([-1.0, 1.0], T)
         N_floor = int(rng.integers(0, 4))
         lo = max(T * N_floor, 30 * T)
         N_tot = int(rng.integers(lo, lo + 500))
-        alloc = allocation.allocate_fixed_nu(nu, N_tot, N_floor)
-        obj = allocation.nu_tilde_objective(nu, alloc)
-        for _ in range(40):
-            rand = allocation.random_feasible_allocation(T, N_tot, N_floor, rng)
-            try:
-                robj = allocation.nu_tilde_objective(nu, rand)
-            except ValueError:
-                continue
-            if robj < obj:
-                worst = max(worst, (obj - robj) / (1.0 + abs(robj)))
-    return worst <= tol, {"worst_excess": worst, "cases": n_cases}
+        yield nu, allocation.allocate_fixed_nu(nu, N_tot, N_floor)
 
 
-def _verify_floor_free_equality(tol, n_cases, rng):
+def rival_excess(nu, alloc, rng, rivals):
+    """How much alloc's objective sum nu_t^2 / n_t exceeds the best of
+    `rivals` uniformly random integer allocations with the same budget and
+    floor, relative to 1 + that best; <= 0 when alloc wins or ties."""
+    T, F = nu.size, alloc.N_floor
+    R = F + rng.multinomial(alloc.N_tot - T * F, np.full(T, 1.0 / T),
+                            size=rivals)
+    best = (nu ** 2 / np.maximum(R, 1e-300)).sum(axis=1).min()
+    return (allocation.nu_tilde_objective(nu, alloc) - best) / (1.0 + best)
+
+
+def floor_free_error(rng, count):
+    """Worst relative gap between the floor-free water-filling objective
+    and its closed form ||nu||_1^2 / N over `count` random nu (about a
+    fifth of the entries zero) and budgets N in 50..4999."""
     worst = 0.0
-    for _ in range(n_cases):
+    for _ in range(count):
         T = int(rng.integers(2, 25))
         nu = rng.standard_normal(T)
         nu[rng.random(T) < 0.2] = 0.0
@@ -390,116 +411,116 @@ def _verify_floor_free_equality(tol, n_cases, rng):
             nu[0] = 1.0
         N_tot = int(rng.integers(50, 5000))
         x, _ = allocation.continuous_allocation(nu, N_tot, 0)
-        got = float(np.sum(nu[x > 0] ** 2 / x[x > 0]))
-        want = float(np.abs(nu).sum() ** 2 / N_tot)
+        got = allocation.nu_tilde_objective(nu, x)
+        want = np.abs(nu).sum() ** 2 / N_tot
         worst = max(worst, abs(got - want) / want)
-    return worst <= tol, {"worst_rel_err": worst, "cases": n_cases}
+    return worst
 
 
-def _verify_lp_sparsity(slack, n_cases, rng):
-    violations = 0
-    worst = 0
-    for i in range(n_cases):
-        k = int(rng.integers(1, 7))
-        T = int(rng.integers(max(2, k), 31))
-        d = int(rng.integers(max(8, k), 41))
-        gt = instance.make_random_instance(d, k, T, sigma_z=0.1,
-                                           sigma_min_floor=0.3,
-                                           seed=31000 + i)
-        nu = relevance.l1_oracle_lp(gt.W_star, gt.w_target_star)
-        s = relevance.support_size(nu)
-        worst = max(worst, s - k)
-        if s > k + slack:
-            violations += 1
-    return violations == 0, {"violations": violations, "cases": n_cases,
-                             "worst_excess_support": worst}
+def lp_support_excess(gt):
+    """Support size of the exact minimum-L1 mixture minus k."""
+    nu = relevance.l1_oracle_lp(gt.W_star, gt.w_target_star)
+    return relevance.support_size(nu) - gt.k
 
 
-def _verify_norm_bound(tol, n_cases, rng):
+def lasso_vs_lp(gt, lam):
+    """The Lasso at lam against the exact minimum-L1 LP on gt's true heads:
+    (relative L1-norm gap, relative L1 distance, KKT residual)."""
+    W, w = gt.W_star, gt.w_target_star
+    nu_lp = relevance.l1_oracle_lp(W, w)
+    nu_hat = relevance.lasso(W, w, lam)[0]
+    scale = 1.0 + np.abs(nu_lp).sum()
+    return (abs(np.abs(nu_hat).sum() - np.abs(nu_lp).sum()) / scale,
+            np.abs(nu_hat - nu_lp).sum() / scale,
+            relevance.kkt_residual(W, w, nu_hat, lam))
+
+
+def loss_increase(model):
+    """Largest step-to-step increase of the fit's training loss, each
+    divided by max(|loss before the step|, 1); 0 for a single entry."""
+    h = np.asarray(model.train_loss_history)
+    if h.size < 2:
+        return 0.0
+    return float(np.max(np.diff(h) / np.maximum(np.abs(h[:-1]), 1.0)))
+
+
+def noiseless_fit(gt, seed):
+    """Fit gt's tasks from 50 d noiseless samples each: (final loss over
+    1 + initial loss, subspace distance to B_star)."""
+    data = [instance.sample_task(gt, t, 50 * gt.d, seed=seed)
+            for t in range(gt.T)]
+    model = trainer.fit_source(data, gt.k)
+    h = model.train_loss_history
+    return (h[-1] / (1.0 + h[0]),
+            trainer.subspace_distance(model.B_hat, gt.B_star))
+
+
+def _verify_allocation_optimality(rng, n):
+    return max([0.0] + [rival_excess(nu, alloc, rng, 40)
+                        for nu, alloc in allocation_cases(rng, n)])
+
+
+def _verify_lp_sparsity(rng, n):
+    return max(lp_support_excess(gt)
+               for gt in random_family(n, 31000, sigma_min_floor=0.3))
+
+
+def _verify_norm_bound(rng, n):
     worst = -np.inf
-    for i in range(n_cases):
-        k = int(rng.integers(1, 7))
-        T = int(rng.integers(max(2, k), 31))
-        d = int(rng.integers(max(8, k), 41))
-        gt = instance.make_random_instance(d, k, T, sigma_z=0.1,
-                                           sigma_min_floor=0.3,
-                                           seed=32000 + i)
-        W, w = gt.W_star, gt.w_target_star
-        rep = relevance.norm_bound_check(W, w)
-        excess = rep.l2_norm / rep.l2_bound - 1.0
-        worst = max(worst, excess)
-    return worst <= tol, {"worst_rel_excess": worst, "cases": n_cases}
+    for gt in random_family(n, 32000, sigma_min_floor=0.3):
+        rep = relevance.norm_bound_check(gt.W_star, gt.w_target_star)
+        worst = max(worst, rep.l2_norm / rep.l2_bound - 1.0)
+    return worst
 
 
-def _verify_lasso_vs_lp(tol, n_cases, rng):
-    worst = 0.0
-    for i in range(n_cases):
-        k = int(rng.integers(1, 7))
-        T = int(rng.integers(max(2, k), 31))
-        d = int(rng.integers(max(8, k), 41))
-        gt = instance.make_random_instance(d, k, T, sigma_z=0.1,
-                                           sigma_min_floor=0.5,
-                                           seed=33000 + i)
-        W, w = gt.W_star, gt.w_target_star
-        nu_lp = relevance.l1_oracle_lp(W, w)
-        nu_hat = relevance.lasso(W, w, 1e-8)[0]
-        gap = np.abs(nu_hat - nu_lp).sum() / (1.0 + np.abs(nu_lp).sum())
-        worst = max(worst, gap)
-    return worst <= tol, {"worst_l1_gap": worst, "cases": n_cases}
+def _verify_lasso_vs_lp(rng, n):
+    return max(lasso_vs_lp(gt, 1e-8)[1]
+               for gt in random_family(n, 33000, sigma_min_floor=0.5))
 
 
-def _verify_lasso_kkt(tol, n_cases, rng):
-    worst = 0.0
-    for i in range(n_cases):
-        k = int(rng.integers(1, 7))
-        T = int(rng.integers(max(2, k), 31))
-        d = int(rng.integers(max(8, k), 41))
-        gt = instance.make_random_instance(d, k, T, sigma_z=0.1,
-                                           sigma_min_floor=0.5,
-                                           seed=34000 + i)
-        W, w = gt.W_star, gt.w_target_star
-        nu_hat = relevance.lasso(W, w, 1e-8)[0]
-        worst = max(worst, relevance.kkt_residual(W, w, nu_hat, 1e-8))
-    return worst <= tol, {"worst_residual": worst, "cases": n_cases}
+def _verify_lasso_kkt(rng, n):
+    return max(lasso_vs_lp(gt, 1e-8)[2]
+               for gt in random_family(n, 34000, sigma_min_floor=0.5))
 
 
-def _verify_trainer_monotone(tol, n_cases, rng):
+def _verify_trainer_monotone(rng, n):
     worst = -np.inf
-    for i in range(n_cases):
+    for i in range(n):
         gt = instance.make_random_instance(12, 3, 8, sigma_z=0.2,
                                            sigma_min_floor=0.3,
                                            seed=35000 + i)
-        datasets = [instance.sample_task(gt, t, 40, seed=35000 + i)
-                    for t in range(gt.T)]
-        model = trainer.fit_source(datasets, gt.k)
-        h = np.array(model.train_loss_history)
-        worst = max(worst, float(np.max(h[1:] - h[:-1])) if len(h) > 1 else 0.0)
-    return worst <= tol, {"worst_increase": worst, "cases": n_cases}
+        data = [instance.sample_task(gt, t, 40, seed=35000 + i)
+                for t in range(gt.T)]
+        worst = max(worst, loss_increase(trainer.fit_source(data, gt.k)))
+    return worst
 
 
-def _verify_noiseless_recovery(tol, n_cases, rng):
+def _verify_noiseless_recovery(rng, n):
     worst = 0.0
-    for i in range(n_cases):
+    for i in range(n):
         gt = instance.make_random_instance(10, 3, 8, sigma_z=0.0,
                                            sigma_min_floor=0.3,
                                            seed=36000 + i)
-        datasets = [instance.sample_task(gt, t, 50 * gt.d, seed=36000 + i)
-                    for t in range(gt.T)]
-        model = trainer.fit_source(datasets, gt.k)
-        worst = max(worst, trainer.subspace_distance(model.B_hat, gt.B_star))
-    return worst <= tol, {"worst_subspace_dist": worst, "cases": n_cases}
+        worst = max(worst, noiseless_fit(gt, seed=36000 + i)[1])
+    return worst
 
 
 _VERIFY_SUITE = (
-    # name, runner, default tolerance, fast case count, full case count
-    ("allocation_optimality", _verify_allocation_optimality, 1e-9, 20, 100),
-    ("floor_free_equality", _verify_floor_free_equality, 1e-12, 20, 100),
-    ("lp_support_sparsity", _verify_lp_sparsity, 0, 20, 100),
-    ("l2_norm_bound", _verify_norm_bound, 1e-9, 20, 100),
-    ("lasso_matches_lp", _verify_lasso_vs_lp, 1e-4, 10, 50),
-    ("lasso_kkt_residual", _verify_lasso_kkt, 1e-8, 10, 50),
-    ("trainer_loss_monotone", _verify_trainer_monotone, 1e-12, 3, 20),
-    ("noiseless_recovery", _verify_noiseless_recovery, 1e-6, 2, 5),
+    # name, reported key, runner(rng, n) -> worst value over n cases (the
+    # property passes when it is at most the tolerance), default tolerance,
+    # fast case count, full case count
+    ("allocation_optimality", "worst_excess", _verify_allocation_optimality,
+     1e-9, 20, 100),
+    ("floor_free_equality", "worst_rel_err", floor_free_error, 1e-12, 20, 100),
+    ("lp_support_sparsity", "worst_excess_support", _verify_lp_sparsity,
+     0, 20, 100),
+    ("l2_norm_bound", "worst_rel_excess", _verify_norm_bound, 1e-9, 20, 100),
+    ("lasso_matches_lp", "worst_l1_gap", _verify_lasso_vs_lp, 1e-4, 10, 50),
+    ("lasso_kkt_residual", "worst_residual", _verify_lasso_kkt, 1e-8, 10, 50),
+    ("trainer_loss_monotone", "worst_increase", _verify_trainer_monotone,
+     1e-12, 3, 20),
+    ("noiseless_recovery", "worst_subspace_dist", _verify_noiseless_recovery,
+     1e-6, 2, 5),
 )
 
 
@@ -514,17 +535,18 @@ def cmd_verify(level="fast", tolerances=None, out_dir=None):
         raise ConfigError(f"unknown verify properties: {sorted(unknown)}")
     properties = []
     all_pass = True
-    for name, fn, default_tol, n_fast, n_full in _VERIFY_SUITE:
+    for name, key, worst_of, default_tol, n_fast, n_full in _VERIFY_SUITE:
         tol = overrides.get(name, default_tol)
         n_cases = n_fast if level == "fast" else n_full
         rng = np.random.default_rng(np.random.SeedSequence(0xA5C3))
         t0 = time.perf_counter()
-        ok, detail = fn(tol, n_cases, rng)
+        worst = worst_of(rng, n_cases)
         elapsed = time.perf_counter() - t0
+        ok = bool(worst <= tol)
         all_pass = all_pass and ok
-        properties.append({"name": name, "passed": bool(ok),
-                           "tolerance": tol, "seconds": round(elapsed, 3),
-                           **_to_jsonable(detail)})
+        properties.append({"name": name, "passed": ok, "tolerance": tol,
+                           "seconds": round(elapsed, 3),
+                           key: _to_jsonable(worst), "cases": n_cases})
     report = {"level": level, "all_pass": bool(all_pass),
               "properties": properties}
     if out_dir:

@@ -131,7 +131,9 @@ def _merge_parts(task_index, parts, seed):
                        seed=seed, draw=parts[-1].draw)
 
 
-def _lambda_for(p, W, w):
+def lambda_for(p, W, w):
+    """The Lasso penalty for params p on the system W nu = w: lazy, explicit
+    or the theory rule."""
     policy = p["lambda_policy"]
     if policy == "lazy":
         return LAZY_LAMBDA
@@ -163,7 +165,7 @@ def _source_heads(B, datasets, k):
 def _lasso_estimate(W_hat, w_hat, p):
     """Lasso relevance estimate and the stage's relevance record of its
     solver diagnostics; warns when the Lasso did not converge."""
-    lam = _lambda_for(p, W_hat, w_hat)
+    lam = lambda_for(p, W_hat, w_hat)
     nu, info = lasso(W_hat, w_hat, lam)
     record = {"steps": int(info["sweeps"]),
               "kkt_residual": kkt_residual(W_hat, w_hat, nu, lam),

@@ -233,18 +233,18 @@ class NormBoundReport:
     sigma_min: float
 
 
-def norm_bound_check(W, w, nu1=None, nu2=None, rtol=1e-9):
-    """Check the solver outputs against their closed-form norm ceilings:
+def norm_bound_check(W, w):
+    """Check the minimum-L1 and minimum-L2 solutions nu1, nu2 against their
+    closed-form norm ceilings, to a relative slack of 1e-9:
     ||nu1||_1 <= sqrt(k) ||w|| / sigma_min(W) and
     ||nu2||_2 <= ||w|| / sigma_min(W)."""
     W = _check_diverse(W)
     w = np.asarray(w, dtype=float)
     k = W.shape[0]
     sigma_min = float(scipy.linalg.svdvals(W)[-1])
-    if nu1 is None:
-        nu1 = l1_oracle_lp(W, w)
-    if nu2 is None:
-        nu2 = min_l2_solution(W, w)
+    nu1 = l1_oracle_lp(W, w)
+    nu2 = min_l2_solution(W, w)
+    rtol = 1e-9
     wn = float(np.linalg.norm(w))
     l1_norm = float(np.linalg.norm(nu1, 1))
     l2_norm = float(np.linalg.norm(nu2))
@@ -257,36 +257,3 @@ def norm_bound_check(W, w, nu1=None, nu2=None, rtol=1e-9):
         l2_ok=bool(l2_norm <= l2_bound * (1.0 + rtol)),
         sigma_min=sigma_min,
     )
-
-
-def re_condition_diagnostic(W, support, alpha=3.0, n_samples=2000, seed=0):
-    """Sampled lower estimate of the restricted eigenvalue of W over the cone
-    {delta : ||delta_off_support||_1 <= alpha * ||delta_on_support||_1}.
-
-    A Monte Carlo diagnostic, not a certificate: it reports the smallest
-    ||W delta||^2 / ||delta||^2 seen over sampled cone directions.
-    """
-    W = np.asarray(W, dtype=float)
-    T = W.shape[1]
-    support = np.asarray(sorted(set(int(s) for s in support)), dtype=int)
-    if support.size == 0 or np.any(support < 0) or np.any(support >= T):
-        raise ValueError("support must be a nonempty subset of 0..T-1")
-    off = np.setdiff1d(np.arange(T), support)
-    rng = np.random.default_rng(seed)
-    best = np.inf
-    for _ in range(n_samples):
-        delta = np.zeros(T)
-        ds = rng.standard_normal(support.size)
-        delta[support] = ds
-        if off.size:
-            g = rng.standard_normal(off.size)
-            l1_cap = alpha * np.sum(np.abs(ds)) * rng.uniform()
-            g_l1 = np.sum(np.abs(g))
-            if g_l1 > 0:
-                delta[off] = g * (l1_cap / g_l1)
-        denom = delta @ delta
-        if denom == 0.0:
-            continue
-        Wd = W @ delta
-        best = min(best, float(Wd @ Wd / denom))
-    return best

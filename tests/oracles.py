@@ -1,12 +1,19 @@
 """Independent numerical oracles used by the test suite.
 
-These deliberately avoid the library's own solvers so that agreement
-between the two routes is evidence, not circularity.
+The projected-gradient allocation and the Lasso enumeration deliberately
+avoid the library's own solvers, so agreement between the two routes is
+evidence, not circularity. The bilevel and cheapest-support searches are
+desk-scale brute force built on the library's exact pieces (water-filling,
+the LP): they test claims about the joint problem, not those pieces.
 """
 
 import itertools
+import math
 
 import numpy as np
+
+from amtrl import (allocate_fixed_nu, continuous_allocation, l1_oracle_lp,
+                   min_l2_solution)
 
 
 def project_floor_simplex(z, total, floor):
@@ -113,3 +120,197 @@ def lasso_oracle(W, w, lam):
                 if obj < best_obj:
                     best_nu, best_obj = nu, obj
     return best_nu, best_obj
+
+
+def bilevel_oracle(W, w, N_tot, N_floor, n_random_starts=8, seed=0,
+                   max_iters=500, tol=1e-14):
+    """Desk-scale search for the joint relevance/allocation optimum.
+
+    Alternates an allocation step (water-filling at the current nu) with a
+    relevance step (weighted minimum-norm solve of W nu = w, the
+    stationarity system of the allocation-weighted norm at fixed counts),
+    from several starts: the min-L2 and min-L1 solutions plus random
+    null-space perturbations. Returns (nu, Allocation) for the best start.
+    """
+    W = np.asarray(W, dtype=float)
+    w = np.asarray(w, dtype=float)
+    k, T = W.shape
+    if T > 30:
+        raise ValueError("bilevel_oracle is desk-scale; requires T <= 30")
+    sv = np.linalg.svd(W, compute_uv=False)
+    if sv[-1] <= 1e-10 * max(sv[0], 1e-300):
+        raise ValueError("W is rank-deficient")
+
+    nu2 = min_l2_solution(W, w)
+    starts = [nu2, l1_oracle_lp(W, w)]
+    if T > k and n_random_starts > 0:
+        rng = np.random.default_rng(seed)
+        null_basis = np.linalg.svd(W, full_matrices=True)[2][k:]
+        scale = max(float(np.linalg.norm(nu2)), 1e-12)
+        for _ in range(n_random_starts):
+            xi = rng.standard_normal(T - k)
+            starts.append(nu2 + scale * (null_basis.T @ xi))
+
+    def objective(nu, x):
+        mask = nu != 0.0
+        if np.any(x[mask] <= 0.0):
+            return math.inf
+        return float(np.sum(nu[mask] ** 2 / x[mask]))
+
+    best_nu, best_obj = None, math.inf
+    for nu in starts:
+        nu = nu.copy()
+        prev = math.inf
+        for _ in range(max_iters):
+            if np.all(nu == 0.0):
+                x = np.full(T, N_tot / T)
+            else:
+                x, _ = continuous_allocation(nu, N_tot, N_floor)
+            D = x  # weights of the quadratic; zero rows pin nu_t to zero
+            M = (W * D) @ W.T
+            rhs = w
+            try:
+                alpha = np.linalg.solve(M, rhs)
+            except np.linalg.LinAlgError:
+                alpha = np.linalg.lstsq(M, rhs, rcond=None)[0]
+            nu = D * (W.T @ alpha)
+            cur = objective(nu, x)
+            if abs(prev - cur) <= tol * max(abs(prev), 1e-300):
+                break
+            prev = cur
+        if np.all(nu == 0.0):
+            continue
+        x, _ = continuous_allocation(nu, N_tot, N_floor)
+        cur = objective(nu, x)
+        if cur < best_obj:
+            best_obj, best_nu = cur, nu
+    if best_nu is None:
+        raise RuntimeError("all bilevel starts degenerated")
+    alloc = allocate_fixed_nu(best_nu, N_tot, N_floor, strategy="known_nu")
+    return best_nu, alloc
+
+
+def _min_cost_on_support(c, cost_fns, er_budget):
+    """Cheapest continuous counts meeting sum c_t/n_t <= er_budget on one
+    support; c_t = nu_t^2 > 0. Exact for both cost kinds via payer-subset
+    enumeration. Returns (cost, n) or None if infeasible."""
+    m = len(c)
+    best = None
+    for payer_mask in range(1 << m):
+        payers = [i for i in range(m) if payer_mask >> i & 1]
+        free_load = 0.0
+        feasible = True
+        for i in range(m):
+            if i in payers:
+                continue
+            cf = cost_fns[i]
+            cap = cf.N_free if cf.kind == "saltus" else 0
+            if cap == 0:
+                feasible = False  # non-payer with no free samples
+                break
+            free_load += c[i] / cap
+        if not feasible or free_load > er_budget + 1e-15:
+            continue
+        slack = er_budget - free_load
+        n = [float(cost_fns[i].N_free) if cost_fns[i].kind == "saltus"
+             else 0.0 for i in range(m)]
+        if payers:
+            if slack <= 0.0:
+                continue
+            rates = [cost_fns[i].C_var for i in payers]
+            if any(v <= 0 for v in rates):
+                continue  # free linear growth is degenerate; skip
+            floors = [float(cost_fns[i].N_free)
+                      if cost_fns[i].kind == "saltus" else 0.0
+                      for i in payers]
+            active = list(range(len(payers)))
+            vals = [0.0] * len(payers)
+            for _ in range(len(payers) + 1):
+                load_fixed = sum(c[payers[j]] / vals[j]
+                                 for j in range(len(payers))
+                                 if j not in active)
+                rem = slack - load_fixed
+                if rem <= 0.0:
+                    active = None
+                    break
+                s_root = sum(math.sqrt(c[payers[j]] * rates[j])
+                             for j in active)
+                clamped = False
+                for j in active:
+                    vals[j] = math.sqrt(c[payers[j]] / rates[j]) \
+                        * s_root / rem
+                for j in list(active):
+                    if vals[j] < floors[j]:
+                        vals[j] = floors[j]
+                        active.remove(j)
+                        clamped = True
+                if not clamped:
+                    break
+            if active is None:
+                continue
+            for j, i in enumerate(payers):
+                n[i] = vals[j]
+        total = 0.0
+        for i in range(m):
+            cf = cost_fns[i]
+            if i in payers:
+                if cf.kind == "saltus":
+                    total += cf.C_fix + cf.C_var * (n[i] - cf.N_free)
+                else:
+                    total += cf.C_var * n[i]
+        if best is None or total < best[0]:
+            best = (total, list(n))
+    return best
+
+
+def cost_support_oracle(W, w, er_budget, cost_fns, max_support=None):
+    """Brute-force cheapest support for the cost-constrained problem.
+
+    Enumerates supports up to max_support (default k + 2) on desk-scale
+    instances (T <= 15), solving W_S nu_S = w on each (restricted min-L1
+    when underdetermined) and pricing the cheapest counts that keep the
+    allocation-weighted norm within er_budget. Returns
+    (support, cost, n) for the best support found.
+    """
+    W = np.asarray(W, dtype=float)
+    w = np.asarray(w, dtype=float)
+    k, T = W.shape
+    if T > 15:
+        raise ValueError("cost_support_oracle is desk-scale; requires "
+                         "T <= 15")
+    if er_budget <= 0:
+        raise ValueError("er_budget must be positive")
+    if len(cost_fns) != T:
+        raise ValueError("need one cost function per task")
+    if max_support is None:
+        max_support = min(T, k + 2)
+    best = None
+    wnorm = float(np.linalg.norm(w))
+    for size in range(1, max_support + 1):
+        for S in itertools.combinations(range(T), size):
+            WS = W[:, S]
+            nu_S, *_ = np.linalg.lstsq(WS, w, rcond=None)
+            if np.linalg.norm(WS @ nu_S - w) > 1e-9 * (1.0 + wnorm):
+                continue
+            if size > k:
+                try:
+                    nu_S = l1_oracle_lp(WS, w)
+                except ValueError:
+                    continue
+            c = nu_S ** 2
+            keep = c > 0.0
+            sub_fns = [cost_fns[t] for t, kp in zip(S, keep) if kp]
+            sub_c = c[keep]
+            sol = _min_cost_on_support(list(sub_c), sub_fns, er_budget)
+            if sol is None:
+                continue
+            cost, counts = sol
+            n = np.zeros(T)
+            for t, amount in zip((t for t, kp in zip(S, keep) if kp),
+                                 counts):
+                n[t] = amount
+            if best is None or cost < best[1] - 1e-12 * (1.0 + abs(cost)):
+                best = (tuple(t for t, kp in zip(S, keep) if kp), cost, n)
+    if best is None:
+        raise ValueError("no feasible support meets the er_budget")
+    return best

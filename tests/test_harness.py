@@ -1,13 +1,12 @@
 """Sweep orchestration, CSV output, verification suite, CLI."""
 
-import csv
 import json
-import math
 
 import numpy as np
 import pytest
 
 import amtrl.cli
+from amtrl import pipeline, relevance
 from amtrl.harness import (
     CSV_HEADER,
     ConfigError,
@@ -17,7 +16,6 @@ from amtrl.harness import (
     cmd_run,
     cmd_verify,
     config_from_dict,
-    loglog_slope,
     make_instance,
     read_rows_csv,
     reference_nu,
@@ -63,6 +61,8 @@ def test_sweep_config_validation():
         SweepConfig(**{**good, "lambda_policy": "explicit"})
     with pytest.raises(ConfigError):
         SweepConfig(**{**good, "instance": "nope"})
+    with pytest.raises(ConfigError, match="unknown multistage keys"):
+        SweepConfig(**{**good, "multistage": {"stages": 5, "growth": 3.0}})
 
 
 def test_config_from_dict():
@@ -157,7 +157,7 @@ def test_sweep_infeasible_budget_rows_are_recorded(tmp_path):
     assert all(s["N_tot"] != 40 for s in summary)
 
 
-def test_summarize_and_loglog_slope():
+def test_summarize():
     rows = []
     for n in (100, 1000, 10000):
         for seed, er in ((0, 2.0 / n), (1, 1.0 / n), (2, 4.0 / n)):
@@ -168,10 +168,6 @@ def test_summarize_and_loglog_slope():
     summary = summarize(rows)
     assert [s["N_tot"] for s in summary] == [100, 1000, 10000]
     np.testing.assert_allclose(summary[0]["median_ER"], 2.0 / 100)
-    # exact ER = 2/N power law: slope -1
-    np.testing.assert_allclose(loglog_slope(summary, "x"), -1.0, atol=1e-12)
-    with pytest.raises(ValueError):
-        loglog_slope(summary, "missing")
 
 
 def test_cmd_run_and_nu_solve(tmp_path):
@@ -193,11 +189,36 @@ def test_cmd_run_and_nu_solve(tmp_path):
     assert (tmp_path / "nu.json").exists()
 
 
-def test_cmd_verify_fast_passes(tmp_path):
-    report, code = cmd_verify(level="fast", out_dir=str(tmp_path))
+def test_nu_solve_follows_lambda_policy(tmp_path):
+    # the Lasso in nu.json uses the penalty the pipelines would choose
+    cfg = _small_cfg(tmp_path, instance={
+        "kind": "almost_sparse", "d": 8, "k": 5, "T": 50, "sigma_z": 0.5,
+        "seed": 0}, lambda_policy="theory")
+    report = cmd_nu_solve(cfg)
+    gt = make_instance(cfg.instance)
+    W, w = gt.W_star, gt.w_target_star
+    lam = pipeline.lambda_for({"lambda_policy": "theory", "lambda": None},
+                              W, w)
+    assert lam != relevance.LAZY_LAMBDA
+    assert report["lambda"] == lam
+    np.testing.assert_array_equal(report["nu_lasso"],
+                                  relevance.lasso(W, w, lam)[0])
+
+
+# property names and default tolerances, in report order
+VERIFY_PROPERTIES = [
+    ("allocation_optimality", 1e-9), ("floor_free_equality", 1e-12),
+    ("lp_support_sparsity", 0), ("l2_norm_bound", 1e-9),
+    ("lasso_matches_lp", 1e-4), ("lasso_kkt_residual", 1e-8),
+    ("trainer_loss_monotone", 1e-12), ("noiseless_recovery", 1e-6)]
+
+
+@pytest.mark.parametrize("level", ["fast", "full"])
+def test_cmd_verify_passes(tmp_path, level):
+    report, code = cmd_verify(level=level, out_dir=str(tmp_path))
     assert code == 0 and report["all_pass"]
-    names = [p["name"] for p in report["properties"]]
-    assert "allocation_optimality" in names
+    assert [(p["name"], p["tolerance"])
+            for p in report["properties"]] == VERIFY_PROPERTIES
     assert (tmp_path / "verify.json").exists()
     with pytest.raises(ConfigError):
         cmd_verify(level="huh")
