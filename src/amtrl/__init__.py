@@ -21,8 +21,7 @@ from .relevance import (LAZY_LAMBDA, kkt_residual, l1_oracle_lp, lambda_rule,
                         lasso, min_l2_solution, norm_bound_check,
                         support_size)
 from .trainer import (FitOptions, FittedModel, excess_risk, fit_source,
-                      fit_target_head, head_for, load_model, save_model,
-                      subspace_distance)
+                      fit_target_head, head_for, subspace_distance)
 
 __version__ = "0.1.0"
 
@@ -33,11 +32,11 @@ __all__ = [
     "continuous_allocation", "cost_aware_allocate",
     "eval_cost", "excess_risk", "fit_source", "fit_target_head", "head_for",
     "kkt_residual", "l1_oracle_lp", "lambda_rule", "lasso", "linear_cost",
-    "load_instance", "load_model", "lpnq_allocation",
+    "load_instance", "lpnq_allocation",
     "make_aligned_worstcase_instance", "make_almost_sparse_instance",
     "make_random_instance", "min_l2_solution", "norm_bound_check",
     "nu_tilde_objective", "run_known_nu",
     "run_l1_amtrl", "run_l2_amtrl", "run_multistage", "run_passive",
-    "saltus_cost", "sample_task", "save_instance", "save_model",
+    "saltus_cost", "sample_task", "save_instance",
     "subspace_distance", "support_size",
 ]

@@ -109,7 +109,9 @@ def continuous_allocation(nu, N_tot, N_floor):
 
 def _round_largest_remainder(x, N_tot, N_floor):
     """Integerize a continuous allocation, preserving the exact budget and
-    the floors; ties broken toward the lower task index."""
+    the floors. Remainder units go first to tasks whose positive share
+    rounded down to zero, then by largest remainder; ties broken toward the
+    lower task index."""
     T = x.size
     x = np.maximum(x, float(N_floor))
     base = np.maximum(np.floor(x).astype(int), N_floor)
@@ -118,7 +120,8 @@ def _round_largest_remainder(x, N_tot, N_floor):
     if deficit > 0:
         bump, extra = divmod(deficit, T)
         base += bump
-        order = np.lexsort((np.arange(T), -rem))
+        starved = (x > 0.0) & (base == 0)
+        order = np.lexsort((np.arange(T), -rem, ~starved))
         base[order[:extra]] += 1
     elif deficit < 0:
         order = np.lexsort((np.arange(T), rem))
@@ -139,8 +142,9 @@ def allocate_fixed_nu(nu, N_tot, N_floor, strategy="L1"):
 
     c' is solved exactly from the piecewise-linear budget equation, then
     the continuous counts are rounded by largest remainder, keeping the
-    budget exact and every task at or above the floor. nu = 0 degenerates
-    to a uniform allocation with a warning.
+    budget exact and every task at or above the floor; a nonzero-nu task
+    whose count rounds down to zero gets a spare unit first. nu = 0
+    degenerates to a uniform allocation with a warning.
     """
     nu = np.asarray(nu, dtype=float)
     T = nu.size

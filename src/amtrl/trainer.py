@@ -6,9 +6,16 @@ The objective is the per-task-normalized empirical risk
 
 alternating exact half-steps: each w_t is a least-squares solve against the
 current X_t B, and B solves the stacked normal equations over vec(B) with all
-w_t held fixed. B is re-orthonormalized by QR after every update with the R
-factor absorbed into W, which leaves the objective unchanged. Both half-steps
-are exact minimizers, so the recorded loss history is non-increasing.
+w_t held fixed. B is re-orthonormalized by QR after every update; absorbing
+the R factor into W would leave the objective unchanged, and the next W-step
+can only lower it, so the recorded loss history is non-increasing.
+
+The data enter only through per-task sufficient statistics, built once per
+fit and stacked over the tasks: G (T, d, d) with G_t = X_t^T X_t, H (T, d)
+with H_t = X_t^T Y_t and yty (T,) with yty_t = Y_t^T Y_t. Each half-step and
+the loss are then a few array contractions over that stack: the B-step's
+normal matrix is one tensordot of the weighted outer products w_t w_t^T with
+G, and the W-step is one batched solve of the k x k systems B^T G_t B.
 """
 
 import dataclasses
@@ -48,15 +55,45 @@ class FittedModel:
     converged: bool
 
 
-def _loss_gram(u, yty, H, G, B, W):
-    total = 0.0
-    for t in range(len(u)):
-        if u[t] == 0.0:
-            continue
-        w = W[:, t]
-        Bw_gram = B.T @ (G[t] @ B)
-        total += u[t] * (yty[t] - 2.0 * w @ (B.T @ H[t]) + w @ (Bw_gram @ w))
-    return max(total, 0.0)
+def _stack_stats(datasets):
+    """Per-task sample counts, weights u_t = 1/(T n_t) (0 for n_t = 0) and
+    the stacked statistics G, H and yty."""
+    counts = np.array([ds.n for ds in datasets])
+    u = np.zeros(counts.size)
+    u[counts > 0] = 1.0 / (counts.size * counts[counts > 0])
+    G = np.stack([ds.X.T @ ds.X for ds in datasets])
+    H = np.stack([ds.X.T @ ds.Y for ds in datasets])
+    yty = np.array([ds.Y @ ds.Y for ds in datasets], dtype=float)
+    return counts, u, G, H, yty
+
+
+def _w_step(counts, H, G, B):
+    """Exact heads for a fixed B. Returns W (k x T) and the projected
+    statistics M_t = B^T G_t B (T, k, k) and m_t = B^T H_t (T, k).
+
+    Tasks with n_t >= k go through one batched solve; 0 < n_t < k makes
+    M_t singular, so those heads are per-task minimum-norm least-squares
+    solutions; n_t = 0 keeps a zero head."""
+    k = B.shape[1]
+    M = B.T @ (G @ B)
+    m = (B.T @ H[..., None])[..., 0]
+    W = np.zeros((k, counts.size))
+    full = counts >= k
+    few = (counts > 0) & ~full
+    try:
+        W[:, full] = np.linalg.solve(M[full], m[full][..., None])[..., 0].T
+    except np.linalg.LinAlgError:
+        few = few | full
+    for t in np.flatnonzero(few):
+        W[:, t] = np.linalg.lstsq(M[t], m[t], rcond=None)[0]
+    return W, M, m
+
+
+def _loss_gram(u, yty, M, m, W):
+    """L(B, W) from the statistics projected on B (see _w_step)."""
+    MW = np.einsum("tij,jt->ti", M, W)
+    per_task = yty + np.einsum("it,ti->t", W, MW - 2.0 * m)
+    return max(float(u @ per_task), 0.0)
 
 
 def _loss_residual(u, datasets, B, W):
@@ -69,27 +106,17 @@ def _loss_residual(u, datasets, B, W):
     return total
 
 
-def _w_step(u, H, G, B, W):
-    for t in range(W.shape[1]):
-        if u[t] == 0.0:
-            W[:, t] = 0.0
-            continue
-        M = B.T @ (G[t] @ B)
-        m = B.T @ H[t]
-        W[:, t] = np.linalg.lstsq(M, m, rcond=None)[0]
-    return W
+def _b_rhs(u, H, W):
+    """Right-hand side sum_t u_t H_t w_t^T of the B-step, as vec(B)."""
+    return ((H.T * u) @ W.T).ravel(order="F")
 
 
-def _b_step_dense(u, H, G, W, d, k):
-    M = np.zeros((d * k, d * k))
-    rhs = np.zeros((d, k))
-    for t in range(W.shape[1]):
-        if u[t] == 0.0:
-            continue
-        w = W[:, t]
-        M += u[t] * np.kron(np.outer(w, w), G[t])
-        rhs += u[t] * np.outer(H[t], w)
-    rhs = rhs.ravel(order="F")
+def _b_step_dense(u, H, G, W):
+    d, k = G.shape[1], W.shape[0]
+    # sum_t u_t kron(w_t w_t^T, G_t), indexed [a, i, b, j] = [a*d + i, b*d + j]
+    P = (W.T * u[:, None])[:, :, None] * W.T[:, None, :]
+    M = np.tensordot(P, G, axes=(0, 0)).transpose(0, 2, 1, 3).reshape(d * k, d * k)
+    rhs = _b_rhs(u, H, W)
     try:
         sol = scipy.linalg.solve(M, rhs, assume_a="pos")
     except (scipy.linalg.LinAlgError, ValueError):
@@ -97,22 +124,17 @@ def _b_step_dense(u, H, G, W, d, k):
     return sol.reshape(d, k, order="F")
 
 
-def _b_step_cg(u, H, G, W, B, d, k):
-    active = [t for t in range(W.shape[1]) if u[t] != 0.0]
+def _b_step_cg(u, H, G, W, B):
+    d, k = B.shape
+    Wu = W * u
 
     def apply(v):
         V = v.reshape(d, k, order="F")
-        out = np.zeros((d, k))
-        for t in active:
-            w = W[:, t]
-            out += u[t] * np.outer(G[t] @ (V @ w), w)
-        return out.ravel(order="F")
+        # sum_t u_t G_t V w_t w_t^T
+        return (np.einsum("tij,jt->it", G, V @ Wu) @ W.T).ravel(order="F")
 
     op = scipy.sparse.linalg.LinearOperator((d * k, d * k), matvec=apply)
-    rhs = np.zeros((d, k))
-    for t in active:
-        rhs += u[t] * np.outer(H[t], W[:, t])
-    sol, info = scipy.sparse.linalg.cg(op, rhs.ravel(order="F"),
+    sol, info = scipy.sparse.linalg.cg(op, _b_rhs(u, H, W),
                                        x0=B.ravel(order="F"), rtol=1e-12,
                                        atol=0.0)
     if info != 0:
@@ -122,16 +144,14 @@ def _b_step_cg(u, H, G, W, B, d, k):
     return sol.reshape(d, k, order="F")
 
 
-def _spectral_init(u, H, G, d, k):
+def _spectral_init(u, H, G, k):
     """Top-k left singular vectors of the per-task ridge solutions, padded
     with fixed-seed random directions when they span fewer than k."""
-    cols = []
-    for t in range(len(u)):
-        if u[t] == 0.0:
-            cols.append(np.zeros(d))
-        else:
-            cols.append(np.linalg.solve(G[t] + _INIT_RIDGE * np.eye(d), H[t]))
-    M = np.column_stack(cols) if cols else np.zeros((d, 1))
+    d = G.shape[1]
+    active = u != 0.0
+    M = np.zeros((d, u.size))
+    ridged = G[active] + _INIT_RIDGE * np.eye(d)
+    M[:, active] = np.linalg.solve(ridged, H[active][..., None])[..., 0].T
     U, s, _ = np.linalg.svd(M, full_matrices=False)
     rank = int(np.sum(s > 1e-12 * max(1.0, s[0] if s.size else 0.0)))
     avail = min(rank, k)
@@ -161,17 +181,13 @@ def fit_source(datasets, k, options=None, init_B=None):
         options = FitOptions()
     if not datasets:
         raise ValueError("need at least one dataset")
-    T = len(datasets)
     d = datasets[0].X.shape[1]
     if any(ds.X.shape[1] != d for ds in datasets):
         raise ValueError("datasets disagree on input dimension")
     if not (1 <= k <= d):
         raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
 
-    u = np.array([0.0 if ds.n == 0 else 1.0 / (T * ds.n) for ds in datasets])
-    G = [ds.X.T @ ds.X for ds in datasets]
-    H = [ds.X.T @ ds.Y for ds in datasets]
-    yty = [float(ds.Y @ ds.Y) for ds in datasets]
+    counts, u, G, H, yty = _stack_stats(datasets)
 
     if init_B is not None:
         init_B = np.asarray(init_B, dtype=float)
@@ -179,33 +195,35 @@ def fit_source(datasets, k, options=None, init_B=None):
             raise ValueError(f"init_B must be {d} x {k}, got {init_B.shape}")
         B = np.linalg.qr(init_B)[0]
     else:
-        B = _spectral_init(u, H, G, d, k)
+        B = _spectral_init(u, H, G, k)
 
-    W = _w_step(u, H, G, B, np.zeros((k, T)))
+    history = []
 
-    def loss(B, W, gram_value=None):
-        val = _loss_gram(u, yty, H, G, B, W) if gram_value is None else gram_value
+    def heads_and_loss(B):
+        W, M, m = _w_step(counts, H, G, B)
+        val = _loss_gram(u, yty, M, m, W)
         # near the noiseless floor the Gram form loses digits to cancellation;
         # recompute from residuals where it matters
         if val <= 1e-8 * (1.0 + history[0] if history else 1.0):
             val = _loss_residual(u, datasets, B, W)
-        return val
+        history.append(val)
+        return W
 
-    history = []
-    history.append(loss(B, W))
+    W = heads_and_loss(B)
     converged = False
     dense = d * k <= DENSE_VECB_LIMIT
     for _ in range(options.max_iters):
-        B_raw = _b_step_dense(u, H, G, W, d, k) if dense else _b_step_cg(u, H, G, W, B, d, k)
-        Q, R = np.linalg.qr(B_raw)
-        B = Q
-        W = R @ W
-        W = _w_step(u, H, G, B, W)
-        history.append(loss(B, W))
+        B_raw = _b_step_dense(u, H, G, W) if dense else _b_step_cg(u, H, G, W, B)
+        B = np.linalg.qr(B_raw)[0]
+        W = heads_and_loss(B)
         prev, cur = history[-2], history[-1]
         if prev - cur <= options.tol * max(abs(prev), 1e-300):
             converged = True
             break
+    else:
+        warnings.warn(f"alternating fit stopped after {options.max_iters} "
+                      f"iterations without reaching tol {options.tol:g}",
+                      RuntimeWarning, stacklevel=2)
     return FittedModel(B_hat=B, W_hat=W, w_target_hat=None,
                        train_loss_history=history, iterations=len(history) - 1,
                        converged=converged)
@@ -247,36 +265,3 @@ def subspace_distance(B1, B2, tol=1e-6):
     s = scipy.linalg.svdvals(B1.T @ B2)
     sk = float(s[-1])
     return float(np.sqrt(max(0.0, 1.0 - min(1.0, sk) ** 2)))
-
-
-def save_model(model, path):
-    """Write a fitted model as JSON (arrays row-major)."""
-    from . import jsonio
-    doc = {
-        "B_hat": model.B_hat.ravel(order="C").tolist(),
-        "shape_B": list(model.B_hat.shape),
-        "W_hat": model.W_hat.ravel(order="C").tolist(),
-        "shape_W": list(model.W_hat.shape),
-        "w_target_hat": None if model.w_target_hat is None
-        else model.w_target_hat.tolist(),
-        "train_loss_history": [float(v) for v in model.train_loss_history],
-        "iterations": model.iterations,
-        "converged": model.converged,
-    }
-    jsonio.dump(doc, path)
-
-
-def load_model(path):
-    from . import jsonio
-    doc = jsonio.load(path)
-    dB = doc["shape_B"]
-    dW = doc["shape_W"]
-    w = doc["w_target_hat"]
-    return FittedModel(
-        B_hat=np.asarray(doc["B_hat"], float).reshape(dB),
-        W_hat=np.asarray(doc["W_hat"], float).reshape(dW),
-        w_target_hat=None if w is None else np.asarray(w, float),
-        train_loss_history=[float(v) for v in doc["train_loss_history"]],
-        iterations=int(doc["iterations"]),
-        converged=bool(doc["converged"]),
-    )

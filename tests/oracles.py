@@ -4,13 +4,16 @@ The projected-gradient allocation and the Lasso enumeration deliberately
 avoid the library's own solvers, so agreement between the two routes is
 evidence, not circularity. The bilevel and cheapest-support searches are
 desk-scale brute force built on the library's exact pieces (water-filling,
-the LP): they test claims about the joint problem, not those pieces.
+the LP): they test claims about the joint problem, not those pieces. The
+alternating-fit references take each half-step task by task (one np.kron or
+lstsq per task) and check the trainer's stacked-array contractions.
 """
 
 import itertools
 import math
 
 import numpy as np
+import scipy.linalg
 
 from amtrl import (allocate_fixed_nu, continuous_allocation, l1_oracle_lp,
                    min_l2_solution)
@@ -314,3 +317,77 @@ def cost_support_oracle(W, w, er_budget, cost_fns, max_support=None):
     if best is None:
         raise ValueError("no feasible support meets the er_budget")
     return best
+
+
+def loss_gram_oracle(u, yty, H, G, B, W):
+    """sum_t u_t ||Y_t - X_t B w_t||^2 from the Gram statistics, task by
+    task."""
+    total = 0.0
+    for t in range(len(u)):
+        if u[t] == 0.0:
+            continue
+        w = W[:, t]
+        Bw_gram = B.T @ (G[t] @ B)
+        total += u[t] * (yty[t] - 2.0 * w @ (B.T @ H[t]) + w @ (Bw_gram @ w))
+    return max(total, 0.0)
+
+
+def w_step_oracle(u, H, G, B):
+    """Minimum-norm least-squares head of every task with u_t > 0, one lstsq
+    per task; zero heads elsewhere."""
+    W = np.zeros((B.shape[1], len(u)))
+    for t in range(len(u)):
+        if u[t] == 0.0:
+            continue
+        M = B.T @ (G[t] @ B)
+        m = B.T @ H[t]
+        W[:, t] = np.linalg.lstsq(M, m, rcond=None)[0]
+    return W
+
+
+def b_step_system_oracle(u, H, G, W):
+    """The B-step normal equations over vec(B) (column-major), summed task
+    by task: sum_t u_t kron(w_t w_t^T, G_t) and sum_t u_t H_t w_t^T."""
+    d, k = G[0].shape[0], W.shape[0]
+    M = np.zeros((d * k, d * k))
+    rhs = np.zeros((d, k))
+    for t in range(W.shape[1]):
+        if u[t] == 0.0:
+            continue
+        w = W[:, t]
+        M += u[t] * np.kron(np.outer(w, w), G[t])
+        rhs += u[t] * np.outer(H[t], w)
+    return M, rhs.ravel(order="F")
+
+
+def b_step_dense_oracle(u, H, G, W):
+    """The dense B-step on the per-task system: Cholesky, or the
+    minimum-norm least-squares solution when that fails."""
+    d, k = G[0].shape[0], W.shape[0]
+    M, rhs = b_step_system_oracle(u, H, G, W)
+    try:
+        sol = scipy.linalg.solve(M, rhs, assume_a="pos")
+    except (scipy.linalg.LinAlgError, ValueError):
+        sol = np.linalg.lstsq(M, rhs, rcond=None)[0]
+    return sol.reshape(d, k, order="F")
+
+
+def spectral_init_oracle(u, H, G, k, ridge):
+    """Top-k left singular vectors of the per-task ridge solutions, one solve
+    per task, padded as the trainer pads them when they span fewer than k."""
+    d = G[0].shape[0]
+    cols = []
+    for t in range(len(u)):
+        if u[t] == 0.0:
+            cols.append(np.zeros(d))
+        else:
+            cols.append(np.linalg.solve(G[t] + ridge * np.eye(d), H[t]))
+    M = np.column_stack(cols)
+    U, s, _ = np.linalg.svd(M, full_matrices=False)
+    rank = int(np.sum(s > 1e-12 * max(1.0, s[0] if s.size else 0.0)))
+    avail = min(rank, k)
+    if avail == k:
+        return U[:, :k]
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=0))
+    pad = np.column_stack([U[:, :avail], rng.standard_normal((d, k - avail))])
+    return np.linalg.qr(pad)[0][:, :k]

@@ -114,6 +114,41 @@ def test_rounding_tie_break_is_low_index():
     np.testing.assert_array_equal(alloc.n, [4, 3, 3])
 
 
+def test_rounding_gives_each_nonzero_task_a_sample():
+    # the larger remainder used to take the only spare unit: [3, 1] -> [2, 0]
+    for nu in ([3.0, 1.0], [1.0, 3.0]):
+        np.testing.assert_array_equal(allocate_fixed_nu(nu, 2, 0).n, [1, 1])
+
+
+@st.composite
+def _floor_free_tight_budgets(draw):
+    """(nu, N_tot) with floor 0 and a budget from the support size to
+    three samples per task above it, where shares below one are common."""
+    T = draw(st.integers(1, 20))
+    entry = st.one_of(st.just(0.0), st.floats(1e-3, 1.0),
+                      st.floats(-1.0, -1e-3))
+    nu = np.array(draw(st.lists(entry, min_size=T, max_size=T)))
+    assume(np.any(nu != 0.0))
+    support = int(np.count_nonzero(nu))
+    return nu, draw(st.integers(support, support + 3 * T))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_floor_free_tight_budgets())
+def test_floor_free_rounding_starves_no_task_it_can_feed(problem):
+    nu, N = problem
+    alloc = allocate_fixed_nu(nu, N, 0)
+    floors = np.floor(alloc.continuous)
+    spare = N - int(floors.sum())
+    rounded_to_zero = int(np.sum((nu != 0.0) & (floors == 0)))
+    starved = int(np.sum((nu != 0.0) & (alloc.n == 0)))
+    # counts within one unit of the shares leave `spare` units to hand
+    # out; each goes to a nonzero task rounded down to zero while any is left
+    assert starved == max(0, rounded_to_zero - spare)
+    if spare >= rounded_to_zero:
+        assert np.all(alloc.n[nu != 0.0] >= 1)
+
+
 def _untied(alloc):
     """Tasks whose rounding remainder ties with no other task's. Rounding
     gives a tied remainder's extra unit to the lower index, and remainders

@@ -1,11 +1,12 @@
 """Alternating least-squares representation fitting."""
 
-import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amtrl import trainer
 from amtrl import (
@@ -15,12 +16,14 @@ from amtrl import (
     fit_source,
     fit_target_head,
     head_for,
-    load_model,
     make_random_instance,
     sample_task,
-    save_model,
     subspace_distance,
 )
+from oracles import (b_step_dense_oracle, b_step_system_oracle,
+                     loss_gram_oracle, spectral_init_oracle, w_step_oracle)
+
+EPS = np.finfo(float).eps
 
 
 def _datasets(gt, n, seed=0):
@@ -122,32 +125,6 @@ def test_fit_source_input_validation():
         fit_source(data + [other], gt.k)
 
 
-def test_save_load_model_round_trip(tmp_path):
-    gt = make_random_instance(7, 2, 5, sigma_z=0.2, seed=4)
-    model = fit_source(_datasets(gt, 40, seed=4), gt.k)
-    model = fit_target_head(model, sample_task(gt, gt.T, 100, seed=4))
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    back = load_model(path)
-    np.testing.assert_array_equal(back.B_hat, model.B_hat)
-    np.testing.assert_array_equal(back.W_hat, model.W_hat)
-    np.testing.assert_array_equal(back.w_target_hat, model.w_target_hat)
-    assert back.iterations == model.iterations
-    assert back.converged == model.converged
-    np.testing.assert_array_equal(back.train_loss_history,
-                                  model.train_loss_history)
-    # edge values come back bit for bit, signed zero included
-    edge = np.array([-0.0, 5e-324, -2.2250738585072014e-308,
-                     np.finfo(float).max, -np.finfo(float).max, 0.1])
-    model = dataclasses.replace(model, B_hat=edge.reshape(3, 2),
-                                W_hat=-edge.reshape(2, 3))
-    save_model(model, path)
-    back = load_model(path)
-    for got, want in ((back.B_hat, model.B_hat), (back.W_hat, model.W_hat)):
-        np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
-
-
 def test_head_for_recovers_true_head_noiseless():
     gt = make_random_instance(8, 3, 6, sigma_z=0.0, seed=6)
     ds = sample_task(gt, 1, 200, seed=6)
@@ -187,5 +164,117 @@ def test_matrix_free_b_step_warns_when_cg_stops_early(monkeypatch):
     real_cg = scipy.sparse.linalg.cg
     monkeypatch.setattr(scipy.sparse.linalg, "cg",
                         lambda *a, **kw: (real_cg(*a, **kw)[0], 7))
-    with pytest.warns(RuntimeWarning, match="info 7"):
+    with pytest.warns(RuntimeWarning) as caught:
         fit_source(data, gt.k, FitOptions(max_iters=2))
+    messages = [str(w.message) for w in caught]
+    assert any("info 7" in msg for msg in messages)
+    # two iterations are too few to converge, and the fit says so too
+    assert any("stopped after 2 iterations" in msg for msg in messages)
+
+
+def test_unconverged_fit_warns():
+    gt = make_random_instance(8, 3, 6, sigma_z=0.3, seed=2)
+    data = _datasets(gt, 40, seed=2)
+    with pytest.warns(RuntimeWarning, match="stopped after 1 iterations"):
+        model = fit_source(data, gt.k, FitOptions(max_iters=1))
+    assert model.converged is False
+    assert model.iterations == 1
+
+
+@st.composite
+def _stacked_problems(draw, nonsingular_grams=False):
+    """(counts, u, G, H, yty, B, W) for d in 1..8, k in 1..d and T in 1..10,
+    so T < k occurs. Each task has n_t = 0, 0 < n_t < k or n_t >= k samples
+    (d <= n_t <= 4d with nonsingular_grams); B is orthonormal and W has zero
+    heads where n_t = 0, as the fit keeps them."""
+    d = draw(st.integers(1, 8))
+    k = draw(st.integers(1, d))
+    T = draw(st.integers(1, 10))
+    if nonsingular_grams:
+        count = st.integers(d, 4 * d)
+    else:
+        count = st.one_of(st.just(0), st.integers(k, 3 * d + 2),
+                          *([st.integers(1, k - 1)] if k > 1 else []))
+    counts = draw(st.lists(count, min_size=T, max_size=T))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    data = [TaskDataset(task_index=t, X=rng.standard_normal((n, d)),
+                        Y=rng.standard_normal(n), n=n, seed=0)
+            for t, n in enumerate(counts)]
+    counts, u, G, H, yty = trainer._stack_stats(data)
+    B = np.linalg.qr(rng.standard_normal((d, k)))[0]
+    W = rng.standard_normal((k, T)) * (counts > 0)
+    return counts, u, G, H, yty, B, W
+
+
+def _assert_same_minimizer(M, rhs, x, x_ref, solver_rtol=256 * EPS):
+    """x and x_ref both minimize x^T M x - 2 rhs^T x: the objective agrees
+    within 1e-10 of the size of its terms, and the solutions within 1e-10
+    relative plus the forward error cond(M) * solver_rtol that any two
+    solvers with that relative residual may differ by (unbounded for a
+    singular M, where the objective is the check)."""
+    def objective(v):
+        return v @ (M @ v) - 2.0 * rhs @ v
+
+    mag = np.abs(x_ref)
+    scale = mag @ (np.abs(M) @ mag) + 2.0 * np.abs(rhs) @ mag + 1e-300
+    assert abs(objective(x) - objective(x_ref)) <= 1e-10 * scale
+    tol = 1e-10 + solver_rtol * np.linalg.cond(M)
+    assert np.max(np.abs(x - x_ref)) <= tol * max(np.max(np.abs(x_ref)), 1e-300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stacked_problems())
+def test_stacked_w_step_and_loss_match_per_task_reference(problem):
+    counts, u, G, H, yty, B, _ = problem
+    W, M, m = trainer._w_step(counts, H, G, B)
+    W_ref = w_step_oracle(u, H, G, B)
+    for t in range(counts.size):
+        if counts[t] == 0:
+            np.testing.assert_array_equal(W[:, t], 0.0)
+        else:
+            _assert_same_minimizer(B.T @ G[t] @ B, B.T @ H[t], W[:, t],
+                                   W_ref[:, t])
+    loss = trainer._loss_gram(u, yty, M, m, W)
+    terms = yty + np.abs(np.einsum("it,ti->t", W, 2.0 * m)) + np.abs(
+        np.einsum("it,tij,jt->t", W, M, W))
+    assert abs(loss - loss_gram_oracle(u, yty, H, G, B, W)) <= 1e-10 * (u @ terms)
+
+
+# draws include singular normal equations (T < k, n_t < d), where scipy may
+# warn that the Cholesky solve is ill-conditioned and either side may fall
+# back to least squares; the comparison is on the normal equations either way
+@settings(max_examples=200, deadline=None)
+@given(_stacked_problems())
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_stacked_b_step_matches_per_task_reference(problem):
+    _, u, G, H, _, _, W = problem
+    M, rhs = b_step_system_oracle(u, H, G, W)
+    B_raw = trainer._b_step_dense(u, H, G, W)
+    B_ref = b_step_dense_oracle(u, H, G, W)
+    _assert_same_minimizer(M, rhs, B_raw.ravel(order="F"),
+                           B_ref.ravel(order="F"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_stacked_problems(nonsingular_grams=True))
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_matrix_free_b_step_matches_per_task_reference(problem):
+    # every G_t is nonsingular, so the normal matrix is definite when the
+    # heads span R^k (singular but consistent when T < k), and conjugate
+    # gradients converge on it
+    _, u, G, H, _, B, W = problem
+    M, rhs = b_step_system_oracle(u, H, G, W)
+    B_raw = trainer._b_step_cg(u, H, G, W, B)
+    B_ref = b_step_dense_oracle(u, H, G, W)
+    _assert_same_minimizer(M, rhs, B_raw.ravel(order="F"),
+                           B_ref.ravel(order="F"), solver_rtol=1e-11)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stacked_problems())
+def test_stacked_spectral_init_matches_per_task_reference(problem):
+    _, u, G, H, _, B, _ = problem
+    k = B.shape[1]
+    init = trainer._spectral_init(u, H, G, k)
+    ref = spectral_init_oracle(u, H, G, k, trainer._INIT_RIDGE)
+    np.testing.assert_allclose(init @ init.T, ref @ ref.T, rtol=0, atol=1e-10)
