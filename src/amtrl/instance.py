@@ -114,7 +114,8 @@ class GroundTruth:
 
 @dataclasses.dataclass(frozen=True)
 class TaskDataset:
-    """One task's sampled data: X is n x d, Y is length n."""
+    """One task's sampled data: X is n x d, Y is length n, both read-only
+    copies of the arrays passed in."""
 
     task_index: int
     X: np.ndarray
@@ -124,14 +125,42 @@ class TaskDataset:
     draw: int = 0
 
     def __post_init__(self):
-        X = _readonly(self.X)
-        Y = _readonly(self.Y)
+        self._set_arrays(_readonly(self.X), _readonly(self.Y))
+
+    def _set_arrays(self, X, Y):
         if X.ndim != 2 or Y.ndim != 1 or X.shape[0] != Y.shape[0]:
             raise ValueError(f"inconsistent shapes X{X.shape}, Y{Y.shape}")
         if self.n != X.shape[0]:
             raise ValueError(f"n={self.n} but X has {X.shape[0]} rows")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
+
+    def gram(self):
+        """The Gram statistics (X^T X, X^T Y), read-only, formed on the first
+        call and cached: every fit and head solve on this dataset reads the
+        same arrays."""
+        stats = self.__dict__.get("_gram")
+        if stats is None:
+            stats = (self.X.T @ self.X, self.X.T @ self.Y)
+            for a in stats:
+                a.setflags(write=False)
+            object.__setattr__(self, "_gram", stats)
+        return stats
+
+
+def _fresh_dataset(task_index, X, Y, seed, draw):
+    """A TaskDataset over float64 arrays X and Y that the package has just
+    made and holds no other reference to (sample_task, the pipeline's
+    merges). They are made read-only and kept without the copy the
+    constructor takes of a caller's arrays."""
+    ds = object.__new__(TaskDataset)
+    for name, value in (("task_index", task_index), ("n", X.shape[0]),
+                        ("seed", seed), ("draw", draw)):
+        object.__setattr__(ds, name, value)
+    X.setflags(write=False)
+    Y.setflags(write=False)
+    ds._set_arrays(X, Y)
+    return ds
 
 
 def sample_task(gt, task_index, n, seed, draw=0):
@@ -148,7 +177,7 @@ def sample_task(gt, task_index, n, seed, draw=0):
     if gt.covariance_kind == "diagonal-bounded":
         X = X * np.sqrt(gt.sigma_diag)
     Y = X @ theta + gt.sigma_z * rng.standard_normal(n)
-    return TaskDataset(task_index=task_index, X=X, Y=Y, n=n, seed=seed, draw=draw)
+    return _fresh_dataset(task_index, X, Y, seed, draw)
 
 
 def _orthonormal_columns(rng, rows, cols):

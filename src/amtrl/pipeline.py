@@ -16,7 +16,7 @@ import numpy as np
 
 from .allocation import (Allocation, InfeasibleBudgetError, allocate_fixed_nu,
                          lpnq_allocation)
-from .instance import TaskDataset, sample_task
+from .instance import _fresh_dataset, sample_task
 from .relevance import (LAZY_LAMBDA, kkt_residual, lambda_rule, lasso,
                         min_l2_solution, support_size)
 from .trainer import (excess_risk, fit_source, fit_target_head, head_for,
@@ -127,8 +127,7 @@ def _merge_parts(task_index, parts, seed):
         return parts[0]
     X = np.vstack([p.X for p in parts])
     Y = np.concatenate([p.Y for p in parts])
-    return TaskDataset(task_index=task_index, X=X, Y=Y, n=X.shape[0],
-                       seed=seed, draw=parts[-1].draw)
+    return _fresh_dataset(task_index, X, Y, seed, parts[-1].draw)
 
 
 def lambda_for(p, W, w):
@@ -152,16 +151,6 @@ def lambda_for(p, W, w):
     raise ValueError(f"unknown lambda_policy {policy!r}")
 
 
-def _source_heads(B, datasets, k):
-    cols = []
-    for ds in datasets:
-        if ds.n == 0:
-            cols.append(np.zeros(k))
-        else:
-            cols.append(head_for(B, ds))
-    return np.column_stack(cols)
-
-
 def _lasso_estimate(W_hat, w_hat, p):
     """Lasso relevance estimate and the stage's relevance record of its
     solver diagnostics; warns when the Lasso did not converge."""
@@ -177,11 +166,11 @@ def _lasso_estimate(W_hat, w_hat, p):
     return nu, record
 
 
-def _estimate_nu(model, datasets, target_ds, k, p, method):
-    """Relevance estimate from the fitted representation. Returns
-    (nu, record), the record holding the Lasso diagnostics (None for the
-    min-L2 route)."""
-    W_hat = _source_heads(model.B_hat, datasets, k)
+def _estimate_nu(model, target_ds, p, method):
+    """Relevance estimate from the fitted representation: the source heads
+    are the fit's own W_hat, exact for B_hat. Returns (nu, record), the
+    record holding the Lasso diagnostics (None for the min-L2 route)."""
+    W_hat = model.W_hat
     w_hat = head_for(model.B_hat, target_ds)
     if method == "lasso":
         return _lasso_estimate(W_hat, w_hat, p)
@@ -270,7 +259,7 @@ def _two_phase(oracle, d, k, T, params, strategy):
     target_ds = oracle.sample(T, p["n_target"], draw=0)
     model1 = fit_source(datasets1, k)
     method = "lasso" if strategy == "L1" else "min_l2"
-    nu_hat, record = _estimate_nu(model1, datasets1, target_ds, k, p, method)
+    nu_hat, record = _estimate_nu(model1, target_ds, p, method)
 
     # Phase 2: concentrate the budget by the estimated relevance
     if strategy == "L1":
@@ -352,8 +341,7 @@ def run_multistage(oracle, d, k, T, params=None):
         init_B = None if model is None else model.B_hat
         model = fit_source(merged, k, init_B=init_B)
         w_hat = head_for(model.B_hat, target_ds)
-        W_hat = _source_heads(model.B_hat, merged, k)
-        nu_hat, record = _lasso_estimate(W_hat, w_hat, p)
+        nu_hat, record = _lasso_estimate(model.W_hat, w_hat, p)
         summaries.append({**_stage_summary(model, gt), "relevance": record})
         nu_history.append(nu_hat)
     model = fit_target_head(model, target_ds)

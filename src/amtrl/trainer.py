@@ -10,12 +10,29 @@ w_t held fixed. B is re-orthonormalized by QR after every update; absorbing
 the R factor into W would leave the objective unchanged, and the next W-step
 can only lower it, so the recorded loss history is non-increasing.
 
-The data enter only through per-task sufficient statistics, built once per
-fit and stacked over the tasks: G (T, d, d) with G_t = X_t^T X_t, H (T, d)
-with H_t = X_t^T Y_t and yty (T,) with yty_t = Y_t^T Y_t. Each half-step and
+The data enter only through per-task sufficient statistics stacked over the
+tasks once per fit: G (T, d, d) with G_t = X_t^T X_t, H (T, d) with
+H_t = X_t^T Y_t and yty (T,) with yty_t = Y_t^T Y_t. G_t and H_t come from
+each dataset's cached Gram statistics (TaskDataset.gram), so a dataset that
+is fitted or given a head several times forms them once. Each half-step and
 the loss are then a few array contractions over that stack: the B-step's
-normal matrix is one tensordot of the weighted outer products w_t w_t^T with
-G, and the W-step is one batched solve of the k x k systems B^T G_t B.
+normal matrix is one matmul of the (T, k^2) weights u_t w_t w_t^T with the
+(T, d^2) Gram stack, and the W-step is one batched solve of the k x k
+systems B^T G_t B w_t = B^T H_t. Heads of tasks with 0 < n_t < k, where that
+system is singular, are minimum-norm least-squares solutions against X_t B.
+
+The loop's linear algebra calls LAPACK directly through handles fetched once
+(scipy.linalg.get_lapack_funcs): the dense B-step is a Cholesky solve
+(dpotrf/dpotrs on the upper triangle) guarded by dpocon's reciprocal
+condition estimate, and the re-orthonormalization is dgeqrf/dorgqr. These
+are the routines scipy.linalg.solve(assume_a="pos") and np.linalg.qr run,
+minus their per-call wrapper cost, and on the fit's systems they return the
+same bits, so the fit follows the same trajectory.
+
+The loop ends on a W-step, so W_hat holds the heads for B_hat: column t
+equals head_for(B_hat, datasets[t]) bit for bit, since the W-step picks
+each task's solve by that task alone. Callers take the source heads from
+W_hat instead of solving them again.
 """
 
 import dataclasses
@@ -30,6 +47,10 @@ import scipy.sparse.linalg
 DENSE_VECB_LIMIT = 20000
 # ridge on each task's Gram matrix in the spectral initialization
 _INIT_RIDGE = 1e-8
+_EPS = np.finfo(float).eps
+
+_potrf, _potrs, _pocon, _lange, _geqrf, _orgqr = scipy.linalg.get_lapack_funcs(
+    ("potrf", "potrs", "pocon", "lange", "geqrf", "orgqr"), dtype=np.float64)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -61,31 +82,47 @@ def _stack_stats(datasets):
     counts = np.array([ds.n for ds in datasets])
     u = np.zeros(counts.size)
     u[counts > 0] = 1.0 / (counts.size * counts[counts > 0])
-    G = np.stack([ds.X.T @ ds.X for ds in datasets])
-    H = np.stack([ds.X.T @ ds.Y for ds in datasets])
+    grams = [ds.gram() for ds in datasets]
+    G = np.stack([XtX for XtX, _ in grams])
+    H = np.stack([XtY for _, XtY in grams])
     yty = np.array([ds.Y @ ds.Y for ds in datasets], dtype=float)
     return counts, u, G, H, yty
 
 
-def _w_step(counts, H, G, B):
+def _w_step(counts, H, G, B, datasets):
     """Exact heads for a fixed B. Returns W (k x T) and the projected
     statistics M_t = B^T G_t B (T, k, k) and m_t = B^T H_t (T, k).
 
-    Tasks with n_t >= k go through one batched solve; 0 < n_t < k makes
-    M_t singular, so those heads are per-task minimum-norm least-squares
-    solutions; n_t = 0 keeps a zero head."""
+    Tasks with n_t >= k solve M_t w_t = m_t by LU, in one batched solve;
+    n_t = 0 keeps a zero head. For 0 < n_t < k, M_t is singular and squaring
+    X_t B blurs its rank, so those heads are the minimum-norm least-squares
+    solutions against X_t B itself, and so is the head of any task whose
+    M_t LU finds exactly singular. The rule is applied task by task, so
+    each head equals what head_for gives on that task alone."""
     k = B.shape[1]
     M = B.T @ (G @ B)
     m = (B.T @ H[..., None])[..., 0]
-    W = np.zeros((k, counts.size))
     full = counts >= k
-    few = (counts > 0) & ~full
     try:
+        if full.all():
+            # every task solves, as in the pipelines' fits: skipping the
+            # mask copies measurably speeds up L1 runs. C order, as below:
+            # the loss and B-step round differently on a transposed view
+            W = np.linalg.solve(M, m[..., None])[..., 0]
+            return np.ascontiguousarray(W.T), M, m
+        W = np.zeros((k, counts.size))
         W[:, full] = np.linalg.solve(M[full], m[full][..., None])[..., 0].T
     except np.linalg.LinAlgError:
-        few = few | full
-    for t in np.flatnonzero(few):
-        W[:, t] = np.linalg.lstsq(M[t], m[t], rcond=None)[0]
+        # some M_t is exactly singular: find it by solving task by task
+        W = np.zeros((k, counts.size))
+        for t in np.flatnonzero(full):
+            try:
+                W[:, t] = np.linalg.solve(M[t], m[t])
+            except np.linalg.LinAlgError:
+                full[t] = False
+    for t in np.flatnonzero((counts > 0) & ~full):
+        ds = datasets[t]
+        W[:, t] = np.linalg.lstsq(ds.X @ B, ds.Y, rcond=None)[0]
     return W, M, m
 
 
@@ -111,15 +148,42 @@ def _b_rhs(u, H, W):
     return ((H.T * u) @ W.T).ravel(order="F")
 
 
+def _solve_pos(A, b):
+    """Solve A x = b for symmetric positive definite A, read from its upper
+    triangle, by Cholesky (dpotrf/dpotrs). Raises LinAlgError when the
+    factorization fails or dpocon's reciprocal condition estimate is below
+    machine epsilon, where the solution would be noise."""
+    c, info = _potrf(A, clean=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dpotrf returned info {info}")
+    rcond, _ = _pocon(c, _lange("1", A))
+    if not rcond >= _EPS:
+        raise np.linalg.LinAlgError(f"reciprocal condition {rcond:.3e} is "
+                                    "below machine epsilon")
+    return _potrs(c, b)[0]
+
+
+def _orthonormalize(A):
+    """Q of the thin QR factorization of A (d x k, d >= k) by
+    dgeqrf/dorgqr, C-ordered as np.linalg.qr returns it."""
+    qr, tau, _, _ = _geqrf(A)
+    return np.ascontiguousarray(_orgqr(qr, tau, overwrite_a=1)[0])
+
+
 def _b_step_dense(u, H, G, W):
-    d, k = G.shape[1], W.shape[0]
-    # sum_t u_t kron(w_t w_t^T, G_t), indexed [a, i, b, j] = [a*d + i, b*d + j]
+    T, d = H.shape
+    k = W.shape[0]
+    # sum_t u_t kron(w_t w_t^T, G_t): entry [a, b, i, j] of the (k^2, d^2)
+    # product lands at [a*d + i, b*d + j]
     P = (W.T * u[:, None])[:, :, None] * W.T[:, None, :]
-    M = np.tensordot(P, G, axes=(0, 0)).transpose(0, 2, 1, 3).reshape(d * k, d * k)
+    M = (P.reshape(T, k * k).T @ G.reshape(T, d * d)).reshape(
+        k, k, d, d).transpose(0, 2, 1, 3).reshape(d * k, d * k)
     rhs = _b_rhs(u, H, W)
     try:
-        sol = scipy.linalg.solve(M, rhs, assume_a="pos")
-    except (scipy.linalg.LinAlgError, ValueError):
+        sol = _solve_pos(M, rhs)
+    except np.linalg.LinAlgError:
+        # singular normal equations (fewer spanning heads than k, or
+        # n_t < d): the minimum-norm solution
         sol = np.linalg.lstsq(M, rhs, rcond=None)[0]
     return sol.reshape(d, k, order="F")
 
@@ -159,7 +223,7 @@ def _spectral_init(u, H, G, k):
         return U[:, :k]
     rng = np.random.default_rng(np.random.SeedSequence(entropy=0))
     pad = np.column_stack([U[:, :avail], rng.standard_normal((d, k - avail))])
-    return np.linalg.qr(pad)[0][:, :k]
+    return _orthonormalize(pad)
 
 
 def fit_source(datasets, k, options=None, init_B=None):
@@ -193,14 +257,14 @@ def fit_source(datasets, k, options=None, init_B=None):
         init_B = np.asarray(init_B, dtype=float)
         if init_B.shape != (d, k):
             raise ValueError(f"init_B must be {d} x {k}, got {init_B.shape}")
-        B = np.linalg.qr(init_B)[0]
+        B = _orthonormalize(init_B)
     else:
         B = _spectral_init(u, H, G, k)
 
     history = []
 
     def heads_and_loss(B):
-        W, M, m = _w_step(counts, H, G, B)
+        W, M, m = _w_step(counts, H, G, B, datasets)
         val = _loss_gram(u, yty, M, m, W)
         # near the noiseless floor the Gram form loses digits to cancellation;
         # recompute from residuals where it matters
@@ -214,7 +278,7 @@ def fit_source(datasets, k, options=None, init_B=None):
     dense = d * k <= DENSE_VECB_LIMIT
     for _ in range(options.max_iters):
         B_raw = _b_step_dense(u, H, G, W) if dense else _b_step_cg(u, H, G, W, B)
-        B = np.linalg.qr(B_raw)[0]
+        B = _orthonormalize(B_raw)
         W = heads_and_loss(B)
         prev, cur = history[-2], history[-1]
         if prev - cur <= options.tol * max(abs(prev), 1e-300):
@@ -230,10 +294,20 @@ def fit_source(datasets, k, options=None, init_B=None):
 
 
 def head_for(B_hat, dataset):
-    """Minimum-norm least-squares head for one task against a fixed B_hat."""
+    """Least-squares head for one task against a fixed B_hat: the fit's
+    W-step on this task alone. For n < k it is the minimum-norm
+    lstsq(X B_hat, Y). For n >= k it solves the k x k normal equations
+    (X B_hat)^T X B_hat w = (X B_hat)^T Y from the dataset's cached Gram
+    statistics by LU, so its error grows with cond(X B_hat)^2, and when
+    X B_hat is rank-deficient it is a least-squares solution but in general
+    not the minimum-norm one; only a system LU finds exactly singular takes
+    lstsq(X B_hat, Y)."""
     if dataset.n == 0:
         raise ValueError("cannot fit a head on zero samples")
-    return np.linalg.lstsq(dataset.X @ B_hat, dataset.Y, rcond=None)[0]
+    XtX, XtY = dataset.gram()
+    W, _, _ = _w_step(np.array([dataset.n]), XtY[None], XtX[None], B_hat,
+                      [dataset])
+    return W[:, 0]
 
 
 def fit_target_head(model, dataset):

@@ -332,16 +332,13 @@ def loss_gram_oracle(u, yty, H, G, B, W):
     return max(total, 0.0)
 
 
-def w_step_oracle(u, H, G, B):
-    """Minimum-norm least-squares head of every task with u_t > 0, one lstsq
-    per task; zero heads elsewhere."""
-    W = np.zeros((B.shape[1], len(u)))
-    for t in range(len(u)):
-        if u[t] == 0.0:
-            continue
-        M = B.T @ (G[t] @ B)
-        m = B.T @ H[t]
-        W[:, t] = np.linalg.lstsq(M, m, rcond=None)[0]
+def w_step_oracle(datasets, B):
+    """Minimum-norm least-squares head lstsq(X_t B, Y_t) of every task with
+    samples, one per task; zero heads elsewhere."""
+    W = np.zeros((B.shape[1], len(datasets)))
+    for t, ds in enumerate(datasets):
+        if ds.n > 0:
+            W[:, t] = np.linalg.lstsq(ds.X @ B, ds.Y, rcond=None)[0]
     return W
 
 

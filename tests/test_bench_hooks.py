@@ -1,0 +1,46 @@
+"""The benchmark's tracer reaches amtrl by rebinding module attributes from
+outside the package (perfbench/tracing.py). These checks keep a refactor of
+the pipeline from silently detaching it: every hook must still exist, and a
+traced run must still record the layers the per-layer split reads."""
+
+import pathlib
+import types
+
+import amtrl
+import amtrl.harness
+import amtrl.simplex
+from amtrl import make_almost_sparse_instance
+
+TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _tracing():
+    # executed from its source, so nothing is written next to it
+    module = types.ModuleType("tracing")
+    module.__file__ = str(TRACING)
+    exec(compile(TRACING.read_text(), str(TRACING), "exec"), module.__dict__)
+    return module
+
+
+def test_every_wrap_point_exists():
+    missing = [f"{module.__name__}.{attr}"
+               for module, attr, *_ in _tracing().wrap_points(amtrl)
+               if not callable(getattr(module, attr, None))]
+    assert missing == []
+
+
+def test_traced_l1_run_records_fit_head_and_lasso_spans():
+    gt, _ = make_almost_sparse_instance(6, 2, 8, sigma_z=0.1, seed=0)
+    tracer = _tracing().Tracer()
+    tracer.install(amtrl)
+    try:
+        amtrl.pipeline.run_l1_amtrl(
+            amtrl.pipeline.TaskOracle(gt, seed=0), gt.d, gt.k, gt.T,
+            {"N_tot_phase2": 400, "N_floor": 10, "n_target": 50})
+    finally:
+        tracer.uninstall()
+    names = {span["name"] for span in tracer.spans}
+    assert {"run_l1_amtrl", "sample_task", "fit_source", "head",
+            "lasso"} <= names
+    # uninstall restored the library's own functions
+    assert amtrl.pipeline.fit_source is amtrl.trainer.fit_source

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from amtrl import instance
 from amtrl import (
     GroundTruth,
     almost_sparse_nu,
@@ -15,6 +16,7 @@ from amtrl import (
     min_l2_solution,
     sample_task,
     save_instance,
+    TaskDataset,
 )
 
 
@@ -182,6 +184,47 @@ def test_instance_arrays_are_read_only():
     ds = sample_task(gt, 0, 3, seed=0)
     with pytest.raises(ValueError):
         ds.X[0, 0] = 99.0
+
+
+def test_dataset_copies_caller_arrays():
+    rng = np.random.default_rng(0)
+    X, Y = rng.standard_normal((4, 3)), rng.standard_normal(4)
+    X0, Y0 = X.copy(), Y.copy()
+    ds = TaskDataset(task_index=0, X=X, Y=Y, n=4, seed=0)
+    X[0, 0] = Y[0] = 99.0
+    # read-only arrays that own their data are copied too: their owner can
+    # make them writable again
+    X.setflags(write=False)
+    Y.setflags(write=False)
+    frozen = TaskDataset(task_index=0, X=X, Y=Y, n=4, seed=0)
+    X.setflags(write=True)
+    Y.setflags(write=True)
+    X[1, 1] = Y[1] = -99.0
+    np.testing.assert_array_equal(ds.X, X0)
+    np.testing.assert_array_equal(ds.Y, Y0)
+    assert frozen.X[1, 1] == X0[1, 1] and frozen.Y[1] == Y0[1]
+
+
+def test_fresh_dataset_takes_its_arrays_over():
+    rng = np.random.default_rng(0)
+    X, Y = rng.standard_normal((4, 3)), rng.standard_normal(4)
+    ds = instance._fresh_dataset(2, X, Y, seed=5, draw=1)
+    assert ds.X is X and ds.Y is Y
+    assert not X.flags.writeable and not Y.flags.writeable
+    assert (ds.task_index, ds.n, ds.seed, ds.draw) == (2, 4, 5, 1)
+    with pytest.raises(ValueError):
+        instance._fresh_dataset(0, X, Y[:3], seed=0, draw=0)
+
+
+def test_dataset_gram_is_cached_and_read_only():
+    gt = make_random_instance(5, 2, 4, sigma_z=0.1, seed=0)
+    ds = sample_task(gt, 1, 30, seed=2)
+    XtX, XtY = ds.gram()
+    np.testing.assert_array_equal(XtX, ds.X.T @ ds.X)
+    np.testing.assert_array_equal(XtY, ds.X.T @ ds.Y)
+    assert ds.gram()[0] is XtX and ds.gram()[1] is XtY
+    with pytest.raises(ValueError):
+        XtX[0, 0] = 0.0
 
 
 def test_diagonal_covariance_sampling():

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -183,10 +184,10 @@ def test_unconverged_fit_warns():
 
 @st.composite
 def _stacked_problems(draw, nonsingular_grams=False):
-    """(counts, u, G, H, yty, B, W) for d in 1..8, k in 1..d and T in 1..10,
-    so T < k occurs. Each task has n_t = 0, 0 < n_t < k or n_t >= k samples
-    (d <= n_t <= 4d with nonsingular_grams); B is orthonormal and W has zero
-    heads where n_t = 0, as the fit keeps them."""
+    """(datasets, counts, u, G, H, yty, B, W) for d in 1..8, k in 1..d and T
+    in 1..10, so T < k occurs. Each task has n_t = 0, 0 < n_t < k or
+    n_t >= k samples (d <= n_t <= 4d with nonsingular_grams); B is
+    orthonormal and W has zero heads where n_t = 0, as the fit keeps them."""
     d = draw(st.integers(1, 8))
     k = draw(st.integers(1, d))
     T = draw(st.integers(1, 10))
@@ -203,7 +204,7 @@ def _stacked_problems(draw, nonsingular_grams=False):
     counts, u, G, H, yty = trainer._stack_stats(data)
     B = np.linalg.qr(rng.standard_normal((d, k)))[0]
     W = rng.standard_normal((k, T)) * (counts > 0)
-    return counts, u, G, H, yty, B, W
+    return data, counts, u, G, H, yty, B, W
 
 
 def _assert_same_minimizer(M, rhs, x, x_ref, solver_rtol=256 * EPS):
@@ -225,12 +226,16 @@ def _assert_same_minimizer(M, rhs, x, x_ref, solver_rtol=256 * EPS):
 @settings(max_examples=200, deadline=None)
 @given(_stacked_problems())
 def test_stacked_w_step_and_loss_match_per_task_reference(problem):
-    counts, u, G, H, yty, B, _ = problem
-    W, M, m = trainer._w_step(counts, H, G, B)
-    W_ref = w_step_oracle(u, H, G, B)
+    data, counts, u, G, H, yty, B, _ = problem
+    W, M, m = trainer._w_step(counts, H, G, B, data)
+    W_ref = w_step_oracle(data, B)
+    k = B.shape[1]
     for t in range(counts.size):
         if counts[t] == 0:
             np.testing.assert_array_equal(W[:, t], 0.0)
+        elif counts[t] < k:
+            # the same minimum-norm solve against X_t B on both sides
+            np.testing.assert_array_equal(W[:, t], W_ref[:, t])
         else:
             _assert_same_minimizer(B.T @ G[t] @ B, B.T @ H[t], W[:, t],
                                    W_ref[:, t])
@@ -240,14 +245,15 @@ def test_stacked_w_step_and_loss_match_per_task_reference(problem):
     assert abs(loss - loss_gram_oracle(u, yty, H, G, B, W)) <= 1e-10 * (u @ terms)
 
 
-# draws include singular normal equations (T < k, n_t < d), where scipy may
-# warn that the Cholesky solve is ill-conditioned and either side may fall
-# back to least squares; the comparison is on the normal equations either way
+# draws include singular normal equations (T < k, n_t < d), where the
+# oracle's scipy solve may warn that the Cholesky solve is ill-conditioned
+# and either side may fall back to least squares; the comparison is on the
+# normal equations either way
 @settings(max_examples=200, deadline=None)
 @given(_stacked_problems())
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_stacked_b_step_matches_per_task_reference(problem):
-    _, u, G, H, _, _, W = problem
+    _, _, u, G, H, _, _, W = problem
     M, rhs = b_step_system_oracle(u, H, G, W)
     B_raw = trainer._b_step_dense(u, H, G, W)
     B_ref = b_step_dense_oracle(u, H, G, W)
@@ -262,7 +268,7 @@ def test_matrix_free_b_step_matches_per_task_reference(problem):
     # every G_t is nonsingular, so the normal matrix is definite when the
     # heads span R^k (singular but consistent when T < k), and conjugate
     # gradients converge on it
-    _, u, G, H, _, B, W = problem
+    _, _, u, G, H, _, B, W = problem
     M, rhs = b_step_system_oracle(u, H, G, W)
     B_raw = trainer._b_step_cg(u, H, G, W, B)
     B_ref = b_step_dense_oracle(u, H, G, W)
@@ -273,8 +279,143 @@ def test_matrix_free_b_step_matches_per_task_reference(problem):
 @settings(max_examples=200, deadline=None)
 @given(_stacked_problems())
 def test_stacked_spectral_init_matches_per_task_reference(problem):
-    _, u, G, H, _, B, _ = problem
+    _, _, u, G, H, _, B, _ = problem
     k = B.shape[1]
     init = trainer._spectral_init(u, H, G, k)
     ref = spectral_init_oracle(u, H, G, k, trainer._INIT_RIDGE)
     np.testing.assert_allclose(init @ init.T, ref @ ref.T, rtol=0, atol=1e-10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_stacked_problems())
+@pytest.mark.filterwarnings("ignore:alternating fit stopped:RuntimeWarning")
+def test_fitted_heads_are_head_for(problem):
+    # the pipelines read the source heads off W_hat instead of re-solving them
+    data, counts, *_, B, _ = problem
+    model = fit_source(data, B.shape[1], FitOptions(max_iters=5))
+    for t, ds in enumerate(data):
+        if counts[t] > 0:
+            np.testing.assert_array_equal(model.W_hat[:, t],
+                                          head_for(model.B_hat, ds))
+
+
+@pytest.mark.filterwarnings("ignore:alternating fit stopped:RuntimeWarning")
+def test_fitted_heads_are_head_for_beside_a_singular_task():
+    # task 1's all-zero X makes M_1 exactly singular, so the batched solve
+    # raises and the W-step solves task by task: task 1 gets the
+    # minimum-norm (zero) head and every other head is still head_for's
+    d, k = 5, 2
+    rng = np.random.default_rng(3)
+    data = [TaskDataset(task_index=t, X=rng.standard_normal((12, d)) * (t != 1),
+                        Y=rng.standard_normal(12), n=12, seed=0)
+            for t in range(4)]
+    model = fit_source(data, k, FitOptions(max_iters=5))
+    np.testing.assert_array_equal(model.W_hat[:, 1], 0.0)
+    for t, ds in enumerate(data):
+        np.testing.assert_array_equal(model.W_hat[:, t],
+                                      head_for(model.B_hat, ds))
+
+
+def test_singular_b_step_takes_minimum_norm_solution():
+    # T = 3 heads cannot span k = 4, so the normal matrix is singular. On
+    # this draw the Cholesky factorization still succeeds, with dpocon's
+    # estimate near 1e-18: the step must not solve through it (scipy's solve
+    # warned and returned vec(B) off by half its size) but take the
+    # minimum-norm solution, without a warning
+    d, k, T, n = 5, 4, 3, 6
+    rng = np.random.default_rng(14)
+    data = [TaskDataset(task_index=t, X=rng.standard_normal((n, d)),
+                        Y=rng.standard_normal(n), n=n, seed=0)
+            for t in range(T)]
+    _, u, G, H, _ = trainer._stack_stats(data)
+    W = rng.standard_normal((k, T))
+    M, rhs = b_step_system_oracle(u, H, G, W)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        B_raw = trainer._b_step_dense(u, H, G, W)
+    ref = np.linalg.lstsq(M, rhs, rcond=None)[0]
+    np.testing.assert_allclose(B_raw.ravel(order="F"), ref, rtol=0,
+                               atol=1e-10 * np.max(np.abs(ref)))
+
+
+@st.composite
+def _spd_systems(draw, definite=True):
+    """(A, b) with A of order d*k for d in 1..8 and k in 1..d: symmetric
+    positive definite with eigenvalues in [1, 10], or with one of them
+    negative when definite is False."""
+    d = draw(st.integers(1, 8))
+    n = d * draw(st.integers(1, d))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    eig = rng.uniform(1.0, 10.0, n)
+    if not definite:
+        eig[rng.integers(n)] = -rng.uniform(0.5, 10.0)
+    return (Q * eig) @ Q.T, rng.standard_normal(n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_spd_systems())
+def test_cholesky_solve_matches_scipy(system):
+    A, b = system
+    x = trainer._solve_pos(A, b)
+    ref = scipy.linalg.solve(A, b, assume_a="pos")
+    np.testing.assert_allclose(x, ref, rtol=0,
+                               atol=1e-12 * np.max(np.abs(ref)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_spd_systems(definite=False))
+def test_cholesky_solve_rejects_indefinite(system):
+    A, b = system
+    with pytest.raises(np.linalg.LinAlgError):
+        trainer._solve_pos(A, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda d: st.tuples(
+    st.just(d), st.integers(1, d), st.integers(0, 2 ** 32 - 1))))
+def test_orthonormalize_matches_numpy_qr(shape):
+    d, k, seed = shape
+    A = np.random.default_rng(seed).standard_normal((d, k))
+    Q = trainer._orthonormalize(A)
+    np.testing.assert_allclose(Q, np.linalg.qr(A)[0], rtol=0, atol=1e-12)
+    assert Q.flags["C_CONTIGUOUS"]
+
+
+@st.composite
+def _head_problems(draw):
+    """(dataset, B, full_rank) with d in 1..8, k in 1..d and n >= k rows. X
+    is Gaussian, so X B has rank k, or a product of n x r and r x d Gaussian
+    factors with r < k, so X B is rank-deficient (all zero for r = 0)."""
+    d = draw(st.integers(1, 8))
+    k = draw(st.integers(1, d))
+    n = k + draw(st.integers(0, 3 * d))
+    r = draw(st.integers(0, k))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if r == k:
+        X = rng.standard_normal((n, d))
+    else:
+        X = rng.standard_normal((n, r)) @ rng.standard_normal((r, d))
+    ds = TaskDataset(task_index=0, X=X, Y=rng.standard_normal(n), n=n, seed=0)
+    return ds, np.linalg.qr(rng.standard_normal((d, k)))[0], r == k
+
+
+@settings(max_examples=300, deadline=None)
+@given(_head_problems())
+def test_gram_route_head_matches_lstsq(problem):
+    ds, B, full_rank = problem
+    XB = ds.X @ B
+    ref = np.linalg.lstsq(XB, ds.Y, rcond=None)[0]
+    w = head_for(B, ds)
+    if full_rank:
+        # the normal equations square the condition number
+        tol = 1e-10 + np.linalg.cond(XB) ** 2 * 256 * EPS
+        assert np.max(np.abs(w - ref)) <= tol * max(np.max(np.abs(ref)),
+                                                    1e-300)
+    else:
+        # a least-squares solution, in general not the minimum-norm one:
+        # its residual matches up to the rounding in forming it
+        res, res_ref = XB @ w - ds.Y, XB @ ref - ds.Y
+        scale = (np.linalg.norm(XB, 2) * np.linalg.norm(w)
+                 + np.linalg.norm(ds.Y)) ** 2
+        assert abs(res @ res - res_ref @ res_ref) <= 256 * EPS * scale
