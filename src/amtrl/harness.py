@@ -364,7 +364,7 @@ def random_family(count, seed, sigma_min_floor, instance_offset=100):
     max(8,k)..40: instance s draws its shape from seed + s and is built
     from seed + instance_offset + s."""
     for s in range(count):
-        rng = np.random.default_rng(seed + s)
+        rng = instance._rng(seed + s)
         k = int(rng.integers(1, 7))
         T = int(rng.integers(max(2, k), 31))
         d = int(rng.integers(max(8, k), 41))
@@ -533,12 +533,19 @@ def cmd_verify(level="fast", tolerances=None, out_dir=None):
     unknown = set(overrides) - known
     if unknown:
         raise ConfigError(f"unknown verify properties: {sorted(unknown)}")
+    # a NaN tolerance fails every property and an infinite one passes any;
+    # neither is a tolerance, and neither can be written as JSON
+    bad = {name: tol for name, tol in overrides.items()
+           if not (math.isfinite(tol) and tol >= 0)}
+    if bad:
+        raise ConfigError(f"verify tolerances must be finite and >= 0, got "
+                          f"{bad}")
     properties = []
     all_pass = True
     for name, key, worst_of, default_tol, n_fast, n_full in _VERIFY_SUITE:
         tol = overrides.get(name, default_tol)
         n_cases = n_fast if level == "fast" else n_full
-        rng = np.random.default_rng(np.random.SeedSequence(0xA5C3))
+        rng = instance._rng(0xA5C3)
         t0 = time.perf_counter()
         worst = worst_of(rng, n_cases)
         elapsed = time.perf_counter() - t0

@@ -6,13 +6,22 @@ has B_star @ w_target_star, inputs are N(0, I_d) (or a fixed diagonal
 covariance) and labels carry N(0, sigma_z^2) noise.
 
 Task indices are 0-based: 0..T-1 are source tasks, index T is the target.
+
+Every random stream is numpy's PCG64 seeded as
+default_rng(SeedSequence(entropy=seed, spawn_key=key)) would seed it. The
+seed words come from _seed_words, a vectorized replica of SeedSequence's
+hashing that derives the words of many spawn keys in one numpy pass: for a
+TaskOracle, sample_task derives those of all T + 1 tasks of a draw at once,
+instead of paying a SeedSequence per task.
 """
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import scipy.linalg
+from numpy.random.bit_generator import ISeedSequence
 
 from . import jsonio
 
@@ -22,6 +31,14 @@ _SAMPLE_KEY = 0x7361
 
 _ORTHO_TOL = 1e-10
 
+# SeedSequence's pool size and hashing constants
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+
 
 def _readonly(a):
     a = np.array(a, dtype=float)
@@ -29,8 +46,132 @@ def _readonly(a):
     return a
 
 
+def _uint32_words(n):
+    """A non-negative integer as little-endian 32-bit words, as SeedSequence
+    splits it (0 is one word)."""
+    n = int(n)
+    if n < 0:
+        raise ValueError(f"seeds and spawn keys must be non-negative, got {n}")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _constants(init, mult, count):
+    out = [init]
+    for _ in range(count - 1):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+@functools.cache
+def _hash_schedule(n_words):
+    """The hash constants SeedSequence steps through while it mixes n_words
+    entropy words into its pool, as (xor, multiplier) column pairs, one pair
+    per vectorized stage of _seed_words, and the pair of columns for its 8
+    output words."""
+    a = _constants(_INIT_A, _MULT_A,
+                   _POOL * _POOL + _POOL * max(n_words - _POOL, 0) + 1)
+    stages = [(a[:_POOL], a[1:_POOL + 1])]
+    j = _POOL
+    for src in range(_POOL):
+        # src mixes into the other pool words in turn; its own row gets
+        # constants too, and _seed_words keeps that row as it was
+        xor, mul = np.zeros((_POOL, 1), np.uint32), np.zeros((_POOL, 1), np.uint32)
+        dst = [i for i in range(_POOL) if i != src]
+        xor[dst], mul[dst] = a[j:j + _POOL - 1], a[j + 1:j + _POOL]
+        stages.append((xor, mul))
+        j += _POOL - 1
+    while j + _POOL < a.shape[0]:
+        stages.append((a[j:j + _POOL], a[j + 1:j + _POOL + 1]))
+        j += _POOL
+    b = _constants(_INIT_B, _MULT_B, 2 * _POOL + 1)
+    stages.append((b[:-1], b[1:]))
+    for pair in stages:
+        for column in pair:
+            column.setflags(write=False)  # cached: every call shares them
+    return stages[:-1], stages[-1]
+
+
+def _hashmix(v, xor, mul):
+    v = v ^ xor
+    v *= mul
+    v ^= v >> _SHIFT
+    return v
+
+
+def _seed_words(seed, *key):
+    """PCG64 seed words of the streams SeedSequence(entropy=seed,
+    spawn_key=key) seeds, for a batch of keys in one pass.
+
+    An entry of key may be a 1-D integer array, with values in [0, 2**32):
+    then row i of the result belongs to the key that takes element i of each
+    array entry and the other entries as they are. Returns a C-ordered
+    (rows, 4) uint64 array; row i equals SeedSequence(entropy=seed,
+    spawn_key=key_i).generate_state(4, np.uint64). The arithmetic is
+    SeedSequence's own, in uint32 with wraparound, vectorized over the
+    keys and over the pool words each mixing step updates independently."""
+    rows = _uint32_words(seed)
+    if key and len(rows) < _POOL:
+        # a spawned SeedSequence pads its run entropy to the pool size
+        rows += [0] * (_POOL - len(rows))
+    n = 1
+    for entry in key:
+        if isinstance(entry, np.ndarray):
+            if entry.size and not (0 <= entry.min() and entry.max() <= _MASK32):
+                raise ValueError("array spawn-key entries must lie in "
+                                 "[0, 2**32)")
+            n = entry.size
+            rows.append(entry)
+        else:
+            rows.extend(_uint32_words(entry))
+    E = np.zeros((max(len(rows), _POOL), n), np.uint32)
+    for i, row in enumerate(rows):
+        E[i] = row
+    stages, (xor_b, mul_b) = _hash_schedule(len(rows))
+    pool = _hashmix(E[:_POOL], *stages[0])
+    for src in range(_POOL):
+        h = _hashmix(pool[src], *stages[1 + src])
+        keep = pool[src].copy()
+        pool *= _MIX_L
+        pool -= _MIX_R * h
+        pool ^= pool >> _SHIFT
+        pool[src] = keep
+    for i, (xor, mul) in zip(range(_POOL, len(rows)), stages[1 + _POOL:]):
+        pool *= _MIX_L
+        pool -= _MIX_R * _hashmix(E[i], xor, mul)
+        pool ^= pool >> _SHIFT
+    # generate_state(4, uint64): 8 uint32 words cycling over the pool,
+    # joined in little-endian pairs
+    state = _hashmix(np.concatenate([pool, pool]), xor_b, mul_b)
+    return np.ascontiguousarray(state.T).view("<u8").astype(np.uint64)
+
+
+class _SeedWords(ISeedSequence):
+    """One stream's seed words, handed to PCG64 as its seed sequence.
+    PCG64 reads the array's buffer as four uint64, so it must be a
+    C-contiguous row."""
+
+    def __init__(self, words):
+        self.words = np.ascontiguousarray(words, dtype=np.uint64)
+        if self.words.shape != (4,):
+            raise ValueError(f"PCG64 takes 4 seed words, got shape "
+                             f"{self.words.shape}")
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("only PCG64's four uint64 seed words are held")
+        return self.words
+
+
+def _generator(words):
+    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
+
+
 def _rng(seed, *key):
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+    return _generator(_seed_words(seed, *key)[0])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -163,16 +304,30 @@ def _fresh_dataset(task_index, X, Y, seed, draw):
     return ds
 
 
-def sample_task(gt, task_index, n, seed, draw=0):
+def sample_task(gt, task_index, n, seed, draw=0, seed_tables=None):
     """Draw n i.i.d. samples for one task.
 
     Deterministic in (seed, task_index, draw); distinct draw indices give
     independent streams, so incremental sampling never replays data.
+
+    seed_tables, when given, is one caller's cache of seed words for this
+    instance, keyed by (seed, draw): the first sample of a draw derives the
+    words of all gt.T + 1 tasks in one pass and stores them, and later
+    samples of the draw read their task's row. A TaskOracle passes its own.
+    None derives this task's words alone. The samples are the same either
+    way.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     theta = gt.regression_vector(task_index)  # validates task_index
-    rng = _rng(seed, _SAMPLE_KEY, task_index, draw)
+    if seed_tables is None:
+        rng = _rng(seed, _SAMPLE_KEY, task_index, draw)
+    else:
+        table = seed_tables.get((seed, draw))
+        if table is None:
+            table = seed_tables[seed, draw] = _seed_words(
+                seed, _SAMPLE_KEY, np.arange(gt.T + 1), draw)
+        rng = _generator(table[task_index])
     X = rng.standard_normal((n, gt.d))
     if gt.covariance_kind == "diagonal-bounded":
         X = X * np.sqrt(gt.sigma_diag)

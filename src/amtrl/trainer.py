@@ -12,22 +12,26 @@ can only lower it, so the recorded loss history is non-increasing.
 
 The data enter only through per-task sufficient statistics stacked over the
 tasks once per fit: G (T, d, d) with G_t = X_t^T X_t, H (T, d) with
-H_t = X_t^T Y_t and yty (T,) with yty_t = Y_t^T Y_t. G_t and H_t come from
-each dataset's cached Gram statistics (TaskDataset.gram), so a dataset that
-is fitted or given a head several times forms them once. Each half-step and
-the loss are then a few array contractions over that stack: the B-step's
-normal matrix is one matmul of the (T, k^2) weights u_t w_t w_t^T with the
-(T, d^2) Gram stack, and the W-step is one batched solve of the k x k
-systems B^T G_t B w_t = B^T H_t. Heads of tasks with 0 < n_t < k, where that
-system is singular, are minimum-norm least-squares solutions against X_t B.
+H_t = X_t^T Y_t, held together as the rows of one (T, d + 1, d) array, and
+yty (T,) with yty_t = Y_t^T Y_t. G_t and H_t come from each dataset's cached
+Gram statistics (TaskDataset.gram), so a dataset that is fitted or given a
+head several times forms them once. Each half-step and the loss are then a
+few array contractions over that stack: the B-step's normal matrix is one
+matmul of the (T, k^2) weights u_t w_t w_t^T with the (T, d^2) Gram stack,
+and the W-step is one batched product [G_t; H_t^T] B and one batched solve
+of the k x k systems B^T G_t B w_t = B^T H_t. Heads of tasks with
+0 < n_t < k, where that system is singular, are minimum-norm least-squares
+solutions against X_t B. Since every head solves its system, the loss at
+the W-step's heads is sum_t u_t (yty_t - w_t . B^T H_t).
 
 The loop's linear algebra calls LAPACK directly through handles fetched once
 (scipy.linalg.get_lapack_funcs): the dense B-step is a Cholesky solve
-(dpotrf/dpotrs on the upper triangle) guarded by dpocon's reciprocal
-condition estimate, and the re-orthonormalization is dgeqrf/dorgqr. These
-are the routines scipy.linalg.solve(assume_a="pos") and np.linalg.qr run,
-minus their per-call wrapper cost, and on the fit's systems they return the
-same bits, so the fit follows the same trajectory.
+(dpotrf/dpotrs) guarded by dpocon's reciprocal condition estimate, and the
+re-orthonormalization is dgeqrf/dorgqr. These are the routines
+scipy.linalg.solve(assume_a="pos") and np.linalg.qr run, minus their
+per-call wrapper cost. The fit's result depends on the arithmetic only in
+rounding: the Cholesky solve reads the triangle that needs no transposing
+copy, and the loss and the heads' right-hand sides are formed as above.
 
 The loop ends on a W-step, so W_hat holds the heads for B_hat: column t
 equals head_for(B_hat, datasets[t]) bit for bit, since the W-step picks
@@ -41,6 +45,8 @@ import warnings
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
+
+from .instance import _rng
 
 # above this many entries in vec(B), the B-step switches from a dense
 # normal-equation solve to conjugate gradients on the same system
@@ -77,21 +83,27 @@ class FittedModel:
 
 
 def _stack_stats(datasets):
-    """Per-task sample counts, weights u_t = 1/(T n_t) (0 for n_t = 0) and
-    the stacked statistics G, H and yty."""
+    """Per-task sample counts, weights u_t = 1/(T n_t) (0 for n_t = 0), the
+    stacked Gram statistics GH (T, d + 1, d) and yty. Slice t of GH is G_t
+    with H_t^T appended as its last row, so G = GH[:, :-1] and
+    H = GH[:, -1] are views of it."""
     counts = np.array([ds.n for ds in datasets])
     u = np.zeros(counts.size)
     u[counts > 0] = 1.0 / (counts.size * counts[counts > 0])
     grams = [ds.gram() for ds in datasets]
-    G = np.stack([XtX for XtX, _ in grams])
-    H = np.stack([XtY for _, XtY in grams])
+    GH = np.concatenate([np.stack([XtX for XtX, _ in grams]),
+                         np.stack([XtY for _, XtY in grams])[:, None]], axis=1)
     yty = np.array([ds.Y @ ds.Y for ds in datasets], dtype=float)
-    return counts, u, G, H, yty
+    return counts, u, GH, yty
 
 
-def _w_step(counts, H, G, B, datasets):
-    """Exact heads for a fixed B. Returns W (k x T) and the projected
-    statistics M_t = B^T G_t B (T, k, k) and m_t = B^T H_t (T, k).
+def _w_step(counts, GH, B, datasets):
+    """Exact heads for a fixed B, from the stacked statistics GH of
+    _stack_stats. Returns W (k x T) and the projected right-hand sides
+    m_t = B^T H_t (T, k) of the systems M_t w_t = m_t, M_t = B^T G_t B,
+    that every head solves. One batched product GH_t B gives G_t B and, in
+    its last row, m_t; it computes each task alone, so a task's m_t and head
+    have the same bits in any stack.
 
     Tasks with n_t >= k solve M_t w_t = m_t by LU, in one batched solve;
     n_t = 0 keeps a zero head. For 0 < n_t < k, M_t is singular and squaring
@@ -100,8 +112,9 @@ def _w_step(counts, H, G, B, datasets):
     M_t LU finds exactly singular. The rule is applied task by task, so
     each head equals what head_for gives on that task alone."""
     k = B.shape[1]
-    M = B.T @ (G @ B)
-    m = (B.T @ H[..., None])[..., 0]
+    GHB = GH @ B
+    M = B.T @ GHB[:, :-1]
+    m = GHB[:, -1]
     full = counts >= k
     try:
         if full.all():
@@ -109,7 +122,7 @@ def _w_step(counts, H, G, B, datasets):
             # mask copies measurably speeds up L1 runs. C order, as below:
             # the loss and B-step round differently on a transposed view
             W = np.linalg.solve(M, m[..., None])[..., 0]
-            return np.ascontiguousarray(W.T), M, m
+            return np.ascontiguousarray(W.T), m
         W = np.zeros((k, counts.size))
         W[:, full] = np.linalg.solve(M[full], m[full][..., None])[..., 0].T
     except np.linalg.LinAlgError:
@@ -123,13 +136,15 @@ def _w_step(counts, H, G, B, datasets):
     for t in np.flatnonzero((counts > 0) & ~full):
         ds = datasets[t]
         W[:, t] = np.linalg.lstsq(ds.X @ B, ds.Y, rcond=None)[0]
-    return W, M, m
+    return W, m
 
 
-def _loss_gram(u, yty, M, m, W):
-    """L(B, W) from the statistics projected on B (see _w_step)."""
-    MW = np.einsum("tij,jt->ti", M, W)
-    per_task = yty + np.einsum("it,ti->t", W, MW - 2.0 * m)
+def _loss_gram(u, yty, m, W):
+    """L(B, W) at the W-step's heads, from the statistics projected on B
+    (see _w_step). Every head the W-step returns solves M_t w_t = m_t, so
+    task t's loss ||Y_t - X_t B w_t||^2 = yty_t - 2 m_t.w_t + w_t.M_t w_t
+    reduces to yty_t - m_t.w_t."""
+    per_task = yty - np.einsum("ti,it->t", m, W)
     return max(float(u @ per_task), 0.0)
 
 
@@ -149,14 +164,18 @@ def _b_rhs(u, H, W):
 
 
 def _solve_pos(A, b):
-    """Solve A x = b for symmetric positive definite A, read from its upper
-    triangle, by Cholesky (dpotrf/dpotrs). Raises LinAlgError when the
-    factorization fails or dpocon's reciprocal condition estimate is below
-    machine epsilon, where the solution would be noise."""
-    c, info = _potrf(A, clean=0)
+    """Solve A x = b for symmetric positive definite A by Cholesky
+    (dpotrf/dpotrs), reading the upper triangle of A's F-ordered view A.T:
+    for a C-ordered A that is the memory LAPACK takes as it is, so f2py
+    makes no transposing copy, and it leaves A unmodified. Raises
+    LinAlgError when the factorization fails or dpocon's reciprocal
+    condition estimate is below machine epsilon, where the solution would
+    be noise."""
+    F = A.T
+    c, info = _potrf(F, clean=0)
     if info != 0:
         raise np.linalg.LinAlgError(f"dpotrf returned info {info}")
-    rcond, _ = _pocon(c, _lange("1", A))
+    rcond, _ = _pocon(c, _lange("1", F))
     if not rcond >= _EPS:
         raise np.linalg.LinAlgError(f"reciprocal condition {rcond:.3e} is "
                                     "below machine epsilon")
@@ -221,7 +240,7 @@ def _spectral_init(u, H, G, k):
     avail = min(rank, k)
     if avail == k:
         return U[:, :k]
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=0))
+    rng = _rng(0)
     pad = np.column_stack([U[:, :avail], rng.standard_normal((d, k - avail))])
     return _orthonormalize(pad)
 
@@ -251,7 +270,8 @@ def fit_source(datasets, k, options=None, init_B=None):
     if not (1 <= k <= d):
         raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
 
-    counts, u, G, H, yty = _stack_stats(datasets)
+    counts, u, GH, yty = _stack_stats(datasets)
+    G, H = GH[:, :-1], GH[:, -1]
 
     if init_B is not None:
         init_B = np.asarray(init_B, dtype=float)
@@ -264,8 +284,8 @@ def fit_source(datasets, k, options=None, init_B=None):
     history = []
 
     def heads_and_loss(B):
-        W, M, m = _w_step(counts, H, G, B, datasets)
-        val = _loss_gram(u, yty, M, m, W)
+        W, m = _w_step(counts, GH, B, datasets)
+        val = _loss_gram(u, yty, m, W)
         # near the noiseless floor the Gram form loses digits to cancellation;
         # recompute from residuals where it matters
         if val <= 1e-8 * (1.0 + history[0] if history else 1.0):
@@ -304,9 +324,8 @@ def head_for(B_hat, dataset):
     lstsq(X B_hat, Y)."""
     if dataset.n == 0:
         raise ValueError("cannot fit a head on zero samples")
-    XtX, XtY = dataset.gram()
-    W, _, _ = _w_step(np.array([dataset.n]), XtY[None], XtX[None], B_hat,
-                      [dataset])
+    GH = np.vstack(dataset.gram())[None]
+    W, _ = _w_step(np.array([dataset.n]), GH, B_hat, [dataset])
     return W[:, 0]
 
 

@@ -1,6 +1,7 @@
 """Sweep orchestration, CSV output, verification suite, CLI."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -224,6 +225,9 @@ def test_cmd_verify_passes(tmp_path, level):
         cmd_verify(level="huh")
     with pytest.raises(ConfigError):
         cmd_verify(tolerances={"not_a_property": 1.0})
+    for tol in (math.nan, math.inf, -math.inf, -1.0, -1e-300):
+        with pytest.raises(ConfigError):
+            cmd_verify(tolerances={"lasso_matches_lp": tol})
 
 
 def test_cmd_verify_reports_failure_on_impossible_tolerance():
@@ -280,4 +284,14 @@ def test_cli_verify_failure_names_property(tmp_path, capsys):
 
 def test_cli_rejects_malformed_tolerance(capsys):
     assert amtrl.cli.main(["verify", "--tolerance", "nonsense"]) == 2
+    for value in ("nan", "inf", "-inf", "-1"):
+        assert amtrl.cli.main(["verify", "--tolerance",
+                               f"lasso_matches_lp={value}"]) == 2
+    captured = capsys.readouterr()
+    # rejected before any property runs: no report, and no NaN or Infinity
+    assert captured.out == ""
+    assert "finite" in captured.err
+    # zero is a tolerance: lp_support_sparsity's default
+    assert amtrl.cli.main(["verify", "--tolerance",
+                           "lp_support_sparsity=0"]) == 0
     capsys.readouterr()

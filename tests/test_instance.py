@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amtrl import instance
 from amtrl import (
@@ -236,3 +238,59 @@ def test_diagonal_covariance_sampling():
     ds = sample_task(gt, 0, 20000, seed=0)
     # empirical per-coordinate variances track sigma_diag
     np.testing.assert_allclose(ds.X.var(axis=0), sd, rtol=0.1)
+
+
+def _seed_sequence(seed, key):
+    return np.random.SeedSequence(entropy=seed, spawn_key=key)
+
+
+_DRAWS = st.one_of(st.integers(0, 3), st.integers(2**32, 2**70))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**200 - 1), T=st.integers(1, 12), draw=_DRAWS)
+def test_seed_table_matches_seed_sequence(seed, T, draw):
+    # one pass over all T + 1 tasks of a draw, as sample_task derives them
+    # for a TaskOracle
+    table = instance._seed_words(seed, instance._SAMPLE_KEY,
+                                 np.arange(T + 1), draw)
+    assert table.shape == (T + 1, 4) and table.dtype == np.uint64
+    strided = np.asfortranarray(table)
+    for t in range(T + 1):
+        ref = _seed_sequence(seed, (instance._SAMPLE_KEY, t, draw))
+        np.testing.assert_array_equal(table[t], ref.generate_state(4, np.uint64))
+        want = np.random.default_rng(ref).standard_normal(5)
+        np.testing.assert_array_equal(
+            instance._generator(table[t]).standard_normal(5), want)
+        # PCG64 reads the words' buffer: a strided row must seed the same
+        np.testing.assert_array_equal(
+            instance._generator(strided[t]).standard_normal(5), want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**200 - 1),
+       key=st.lists(st.integers(0, 2**70), max_size=4),
+       column=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=6),
+       at=st.integers(0, 4))
+def test_seed_words_match_seed_sequence_for_any_key(seed, key, column, at):
+    # scalar keys of any length (including none, where SeedSequence does not
+    # pad the run entropy) and one array entry anywhere in the key
+    np.testing.assert_array_equal(
+        instance._seed_words(seed, *key)[0],
+        _seed_sequence(seed, tuple(key)).generate_state(4, np.uint64))
+    at = min(at, len(key))
+    words = instance._seed_words(seed, *key[:at], np.array(column), *key[at:])
+    assert words.shape == (len(column), 4) and words.flags.c_contiguous
+    for i, v in enumerate(column):
+        spawn = (*key[:at], v, *key[at:])
+        np.testing.assert_array_equal(
+            words[i], _seed_sequence(seed, spawn).generate_state(4, np.uint64))
+
+
+def test_seed_words_reject_what_seed_sequence_rejects():
+    with pytest.raises(ValueError):
+        instance._seed_words(-1, 0)
+    with pytest.raises(ValueError):
+        instance._seed_words(0, -1)
+    with pytest.raises(ValueError):
+        instance._seed_words(0, np.array([0, 2**32]))

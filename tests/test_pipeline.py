@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amtrl import (
     GroundTruth,
@@ -16,6 +18,7 @@ from amtrl import (
     run_l2_amtrl,
     run_multistage,
     run_passive,
+    sample_task,
 )
 from amtrl import pipeline
 
@@ -255,3 +258,30 @@ def test_unconverged_relevance_solve_warns_and_is_flagged(monkeypatch):
                                 "N_floor": 10, "n_target": 300})
     assert [s["relevance"]["converged"] for s in multi.stage_summaries] \
         == [False, False]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**70), data=st.data())
+def test_oracle_samples_equal_sample_task_in_any_order(seed, data):
+    # the oracle seeds every task of a draw from the table it derives on the
+    # draw's first sample, whichever task and draw come first
+    gt = make_random_instance(5, 2, 6, sigma_z=0.3, seed=4)
+    keys = [(t, draw) for t in range(gt.T + 1) for draw in (0, 1, 2**33)]
+    order = data.draw(st.permutations(keys))
+    drawn = order[:data.draw(st.integers(1, len(keys)))]
+    oracle = TaskOracle(gt, seed=seed)
+    for t, draw in drawn:
+        n = data.draw(st.integers(0, 4))
+        got = oracle.sample(t, n, draw=draw)
+        want = sample_task(gt, t, n, seed, draw=draw)
+        np.testing.assert_array_equal(got.X, want.X)
+        np.testing.assert_array_equal(got.Y, want.Y)
+    # the rows of tasks the oracle never drew at a sampled index seed them
+    # as their own words would
+    for t, draw in order[len(drawn):]:
+        if (seed, draw) in oracle._seed_tables:
+            want = sample_task(gt, t, 3, seed, draw=draw)
+            got = sample_task(gt, t, 3, seed, draw=draw,
+                              seed_tables=oracle._seed_tables)
+            np.testing.assert_array_equal(got.X, want.X)
+            np.testing.assert_array_equal(got.Y, want.Y)

@@ -201,7 +201,8 @@ def _stacked_problems(draw, nonsingular_grams=False):
     data = [TaskDataset(task_index=t, X=rng.standard_normal((n, d)),
                         Y=rng.standard_normal(n), n=n, seed=0)
             for t, n in enumerate(counts)]
-    counts, u, G, H, yty = trainer._stack_stats(data)
+    counts, u, GH, yty = trainer._stack_stats(data)
+    G, H = GH[:, :-1], GH[:, -1]
     B = np.linalg.qr(rng.standard_normal((d, k)))[0]
     W = rng.standard_normal((k, T)) * (counts > 0)
     return data, counts, u, G, H, yty, B, W
@@ -227,7 +228,8 @@ def _assert_same_minimizer(M, rhs, x, x_ref, solver_rtol=256 * EPS):
 @given(_stacked_problems())
 def test_stacked_w_step_and_loss_match_per_task_reference(problem):
     data, counts, u, G, H, yty, B, _ = problem
-    W, M, m = trainer._w_step(counts, H, G, B, data)
+    W, m = trainer._w_step(counts, np.concatenate([G, H[:, None]], axis=1),
+                           B, data)
     W_ref = w_step_oracle(data, B)
     k = B.shape[1]
     for t in range(counts.size):
@@ -239,7 +241,8 @@ def test_stacked_w_step_and_loss_match_per_task_reference(problem):
         else:
             _assert_same_minimizer(B.T @ G[t] @ B, B.T @ H[t], W[:, t],
                                    W_ref[:, t])
-    loss = trainer._loss_gram(u, yty, M, m, W)
+    loss = trainer._loss_gram(u, yty, m, W)
+    M = B.T @ (G @ B)
     terms = yty + np.abs(np.einsum("it,ti->t", W, 2.0 * m)) + np.abs(
         np.einsum("it,tij,jt->t", W, M, W))
     assert abs(loss - loss_gram_oracle(u, yty, H, G, B, W)) <= 1e-10 * (u @ terms)
@@ -327,7 +330,8 @@ def test_singular_b_step_takes_minimum_norm_solution():
     data = [TaskDataset(task_index=t, X=rng.standard_normal((n, d)),
                         Y=rng.standard_normal(n), n=n, seed=0)
             for t in range(T)]
-    _, u, G, H, _ = trainer._stack_stats(data)
+    _, u, GH, _ = trainer._stack_stats(data)
+    G, H = GH[:, :-1], GH[:, -1]
     W = rng.standard_normal((k, T))
     M, rhs = b_step_system_oracle(u, H, G, W)
     with warnings.catch_warnings():
