@@ -10,9 +10,9 @@ Task indices are 0-based: 0..T-1 are source tasks, index T is the target.
 Every random stream is numpy's PCG64 seeded as
 default_rng(SeedSequence(entropy=seed, spawn_key=key)) would seed it. The
 seed words come from _seed_words, a vectorized replica of SeedSequence's
-hashing that derives the words of many spawn keys in one numpy pass: for a
-TaskOracle, sample_task derives those of all T + 1 tasks of a draw at once,
-instead of paying a SeedSequence per task.
+hashing that derives the words of many spawn keys in one numpy pass:
+sample_task derives those of all T + 1 tasks of a draw at once, on the
+draw's first sample, instead of paying a SeedSequence per task.
 """
 
 import dataclasses
@@ -174,6 +174,17 @@ def _rng(seed, *key):
     return _generator(_seed_words(seed, *key)[0])
 
 
+@functools.lru_cache(maxsize=16)
+def _sample_seed_table(seed, T, draw):
+    """Seed words of the sampling streams of tasks 0..T at one draw index,
+    one read-only row per task. A strategy run samples a few draw indices
+    (two for L1, S + 1 for multistage), each over all its tasks; the cache
+    holds those of the runs in progress, not a history of past runs."""
+    table = _seed_words(seed, _SAMPLE_KEY, np.arange(T + 1), draw)
+    table.setflags(write=False)
+    return table
+
+
 @dataclasses.dataclass(frozen=True)
 class GroundTruth:
     """Immutable instance description.
@@ -304,30 +315,17 @@ def _fresh_dataset(task_index, X, Y, seed, draw):
     return ds
 
 
-def sample_task(gt, task_index, n, seed, draw=0, seed_tables=None):
+def sample_task(gt, task_index, n, seed, draw=0):
     """Draw n i.i.d. samples for one task.
 
     Deterministic in (seed, task_index, draw); distinct draw indices give
     independent streams, so incremental sampling never replays data.
-
-    seed_tables, when given, is one caller's cache of seed words for this
-    instance, keyed by (seed, draw): the first sample of a draw derives the
-    words of all gt.T + 1 tasks in one pass and stores them, and later
-    samples of the draw read their task's row. A TaskOracle passes its own.
-    None derives this task's words alone. The samples are the same either
-    way.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     theta = gt.regression_vector(task_index)  # validates task_index
-    if seed_tables is None:
-        rng = _rng(seed, _SAMPLE_KEY, task_index, draw)
-    else:
-        table = seed_tables.get((seed, draw))
-        if table is None:
-            table = seed_tables[seed, draw] = _seed_words(
-                seed, _SAMPLE_KEY, np.arange(gt.T + 1), draw)
-        rng = _generator(table[task_index])
+    table = _sample_seed_table(int(seed), gt.T, int(draw))
+    rng = _generator(table[task_index])
     X = rng.standard_normal((n, gt.d))
     if gt.covariance_kind == "diagonal-bounded":
         X = X * np.sqrt(gt.sigma_diag)

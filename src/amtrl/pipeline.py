@@ -43,7 +43,6 @@ class TaskOracle:
         self.gt = gt
         self.seed = int(seed)
         self._drawn = {}
-        self._seed_tables = {}
 
     @property
     def target_index(self):
@@ -55,8 +54,7 @@ class TaskOracle:
             raise RuntimeError(
                 f"draw {draw} of task {task_index} was already consumed; "
                 "use a fresh draw index for incremental samples")
-        ds = sample_task(self.gt, task_index, n, self.seed, draw=draw,
-                         seed_tables=self._seed_tables)
+        ds = sample_task(self.gt, task_index, n, self.seed, draw=draw)
         self._drawn[key] = int(n)
         return ds
 

@@ -12,17 +12,16 @@ can only lower it, so the recorded loss history is non-increasing.
 
 The data enter only through per-task sufficient statistics stacked over the
 tasks once per fit: G (T, d, d) with G_t = X_t^T X_t, H (T, d) with
-H_t = X_t^T Y_t, held together as the rows of one (T, d + 1, d) array, and
-yty (T,) with yty_t = Y_t^T Y_t. G_t and H_t come from each dataset's cached
-Gram statistics (TaskDataset.gram), so a dataset that is fitted or given a
-head several times forms them once. Each half-step and the loss are then a
-few array contractions over that stack: the B-step's normal matrix is one
-matmul of the (T, k^2) weights u_t w_t w_t^T with the (T, d^2) Gram stack,
-and the W-step is one batched product [G_t; H_t^T] B and one batched solve
-of the k x k systems B^T G_t B w_t = B^T H_t. Heads of tasks with
-0 < n_t < k, where that system is singular, are minimum-norm least-squares
-solutions against X_t B. Since every head solves its system, the loss at
-the W-step's heads is sum_t u_t (yty_t - w_t . B^T H_t).
+H_t = X_t^T Y_t and yty (T,) with yty_t = Y_t^T Y_t. G_t and H_t come from
+each dataset's cached Gram statistics (TaskDataset.gram), so a dataset that
+is fitted or given a head several times forms them once. Each half-step and
+the loss are then a few array contractions over that stack: the B-step's
+normal matrix is one matmul of the (T, k^2) weights u_t w_t w_t^T with the
+(T, d^2) Gram stack, and the W-step is one batched solve of the k x k
+systems B^T G_t B w_t = B^T H_t. Heads of tasks with 0 < n_t < k, where that
+system is singular, are minimum-norm least-squares solutions against X_t B.
+Since every head solves its system, the loss at the W-step's heads is
+sum_t u_t (yty_t - w_t . B^T H_t).
 
 The loop's linear algebra calls LAPACK directly through handles fetched once
 (scipy.linalg.get_lapack_funcs): the dense B-step is a Cholesky solve
@@ -31,7 +30,7 @@ re-orthonormalization is dgeqrf/dorgqr. These are the routines
 scipy.linalg.solve(assume_a="pos") and np.linalg.qr run, minus their
 per-call wrapper cost. The fit's result depends on the arithmetic only in
 rounding: the Cholesky solve reads the triangle that needs no transposing
-copy, and the loss and the heads' right-hand sides are formed as above.
+copy, and the loss is formed as above.
 
 The loop ends on a W-step, so W_hat holds the heads for B_hat: column t
 equals head_for(B_hat, datasets[t]) bit for bit, since the W-step picks
@@ -83,27 +82,22 @@ class FittedModel:
 
 
 def _stack_stats(datasets):
-    """Per-task sample counts, weights u_t = 1/(T n_t) (0 for n_t = 0), the
-    stacked Gram statistics GH (T, d + 1, d) and yty. Slice t of GH is G_t
-    with H_t^T appended as its last row, so G = GH[:, :-1] and
-    H = GH[:, -1] are views of it."""
+    """Per-task sample counts, weights u_t = 1/(T n_t) (0 for n_t = 0) and
+    the stacked statistics G, H and yty."""
     counts = np.array([ds.n for ds in datasets])
     u = np.zeros(counts.size)
     u[counts > 0] = 1.0 / (counts.size * counts[counts > 0])
     grams = [ds.gram() for ds in datasets]
-    GH = np.concatenate([np.stack([XtX for XtX, _ in grams]),
-                         np.stack([XtY for _, XtY in grams])[:, None]], axis=1)
+    G = np.stack([XtX for XtX, _ in grams])
+    H = np.stack([XtY for _, XtY in grams])
     yty = np.array([ds.Y @ ds.Y for ds in datasets], dtype=float)
-    return counts, u, GH, yty
+    return counts, u, G, H, yty
 
 
-def _w_step(counts, GH, B, datasets):
-    """Exact heads for a fixed B, from the stacked statistics GH of
-    _stack_stats. Returns W (k x T) and the projected right-hand sides
-    m_t = B^T H_t (T, k) of the systems M_t w_t = m_t, M_t = B^T G_t B,
-    that every head solves. One batched product GH_t B gives G_t B and, in
-    its last row, m_t; it computes each task alone, so a task's m_t and head
-    have the same bits in any stack.
+def _w_step(counts, H, G, B, datasets):
+    """Exact heads for a fixed B. Returns W (k x T) and the projected
+    right-hand sides m_t = B^T H_t (T, k) of the systems M_t w_t = m_t,
+    M_t = B^T G_t B, that every head solves.
 
     Tasks with n_t >= k solve M_t w_t = m_t by LU, in one batched solve;
     n_t = 0 keeps a zero head. For 0 < n_t < k, M_t is singular and squaring
@@ -112,9 +106,8 @@ def _w_step(counts, GH, B, datasets):
     M_t LU finds exactly singular. The rule is applied task by task, so
     each head equals what head_for gives on that task alone."""
     k = B.shape[1]
-    GHB = GH @ B
-    M = B.T @ GHB[:, :-1]
-    m = GHB[:, -1]
+    M = B.T @ (G @ B)
+    m = (B.T @ H[..., None])[..., 0]
     full = counts >= k
     try:
         if full.all():
@@ -270,8 +263,7 @@ def fit_source(datasets, k, options=None, init_B=None):
     if not (1 <= k <= d):
         raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
 
-    counts, u, GH, yty = _stack_stats(datasets)
-    G, H = GH[:, :-1], GH[:, -1]
+    counts, u, G, H, yty = _stack_stats(datasets)
 
     if init_B is not None:
         init_B = np.asarray(init_B, dtype=float)
@@ -284,7 +276,7 @@ def fit_source(datasets, k, options=None, init_B=None):
     history = []
 
     def heads_and_loss(B):
-        W, m = _w_step(counts, GH, B, datasets)
+        W, m = _w_step(counts, H, G, B, datasets)
         val = _loss_gram(u, yty, m, W)
         # near the noiseless floor the Gram form loses digits to cancellation;
         # recompute from residuals where it matters
@@ -324,8 +316,9 @@ def head_for(B_hat, dataset):
     lstsq(X B_hat, Y)."""
     if dataset.n == 0:
         raise ValueError("cannot fit a head on zero samples")
-    GH = np.vstack(dataset.gram())[None]
-    W, _ = _w_step(np.array([dataset.n]), GH, B_hat, [dataset])
+    XtX, XtY = dataset.gram()
+    W, _ = _w_step(np.array([dataset.n]), XtY[None], XtX[None], B_hat,
+                   [dataset])
     return W[:, 0]
 
 

@@ -251,10 +251,9 @@ _DRAWS = st.one_of(st.integers(0, 3), st.integers(2**32, 2**70))
 @given(seed=st.integers(0, 2**200 - 1), T=st.integers(1, 12), draw=_DRAWS)
 def test_seed_table_matches_seed_sequence(seed, T, draw):
     # one pass over all T + 1 tasks of a draw, as sample_task derives them
-    # for a TaskOracle
-    table = instance._seed_words(seed, instance._SAMPLE_KEY,
-                                 np.arange(T + 1), draw)
+    table = instance._sample_seed_table(seed, T, draw)
     assert table.shape == (T + 1, 4) and table.dtype == np.uint64
+    assert not table.flags.writeable  # cached: every caller shares it
     strided = np.asfortranarray(table)
     for t in range(T + 1):
         ref = _seed_sequence(seed, (instance._SAMPLE_KEY, t, draw))

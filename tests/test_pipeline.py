@@ -20,7 +20,7 @@ from amtrl import (
     run_passive,
     sample_task,
 )
-from amtrl import pipeline
+from amtrl import instance, pipeline
 
 
 def _oracle(gt, seed=0):
@@ -263,25 +263,24 @@ def test_unconverged_relevance_solve_warns_and_is_flagged(monkeypatch):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**70), data=st.data())
 def test_oracle_samples_equal_sample_task_in_any_order(seed, data):
-    # the oracle seeds every task of a draw from the table it derives on the
-    # draw's first sample, whichever task and draw come first
-    gt = make_random_instance(5, 2, 6, sigma_z=0.3, seed=4)
-    keys = [(t, draw) for t in range(gt.T + 1) for draw in (0, 1, 2**33)]
+    # sample_task seeds every task of a draw from one table of seed words,
+    # derived on the draw's first sample and cached by (seed, T, draw); no
+    # sample may depend on which task, draw or instance was sampled first.
+    # The reference derives a fresh table for each sample
+    gts = [make_random_instance(5, 2, 6, sigma_z=0.3, seed=4),
+           make_random_instance(5, 2, 3, sigma_z=0.3, seed=5)]
+    keys = [(i, t, draw) for i, gt in enumerate(gts)
+            for t in range(gt.T + 1) for draw in (0, 1, 2**33)]
     order = data.draw(st.permutations(keys))
-    drawn = order[:data.draw(st.integers(1, len(keys)))]
-    oracle = TaskOracle(gt, seed=seed)
-    for t, draw in drawn:
-        n = data.draw(st.integers(0, 4))
-        got = oracle.sample(t, n, draw=draw)
-        want = sample_task(gt, t, n, seed, draw=draw)
-        np.testing.assert_array_equal(got.X, want.X)
-        np.testing.assert_array_equal(got.Y, want.Y)
-    # the rows of tasks the oracle never drew at a sampled index seed them
-    # as their own words would
-    for t, draw in order[len(drawn):]:
-        if (seed, draw) in oracle._seed_tables:
-            want = sample_task(gt, t, 3, seed, draw=draw)
-            got = sample_task(gt, t, 3, seed, draw=draw,
-                              seed_tables=oracle._seed_tables)
-            np.testing.assert_array_equal(got.X, want.X)
-            np.testing.assert_array_equal(got.Y, want.Y)
+    order = order[:data.draw(st.integers(1, len(keys)))]
+    sizes = [data.draw(st.integers(0, 4)) for _ in order]
+    want = {}
+    for (i, t, draw), n in zip(order, sizes):
+        instance._sample_seed_table.cache_clear()
+        want[i, t, draw] = sample_task(gts[i], t, n, seed, draw=draw)
+    instance._sample_seed_table.cache_clear()
+    oracles = [TaskOracle(gt, seed=seed) for gt in gts]
+    for (i, t, draw), n in zip(order, sizes):
+        got = oracles[i].sample(t, n, draw=draw)
+        np.testing.assert_array_equal(got.X, want[i, t, draw].X)
+        np.testing.assert_array_equal(got.Y, want[i, t, draw].Y)

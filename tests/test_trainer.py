@@ -201,8 +201,7 @@ def _stacked_problems(draw, nonsingular_grams=False):
     data = [TaskDataset(task_index=t, X=rng.standard_normal((n, d)),
                         Y=rng.standard_normal(n), n=n, seed=0)
             for t, n in enumerate(counts)]
-    counts, u, GH, yty = trainer._stack_stats(data)
-    G, H = GH[:, :-1], GH[:, -1]
+    counts, u, G, H, yty = trainer._stack_stats(data)
     B = np.linalg.qr(rng.standard_normal((d, k)))[0]
     W = rng.standard_normal((k, T)) * (counts > 0)
     return data, counts, u, G, H, yty, B, W
@@ -228,8 +227,7 @@ def _assert_same_minimizer(M, rhs, x, x_ref, solver_rtol=256 * EPS):
 @given(_stacked_problems())
 def test_stacked_w_step_and_loss_match_per_task_reference(problem):
     data, counts, u, G, H, yty, B, _ = problem
-    W, m = trainer._w_step(counts, np.concatenate([G, H[:, None]], axis=1),
-                           B, data)
+    W, m = trainer._w_step(counts, H, G, B, data)
     W_ref = w_step_oracle(data, B)
     k = B.shape[1]
     for t in range(counts.size):
@@ -330,8 +328,7 @@ def test_singular_b_step_takes_minimum_norm_solution():
     data = [TaskDataset(task_index=t, X=rng.standard_normal((n, d)),
                         Y=rng.standard_normal(n), n=n, seed=0)
             for t in range(T)]
-    _, u, GH, _ = trainer._stack_stats(data)
-    G, H = GH[:, :-1], GH[:, -1]
+    _, u, G, H, _ = trainer._stack_stats(data)
     W = rng.standard_normal((k, T))
     M, rhs = b_step_system_oracle(u, H, G, W)
     with warnings.catch_warnings():
