@@ -8,9 +8,11 @@ covariance) and labels carry N(0, sigma_z^2) noise.
 Task indices are 0-based: 0..T-1 are source tasks, index T is the target.
 
 Every random stream is numpy's PCG64 seeded as
-default_rng(SeedSequence(entropy=seed, spawn_key=key)) would seed it. The
-seed words come from _seed_words, a vectorized replica of SeedSequence's
-hashing that derives the words of many spawn keys in one numpy pass:
+default_rng(SeedSequence(entropy=seed, spawn_key=key)) would seed it. A
+lone stream (_rng: instance generators, the fit's padding directions) is
+built by exactly that call. Sampling streams come in batches: their seed
+words come from _seed_words, a vectorized replica of SeedSequence's
+hashing that derives the words of many spawn keys in one numpy pass, so
 sample_task derives those of all T + 1 tasks of a draw at once, on the
 draw's first sample, instead of paying a SeedSequence per task.
 """
@@ -171,7 +173,7 @@ def _generator(words):
 
 
 def _rng(seed, *key):
-    return _generator(_seed_words(seed, *key)[0])
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
 @functools.lru_cache(maxsize=16)

@@ -2,10 +2,22 @@
 
 Each runner consumes a TaskOracle (fresh i.i.d. samples on demand, fully
 deterministic in its seed) and produces a RunResult: allocations, fitted
-models per stage, the final excess risk, and sample accounting. Two-phase
-runners explore at the floor, estimate a relevance vector from the fitted
-heads, then concentrate the remaining budget; the multi-stage runner grows
-its budget geometrically while re-estimating relevance.
+models per stage, the final excess risk, and sample accounting.
+
+Every strategy is one stage loop over a budget schedule. A stage
+water-fills its budget by the current relevance vector nu (raised to the
+power q), draws each task's increment over what it already holds at draw
+index = stage, appends it to that task's data, refits (warm from the
+previous B_hat) and may estimate nu again from the fitted heads. The
+strategies differ only in what they hand the loop:
+
+- passive: one stage of N_tot at nu = 1;
+- known_nu: one stage of N_tot at the reference nu, with exponent q;
+- L1 / L2: stages [T * N_floor, N_tot_phase2] from nu = 1; after the
+  first stage nu is estimated by Lasso (L1, q = 1) or minimum L2 norm
+  (L2, q = 2);
+- multistage: stages round(beta_1 * L^i), i < S, from nu = 1, with a
+  Lasso estimate after every stage.
 """
 
 import time
@@ -14,8 +26,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocation import (Allocation, InfeasibleBudgetError, allocate_fixed_nu,
-                         lpnq_allocation)
+from .allocation import InfeasibleBudgetError, lpnq_allocation
+# not called here, but the benchmark's tracer wraps pipeline.allocate_fixed_nu
+# as well as pipeline.lpnq_allocation, through which the loop allocates
+from .allocation import allocate_fixed_nu  # noqa: F401
 from .instance import _fresh_dataset, sample_task
 from .relevance import (LAZY_LAMBDA, kkt_residual, lambda_rule, lasso,
                         min_l2_solution, support_size)
@@ -119,17 +133,6 @@ def _stage_summary(model, gt):
     }
 
 
-def _merge_parts(task_index, parts, seed):
-    parts = [p for p in parts if p is not None and p.n > 0]
-    if not parts:
-        raise ValueError(f"task {task_index} has no samples to merge")
-    if len(parts) == 1:
-        return parts[0]
-    X = np.vstack([p.X for p in parts])
-    Y = np.concatenate([p.Y for p in parts])
-    return _fresh_dataset(task_index, X, Y, seed, parts[-1].draw)
-
-
 def lambda_for(p, W, w):
     """The Lasso penalty for params p on the system W nu = w: lazy, explicit
     or the theory rule."""
@@ -151,9 +154,21 @@ def lambda_for(p, W, w):
     raise ValueError(f"unknown lambda_policy {policy!r}")
 
 
-def _lasso_estimate(W_hat, w_hat, p):
-    """Lasso relevance estimate and the stage's relevance record of its
-    solver diagnostics; warns when the Lasso did not converge."""
+def _estimate_nu(model, target_ds, p, estimator):
+    """Relevance estimate from the fitted representation: the source heads
+    are the fit's own W_hat, exact for B_hat. Returns (nu, record), the
+    record holding the Lasso's solver diagnostics (None for the min-L2
+    route); warns when the Lasso did not converge."""
+    W_hat = model.W_hat
+    w_hat = head_for(model.B_hat, target_ds)
+    if estimator == "min_l2":
+        try:
+            return min_l2_solution(W_hat, w_hat), None
+        except ValueError:
+            warnings.warn("estimated heads are rank-deficient; using a "
+                          "plain least-squares relevance estimate",
+                          RuntimeWarning, stacklevel=3)
+            return np.linalg.lstsq(W_hat, w_hat, rcond=None)[0], None
     lam = lambda_for(p, W_hat, w_hat)
     nu, info = lasso(W_hat, w_hat, lam)
     record = {"steps": int(info["sweeps"]),
@@ -166,80 +181,83 @@ def _lasso_estimate(W_hat, w_hat, p):
     return nu, record
 
 
-def _estimate_nu(model, target_ds, p, method):
-    """Relevance estimate from the fitted representation: the source heads
-    are the fit's own W_hat, exact for B_hat. Returns (nu, record), the
-    record holding the Lasso diagnostics (None for the min-L2 route)."""
-    W_hat = model.W_hat
-    w_hat = head_for(model.B_hat, target_ds)
-    if method == "lasso":
-        return _lasso_estimate(W_hat, w_hat, p)
-    try:
-        nu = min_l2_solution(W_hat, w_hat)
-    except ValueError:
-        warnings.warn("estimated heads are rank-deficient; using a "
-                      "plain least-squares relevance estimate",
-                      RuntimeWarning, stacklevel=2)
-        nu = np.linalg.lstsq(W_hat, w_hat, rcond=None)[0]
-    return nu, None
+def _run_stages(strategy, oracle, k, p, budgets, q=1, nu=None,
+                estimator=None, estimates=0):
+    """The stage loop every runner calls (see the module docstring).
 
-
-def _finish(strategy, oracle, p, allocations, summaries, model, nu_history,
-            nu_l1, support, N_tot, N_floor, total_samples, t0, params_echo):
-    gt = oracle.gt
+    Stage i water-fills budgets[i] on |nu|^q, draws each task's increment
+    at draw index i (every task at stage 0, even at n = 0, so fit_source
+    carries zero-sample tasks), appends it, refits warm and, for the first
+    `estimates` stages, estimates nu by `estimator` ("lasso" or "min_l2")
+    from the target data. nu None starts from all ones, outside the
+    record; a given nu is the run's reference and heads nu_history. The
+    reported N_tot is the number of source samples drawn: a task never
+    gives samples back when a later stage allots it fewer.
+    """
+    t0 = time.perf_counter()
+    gt, T = oracle.gt, oracle.gt.T
+    N_floor = int(p.get("N_floor", 0))
+    label = "L1" if strategy == "multistage" else strategy
+    nu_history = [] if nu is None else [np.asarray(nu, dtype=float)]
+    nu = np.ones(T) if nu is None else nu
+    target_ds = oracle.sample(T, p["n_target"], draw=0)
+    datasets = [None] * T
+    counts = np.zeros(T, dtype=int)
+    allocations, summaries, model = [], [], None
+    for stage, budget in enumerate(budgets):
+        alloc = lpnq_allocation(nu, q, budget, N_floor, strategy=label)
+        allocations.append(alloc)
+        for t in range(T):
+            inc = int(alloc.n[t]) - int(counts[t])
+            if datasets[t] is None:
+                datasets[t] = oracle.sample(t, inc, draw=stage)
+            elif inc > 0:
+                old, new = datasets[t], oracle.sample(t, inc, draw=stage)
+                datasets[t] = _fresh_dataset(t, np.vstack([old.X, new.X]),
+                                             np.concatenate([old.Y, new.Y]),
+                                             oracle.seed, stage)
+        counts = np.maximum(counts, alloc.n)
+        model = fit_source(datasets, k,
+                           init_B=None if model is None else model.B_hat)
+        summaries.append(_stage_summary(model, gt))
+        if stage < estimates:
+            nu, record = _estimate_nu(model, target_ds, p, estimator)
+            nu_history.append(nu)
+            if record is not None:
+                summaries[-1]["relevance"] = record
+    model = fit_target_head(model, target_ds)
     er = excess_risk(model, gt)
     sd = subspace_distance(model.B_hat, gt.B_star)
-    wall = (time.perf_counter() - t0) * 1e3
+    last = nu_history[-1] if nu_history else np.zeros(0)
     return RunResult(
-        strategy=strategy, seed=oracle.seed, N_tot=int(N_tot),
-        N_floor=int(N_floor), allocations=tuple(allocations),
+        strategy=strategy, seed=oracle.seed, N_tot=int(counts.sum()),
+        N_floor=N_floor, allocations=tuple(allocations),
         stage_summaries=tuple(summaries), excess_risk=float(er),
-        subspace_distance=float(sd),
-        nu_history=tuple(np.asarray(nu) for nu in nu_history),
-        nu_l1_norm=float(nu_l1), support_size=int(support),
-        total_samples=int(total_samples),
-        target_samples=int(p["n_target"]), wall_ms=float(wall),
-        status="ok", params=dict(params_echo))
+        subspace_distance=float(sd), nu_history=tuple(nu_history),
+        nu_l1_norm=float(np.abs(last).sum()), support_size=support_size(last),
+        total_samples=int(counts.sum()) + p["n_target"],
+        target_samples=int(p["n_target"]),
+        wall_ms=(time.perf_counter() - t0) * 1e3, params=dict(p))
 
 
 def run_known_nu(oracle, d, k, T, nu_ref, q, params=None):
     """Oracle strategy: allocate straight from a reference relevance vector
     with exponent q (q=1 water-filling on |nu|, q=2 on squared weights)."""
-    t0 = time.perf_counter()
     _check_dims(oracle, d, k, T)
-    p = _params(params)
-    N_tot, N_floor = int(_require(p, "N_tot")), int(p.get("N_floor", 0))
-    alloc = lpnq_allocation(nu_ref, q, N_tot, N_floor, strategy="known_nu")
-    datasets = [oracle.sample(t, int(alloc.n[t]), draw=0) for t in range(T)]
-    model = fit_source(datasets, k)
-    target_ds = oracle.sample(T, p["n_target"], draw=0)
-    model = fit_target_head(model, target_ds)
-    nu_ref = np.asarray(nu_ref, dtype=float)
-    return _finish("known_nu", oracle, p, [alloc],
-                   [_stage_summary(model, oracle.gt)], model, [nu_ref],
-                   np.abs(nu_ref).sum(), support_size(nu_ref), N_tot,
-                   N_floor, int(alloc.n.sum()) + p["n_target"], t0,
-                   {"q": q, **p})
+    p = {"q": q, **_params(params)}
+    return _run_stages("known_nu", oracle, k, p, [int(_require(p, "N_tot"))],
+                       q, nu=nu_ref)
 
 
 def run_passive(oracle, d, k, T, params=None):
     """Uniform allocation across all source tasks; no relevance estimate."""
-    t0 = time.perf_counter()
     _check_dims(oracle, d, k, T)
     p = _params(params)
-    N_tot, N_floor = int(_require(p, "N_tot")), int(p.get("N_floor", 0))
-    alloc = allocate_fixed_nu(np.ones(T), N_tot, N_floor, strategy="passive")
-    datasets = [oracle.sample(t, int(alloc.n[t]), draw=0) for t in range(T)]
-    model = fit_source(datasets, k)
-    target_ds = oracle.sample(T, p["n_target"], draw=0)
-    model = fit_target_head(model, target_ds)
-    return _finish("passive", oracle, p, [alloc],
-                   [_stage_summary(model, oracle.gt)], model, [], 0.0, 0,
-                   N_tot, N_floor, int(alloc.n.sum()) + p["n_target"], t0, p)
+    return _run_stages("passive", oracle, k, p, [int(_require(p, "N_tot"))])
 
 
-def _two_phase(oracle, d, k, T, params, strategy):
-    t0 = time.perf_counter()
+def _two_phase(oracle, d, k, T, params, strategy, estimator, q):
+    """Explore at the floor, estimate nu once, then water-fill the rest."""
     _check_dims(oracle, d, k, T)
     p = _params(params)
     N_floor = int(_require(p, "N_floor"))
@@ -249,51 +267,20 @@ def _two_phase(oracle, d, k, T, params, strategy):
     if N_tot < T * N_floor:
         raise InfeasibleBudgetError(f"N_tot_phase2 = {N_tot} cannot cover "
                                     f"{T} floors of {N_floor}")
-    gt = oracle.gt
-
-    # Phase 1: uniform exploration at the floor
-    alloc1 = Allocation(n=np.full(T, N_floor), N_tot=T * N_floor,
-                        N_floor=N_floor, strategy=strategy, c_prime=0.0,
-                        continuous=np.full(T, float(N_floor)))
-    datasets1 = [oracle.sample(t, N_floor, draw=0) for t in range(T)]
-    target_ds = oracle.sample(T, p["n_target"], draw=0)
-    model1 = fit_source(datasets1, k)
-    method = "lasso" if strategy == "L1" else "min_l2"
-    nu_hat, record = _estimate_nu(model1, target_ds, p, method)
-
-    # Phase 2: concentrate the budget by the estimated relevance
-    if strategy == "L1":
-        alloc2 = allocate_fixed_nu(nu_hat, N_tot, N_floor, strategy="L1")
-    else:
-        alloc2 = lpnq_allocation(nu_hat, 2, N_tot, N_floor, strategy="L2")
-    merged = []
-    for t in range(T):
-        inc = int(alloc2.n[t]) - N_floor
-        parts = [datasets1[t]]
-        if inc > 0:
-            parts.append(oracle.sample(t, inc, draw=1))
-        merged.append(_merge_parts(t, parts, oracle.seed))
-    model2 = fit_source(merged, k, init_B=model1.B_hat)
-    model2 = fit_target_head(model2, target_ds)
-
-    summaries = [_stage_summary(model1, gt), _stage_summary(model2, gt)]
-    if record is not None:
-        summaries[0]["relevance"] = record
-    return _finish(strategy, oracle, p, [alloc1, alloc2], summaries, model2,
-                   [nu_hat], np.abs(nu_hat).sum(), support_size(nu_hat),
-                   N_tot, N_floor, int(alloc2.n.sum()) + p["n_target"], t0, p)
+    return _run_stages(strategy, oracle, k, p, [T * N_floor, N_tot], q,
+                       estimator=estimator, estimates=1)
 
 
 def run_l1_amtrl(oracle, d, k, T, params=None):
     """Two-phase strategy with a Lasso relevance estimate (water-filling on
     |nu|)."""
-    return _two_phase(oracle, d, k, T, params, "L1")
+    return _two_phase(oracle, d, k, T, params, "L1", "lasso", 1)
 
 
 def run_l2_amtrl(oracle, d, k, T, params=None):
     """Two-phase strategy with a minimum-L2 relevance estimate (allocation
     proportional to squared weights)."""
-    return _two_phase(oracle, d, k, T, params, "L2")
+    return _two_phase(oracle, d, k, T, params, "L2", "min_l2", 2)
 
 
 def run_multistage(oracle, d, k, T, params=None):
@@ -304,7 +291,6 @@ def run_multistage(oracle, d, k, T, params=None):
     re-estimates relevance by Lasso. S = 1 degenerates to a floored
     passive run followed by one estimate.
     """
-    t0 = time.perf_counter()
     _check_dims(oracle, d, k, T)
     p = _params(params)
     S = int(_require(p, "S"))
@@ -320,32 +306,6 @@ def run_multistage(oracle, d, k, T, params=None):
     if beta_1 < T * N_floor:
         raise InfeasibleBudgetError(f"beta_1 = {beta_1} cannot cover {T} "
                                     f"floors of {N_floor}")
-    gt = oracle.gt
-
-    target_ds = oracle.sample(T, p["n_target"], draw=0)
-    nu_hat = np.ones(T)
-    counts = np.zeros(T, dtype=int)
-    parts = [[] for _ in range(T)]
-    allocations, summaries, nu_history = [], [], []
-    model = None
-    for stage in range(S):
-        beta_i = int(round(beta_1 * L ** stage))
-        alloc = allocate_fixed_nu(nu_hat, beta_i, N_floor, strategy="L1")
-        allocations.append(alloc)
-        for t in range(T):
-            inc = int(alloc.n[t]) - int(counts[t])
-            if inc > 0:
-                parts[t].append(oracle.sample(t, inc, draw=stage))
-        counts = np.maximum(counts, alloc.n)
-        merged = [_merge_parts(t, parts[t], oracle.seed) for t in range(T)]
-        init_B = None if model is None else model.B_hat
-        model = fit_source(merged, k, init_B=init_B)
-        w_hat = head_for(model.B_hat, target_ds)
-        nu_hat, record = _lasso_estimate(model.W_hat, w_hat, p)
-        summaries.append({**_stage_summary(model, gt), "relevance": record})
-        nu_history.append(nu_hat)
-    model = fit_target_head(model, target_ds)
-    total = int(counts.sum()) + p["n_target"]
-    return _finish("multistage", oracle, p, allocations, summaries, model,
-                   nu_history, np.abs(nu_hat).sum(), support_size(nu_hat),
-                   int(counts.sum()), N_floor, total, t0, p)
+    budgets = [int(round(beta_1 * L ** i)) for i in range(S)]
+    return _run_stages("multistage", oracle, k, p, budgets,
+                       estimator="lasso", estimates=S)

@@ -339,7 +339,11 @@ def excess_risk(model, gt):
 
 
 def subspace_distance(B1, B2, tol=1e-6):
-    """sin of the largest principal angle between two orthonormal frames."""
+    """sin of the largest principal angle between two orthonormal frames,
+    as the spectral norm of the part of B2 outside span(B1),
+    ||B2 - B1 (B1^T B2)||_2. Read off the residual, identical frames give
+    round-off of order eps, where sqrt(1 - cos^2) from the smallest cosine
+    would give sqrt(eps) for a cosine one ulp below 1."""
     B1 = np.asarray(B1, dtype=float)
     B2 = np.asarray(B2, dtype=float)
     if B1.shape != B2.shape or B1.ndim != 2:
@@ -348,6 +352,4 @@ def subspace_distance(B1, B2, tol=1e-6):
         err = np.max(np.abs(B.T @ B - np.eye(B.shape[1])))
         if err > tol:
             raise ValueError(f"{name} argument is not orthonormal (deviation {err:.3e})")
-    s = scipy.linalg.svdvals(B1.T @ B2)
-    sk = float(s[-1])
-    return float(np.sqrt(max(0.0, 1.0 - min(1.0, sk) ** 2)))
+    return float(scipy.linalg.svdvals(B2 - B1 @ (B1.T @ B2))[0])

@@ -6,6 +6,8 @@ traced run must still record the layers the per-layer split reads."""
 import pathlib
 import types
 
+import pytest
+
 import amtrl
 import amtrl.harness
 import amtrl.simplex
@@ -29,18 +31,32 @@ def test_every_wrap_point_exists():
     assert missing == []
 
 
-def test_traced_l1_run_records_fit_head_and_lasso_spans():
+# (runner, params, the spans its traced run must record beyond the run's
+# own): sampling, allocation, fitting, the target head and, with an
+# estimate, the Lasso
+TRACED_RUNS = [
+    ("run_l1_amtrl", {"N_tot_phase2": 400, "N_floor": 10, "n_target": 50},
+     {"lasso"}),
+    ("run_multistage", {"S": 2, "L": 2.0, "beta_1": 100, "N_floor": 10,
+                        "n_target": 50}, {"lasso"}),
+    ("run_passive", {"N_tot": 400, "n_target": 50}, set()),
+]
+
+
+@pytest.mark.parametrize("runner, params, extra", TRACED_RUNS,
+                         ids=[r[0] for r in TRACED_RUNS])
+def test_traced_run_records_every_layer(runner, params, extra):
     gt, _ = make_almost_sparse_instance(6, 2, 8, sigma_z=0.1, seed=0)
     tracer = _tracing().Tracer()
     tracer.install(amtrl)
     try:
-        amtrl.pipeline.run_l1_amtrl(
-            amtrl.pipeline.TaskOracle(gt, seed=0), gt.d, gt.k, gt.T,
-            {"N_tot_phase2": 400, "N_floor": 10, "n_target": 50})
+        getattr(amtrl.pipeline, runner)(
+            amtrl.pipeline.TaskOracle(gt, seed=0), gt.d, gt.k, gt.T, params)
     finally:
         tracer.uninstall()
     names = {span["name"] for span in tracer.spans}
-    assert {"run_l1_amtrl", "sample_task", "fit_source", "head",
-            "lasso"} <= names
+    assert {runner, "sample_task", "allocate", "fit_source", "head",
+            "risk"} | extra <= names
     # uninstall restored the library's own functions
     assert amtrl.pipeline.fit_source is amtrl.trainer.fit_source
+    assert amtrl.pipeline.lpnq_allocation is amtrl.allocation.lpnq_allocation

@@ -288,6 +288,8 @@ def test_seed_words_match_seed_sequence_for_any_key(seed, key, column, at):
 
 def test_seed_words_reject_what_seed_sequence_rejects():
     with pytest.raises(ValueError):
+        instance._rng(-1)
+    with pytest.raises(ValueError):
         instance._seed_words(-1, 0)
     with pytest.raises(ValueError):
         instance._seed_words(0, -1)

@@ -1,5 +1,7 @@
 """End-to-end strategy runners."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,12 +71,37 @@ def test_total_samples_match_oracle_draws():
             (run_l1_amtrl, {"N_tot_phase2": 1000, "N_floor": 20}),
             (run_l2_amtrl, {"N_tot_phase2": 1000, "N_floor": 20}),
             (run_passive, {"N_tot": 1000}),
+            # floor 0: tasks 1 and 3 are sampled and fitted at n = 0
+            (functools.partial(run_known_nu, nu_ref=[3.0, 0.0, 1.0, 0.0, 0.5],
+                               q=1), {"N_tot": 1000}),
             (run_multistage, {"S": 3, "L": 2.0, "beta_1": 200,
                               "N_floor": 10})):
         oracle = _oracle(gt, seed=7)
-        res = runner(oracle, gt.d, gt.k, gt.T, params)
+        res = runner(oracle, gt.d, gt.k, gt.T, params=params)
         assert res.total_samples == oracle.total_drawn
         assert res.total_samples == res.N_tot + res.target_samples
+
+
+def test_l1_two_phase_is_two_stage_multistage():
+    # the two-phase run is the multistage loop with stages T * N_floor and
+    # N and no estimate after the last: the same draws, fits and estimate
+    gt = make_random_instance(8, 3, 6, sigma_z=0.3, sigma_min_floor=0.5,
+                              seed=12)
+    N, floor = 1500, 25
+    for seed in range(3):
+        two = run_l1_amtrl(_oracle(gt, seed=seed), gt.d, gt.k, gt.T,
+                           {"N_tot_phase2": N, "N_floor": floor,
+                            "n_target": 300})
+        multi = run_multistage(_oracle(gt, seed=seed), gt.d, gt.k, gt.T,
+                               {"S": 2, "beta_1": gt.T * floor,
+                                "L": N / (gt.T * floor), "N_floor": floor,
+                                "n_target": 300})
+        assert two.excess_risk == multi.excess_risk
+        assert [a.n.tolist() for a in two.allocations] == \
+            [a.n.tolist() for a in multi.allocations]
+        assert [s["iterations"] for s in two.stage_summaries] == \
+            [s["iterations"] for s in multi.stage_summaries]
+        np.testing.assert_array_equal(two.nu_history[0], multi.nu_history[0])
 
 
 def test_one_sparse_target_concentrates_budget():

@@ -97,10 +97,19 @@ def test_subspace_distance_properties():
     rng = np.random.default_rng(0)
     B1 = np.linalg.qr(rng.standard_normal((10, 3)))[0]
     B2 = np.linalg.qr(rng.standard_normal((10, 3)))[0]
-    # sqrt(1 - s^2) amplifies unit-roundoff in s toward 1e-8, not 1e-16
-    assert subspace_distance(B1, B1) <= 1e-7
-    # invariant under right-rotation of either frame
+    # read off the residual B2 - B1 B1^T B2, one subspace gives round-off
+    # of order eps (sqrt(1 - cos^2) would give sqrt(eps) for a cosine one
+    # ulp below 1), also spanned by a rotated frame
     Q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    assert subspace_distance(B1, B1) < 1e-12
+    assert subspace_distance(B1, B1 @ Q) < 1e-12
+    # one principal angle theta: the distance is sin(theta)
+    theta, e = 0.3, np.eye(10)
+    tilted = np.column_stack([e[:, 0], np.cos(theta) * e[:, 1]
+                              + np.sin(theta) * e[:, 2], e[:, 3]])
+    assert subspace_distance(e[:, [0, 1, 3]], tilted) == pytest.approx(
+        np.sin(theta), rel=1e-14)
+    # invariant under right-rotation of either frame
     np.testing.assert_allclose(subspace_distance(B1, B2),
                                subspace_distance(B1 @ Q, B2), atol=1e-10)
     d = subspace_distance(B1, B2)
