@@ -64,10 +64,16 @@ class SweepConfig:
             raise ConfigError("budgets must be non-empty")
         if any(b2 <= b1 for b1, b2 in zip(self.budgets, self.budgets[1:])):
             raise ConfigError("budgets must be strictly increasing")
+        for name in ("seeds", "N_floor", "n_target"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.seeds < 1:
             raise ConfigError("seeds must be >= 1")
         if self.N_floor < 0:
             raise ConfigError("N_floor must be >= 0")
+        if self.n_target < 1:
+            raise ConfigError("n_target must be >= 1")
         if self.lambda_policy not in ("lazy", "theory", "explicit"):
             raise ConfigError("lambda_policy must be lazy, theory or explicit")
         if self.lambda_policy == "explicit" and self.lambda_value is None:

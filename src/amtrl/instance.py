@@ -19,13 +19,12 @@ draw's first sample, instead of paying a SeedSequence per task.
 
 import dataclasses
 import functools
+import json
 import math
 
 import numpy as np
 import scipy.linalg
 from numpy.random.bit_generator import ISeedSequence
-
-from . import jsonio
 
 # spawn-key namespaces so generator draws never collide with sampling draws
 _GEN_KEY = 0x6765
@@ -379,7 +378,7 @@ def make_random_instance(d, k, T, sigma_z, sigma_min_floor=0.0, seed=0):
     w_target = W @ nu_mix
     meta = {
         "kind": "random",
-        "seed": seed,
+        "seed": int(seed),
         "diverse": True,
         "highdim_regime": bool(d > T >= k),
         "sigma_min_floor": float(sigma_min_floor),
@@ -423,7 +422,7 @@ def make_almost_sparse_instance(d, k, T, sigma_z, seed=0, spectrum=None):
     w_target = W @ nu_ref
     meta = {
         "kind": "almost_sparse",
-        "seed": seed,
+        "seed": int(seed),
         "diverse": True,
         "highdim_regime": bool(d > T >= k),
         "reference_nu": nu_ref.tolist(),
@@ -458,7 +457,7 @@ def make_aligned_worstcase_instance(d, k, T, c_w, seed=0, sigma_z=0.0):
     w_target = c_w * U[:, 0]
     meta = {
         "kind": "aligned_worstcase",
-        "seed": seed,
+        "seed": int(seed),
         "c_w": float(c_w),
         "diverse": True,
         "highdim_regime": bool(d > T >= k),
@@ -469,7 +468,9 @@ def make_aligned_worstcase_instance(d, k, T, c_w, seed=0, sigma_z=0.0):
 
 
 def save_instance(gt, path):
-    """Write an instance as JSON; matrices are flat row-major float lists."""
+    """Write an instance as JSON; matrices are flat row-major float lists.
+    json writes each float as its shortest round-trip repr, so a reloaded
+    instance is bit-identical; a non-finite entry raises ValueError."""
     meta = dict(gt.meta)
     meta["covariance_kind"] = gt.covariance_kind
     if gt.sigma_diag is not None:
@@ -484,11 +485,13 @@ def save_instance(gt, path):
         "w_target_star": gt.w_target_star.tolist(),
         "meta": meta,
     }
-    jsonio.dump(doc, path)
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, allow_nan=False)
 
 
 def load_instance(path):
-    doc = jsonio.load(path)
+    with open(path) as fh:
+        doc = json.load(fh)
     try:
         d, k, T = int(doc["d"]), int(doc["k"]), int(doc["T"])
         meta = dict(doc.get("meta", {}))

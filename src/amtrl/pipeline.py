@@ -227,13 +227,13 @@ def _run_stages(strategy, oracle, k, p, budgets, q=1, nu=None,
                 summaries[-1]["relevance"] = record
     model = fit_target_head(model, target_ds)
     er = excess_risk(model, gt)
-    sd = subspace_distance(model.B_hat, gt.B_star)
     last = nu_history[-1] if nu_history else np.zeros(0)
     return RunResult(
         strategy=strategy, seed=oracle.seed, N_tot=int(counts.sum()),
         N_floor=N_floor, allocations=tuple(allocations),
         stage_summaries=tuple(summaries), excess_risk=float(er),
-        subspace_distance=float(sd), nu_history=tuple(nu_history),
+        subspace_distance=summaries[-1]["subspace_distance"],
+        nu_history=tuple(nu_history),
         nu_l1_norm=float(np.abs(last).sum()), support_size=support_size(last),
         total_samples=int(counts.sum()) + p["n_target"],
         target_samples=int(p["n_target"]),

@@ -6,9 +6,11 @@ The objective is the per-task-normalized empirical risk
 
 alternating exact half-steps: each w_t is a least-squares solve against the
 current X_t B, and B solves the stacked normal equations over vec(B) with all
-w_t held fixed. B is re-orthonormalized by QR after every update; absorbing
-the R factor into W would leave the objective unchanged, and the next W-step
-can only lower it, so the recorded loss history is non-increasing.
+w_t held fixed, as one dense (d k) x (d k) system; fit_source refuses
+d k > 20000, where that matrix would hold more than 3.2 GB. B is
+re-orthonormalized by QR after every update; absorbing the R factor into W
+would leave the objective unchanged, and the next W-step can only lower it,
+so the recorded loss history is non-increasing.
 
 The data enter only through per-task sufficient statistics stacked over the
 tasks once per fit: G (T, d, d) with G_t = X_t^T X_t, H (T, d) with
@@ -24,7 +26,7 @@ Since every head solves its system, the loss at the W-step's heads is
 sum_t u_t (yty_t - w_t . B^T H_t).
 
 The loop's linear algebra calls LAPACK directly through handles fetched once
-(scipy.linalg.get_lapack_funcs): the dense B-step is a Cholesky solve
+(scipy.linalg.get_lapack_funcs): the B-step is a Cholesky solve
 (dpotrf/dpotrs) guarded by dpocon's reciprocal condition estimate, and the
 re-orthonormalization is dgeqrf/dorgqr. These are the routines
 scipy.linalg.solve(assume_a="pos") and np.linalg.qr run, minus their
@@ -43,13 +45,12 @@ import warnings
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
 from .instance import _rng
 
-# above this many entries in vec(B), the B-step switches from a dense
-# normal-equation solve to conjugate gradients on the same system
-DENSE_VECB_LIMIT = 20000
+# largest d*k the fit accepts: the B-step forms and factors the dense
+# (d*k) x (d*k) normal matrix, which at this size holds 3.2 GB
+_MAX_VECB = 20000
 # ridge on each task's Gram matrix in the spectral initialization
 _INIT_RIDGE = 1e-8
 _EPS = np.finfo(float).eps
@@ -151,11 +152,6 @@ def _loss_residual(u, datasets, B, W):
     return total
 
 
-def _b_rhs(u, H, W):
-    """Right-hand side sum_t u_t H_t w_t^T of the B-step, as vec(B)."""
-    return ((H.T * u) @ W.T).ravel(order="F")
-
-
 def _solve_pos(A, b):
     """Solve A x = b for symmetric positive definite A by Cholesky
     (dpotrf/dpotrs), reading the upper triangle of A's F-ordered view A.T:
@@ -182,7 +178,7 @@ def _orthonormalize(A):
     return np.ascontiguousarray(_orgqr(qr, tau, overwrite_a=1)[0])
 
 
-def _b_step_dense(u, H, G, W):
+def _b_step(u, H, G, W):
     T, d = H.shape
     k = W.shape[0]
     # sum_t u_t kron(w_t w_t^T, G_t): entry [a, b, i, j] of the (k^2, d^2)
@@ -190,33 +186,14 @@ def _b_step_dense(u, H, G, W):
     P = (W.T * u[:, None])[:, :, None] * W.T[:, None, :]
     M = (P.reshape(T, k * k).T @ G.reshape(T, d * d)).reshape(
         k, k, d, d).transpose(0, 2, 1, 3).reshape(d * k, d * k)
-    rhs = _b_rhs(u, H, W)
+    # sum_t u_t H_t w_t^T, as vec(B)
+    rhs = ((H.T * u) @ W.T).ravel(order="F")
     try:
         sol = _solve_pos(M, rhs)
     except np.linalg.LinAlgError:
         # singular normal equations (fewer spanning heads than k, or
         # n_t < d): the minimum-norm solution
         sol = np.linalg.lstsq(M, rhs, rcond=None)[0]
-    return sol.reshape(d, k, order="F")
-
-
-def _b_step_cg(u, H, G, W, B):
-    d, k = B.shape
-    Wu = W * u
-
-    def apply(v):
-        V = v.reshape(d, k, order="F")
-        # sum_t u_t G_t V w_t w_t^T
-        return (np.einsum("tij,jt->it", G, V @ Wu) @ W.T).ravel(order="F")
-
-    op = scipy.sparse.linalg.LinearOperator((d * k, d * k), matvec=apply)
-    sol, info = scipy.sparse.linalg.cg(op, _b_rhs(u, H, W),
-                                       x0=B.ravel(order="F"), rtol=1e-12,
-                                       atol=0.0)
-    if info != 0:
-        warnings.warn(f"conjugate gradients in the B-step returned info "
-                      f"{info}; the step may be inexact", RuntimeWarning,
-                      stacklevel=3)
     return sol.reshape(d, k, order="F")
 
 
@@ -262,6 +239,9 @@ def fit_source(datasets, k, options=None, init_B=None):
         raise ValueError("datasets disagree on input dimension")
     if not (1 <= k <= d):
         raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
+    if d * k > _MAX_VECB:
+        raise ValueError(f"d*k = {d * k} exceeds {_MAX_VECB}, the largest "
+                         "the dense B-step solves")
 
     counts, u, G, H, yty = _stack_stats(datasets)
 
@@ -287,10 +267,8 @@ def fit_source(datasets, k, options=None, init_B=None):
 
     W = heads_and_loss(B)
     converged = False
-    dense = d * k <= DENSE_VECB_LIMIT
     for _ in range(options.max_iters):
-        B_raw = _b_step_dense(u, H, G, W) if dense else _b_step_cg(u, H, G, W, B)
-        B = _orthonormalize(B_raw)
+        B = _orthonormalize(_b_step(u, H, G, W))
         W = heads_and_loss(B)
         prev, cur = history[-2], history[-1]
         if prev - cur <= options.tol * max(abs(prev), 1e-300):

@@ -3,7 +3,10 @@ outside the package (perfbench/tracing.py). These checks keep a refactor of
 the pipeline from silently detaching it: every hook must still exist, and a
 traced run must still record the layers the per-layer split reads."""
 
+import os
 import pathlib
+import subprocess
+import sys
 import types
 
 import pytest
@@ -13,7 +16,8 @@ import amtrl.harness
 import amtrl.simplex
 from amtrl import make_almost_sparse_instance
 
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _tracing():
@@ -60,3 +64,15 @@ def test_traced_run_records_every_layer(runner, params, extra):
     # uninstall restored the library's own functions
     assert amtrl.pipeline.fit_source is amtrl.trainer.fit_source
     assert amtrl.pipeline.lpnq_allocation is amtrl.allocation.lpnq_allocation
+
+
+def test_import_loads_no_sparse_or_optimize():
+    # the benchmark's setup_s times `import amtrl`; scipy.optimize alone
+    # takes about half of it to import, scipy.sparse a few percent
+    probe = ("import sys, amtrl; print('\\n'.join(m for m in sys.modules if "
+             "m.startswith(('scipy.sparse', 'scipy.optimize'))))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == []

@@ -58,6 +58,11 @@ def test_sweep_config_validation():
         SweepConfig(**{**good, "budgets": (100, 100)})
     with pytest.raises(ConfigError):
         SweepConfig(**{**good, "seeds": 0})
+    for key, value in (("seeds", 2.5), ("seeds", True), ("N_floor", 1.5),
+                       ("N_floor", "20"), ("n_target", 100.0),
+                       ("n_target", 0)):
+        with pytest.raises(ConfigError, match=key):
+            SweepConfig(**{**good, key: value})
     with pytest.raises(ConfigError):
         SweepConfig(**{**good, "lambda_policy": "explicit"})
     with pytest.raises(ConfigError):

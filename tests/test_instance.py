@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from amtrl import instance
@@ -138,7 +138,9 @@ def test_aligned_worstcase_geometry():
 
 
 def test_save_load_round_trip(tmp_path):
-    gt = make_random_instance(6, 2, 5, sigma_z=0.25, sigma_min_floor=0.4, seed=8)
+    # a numpy-integer seed is stored in meta as a plain int
+    gt = make_random_instance(6, 2, 5, sigma_z=0.25, sigma_min_floor=0.4,
+                              seed=np.int64(8))
     path = tmp_path / "inst.json"
     save_instance(gt, path)
     back = load_instance(path)
@@ -147,10 +149,44 @@ def test_save_load_round_trip(tmp_path):
     np.testing.assert_array_equal(back.w_target_star, gt.w_target_star)
     assert back.sigma_z == gt.sigma_z
     assert back.meta["kind"] == "random"
+    assert back.meta["seed"] == 8 and type(back.meta["seed"]) is int
     # same stream: reloaded instances reproduce the original samples
     a = sample_task(gt, 0, 10, seed=2)
     b = sample_task(back, 0, 10, seed=2)
     np.testing.assert_array_equal(a.Y, b.Y)
+
+
+_FINITE = (st.floats(allow_nan=False, allow_infinity=False)
+           | st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                              np.finfo(float).max, -np.finfo(float).max]))
+_B_FIXED = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 2)))[0]
+
+
+def _instance_with_w_star(entries):
+    return GroundTruth(d=4, k=2, T=3, B_star=_B_FIXED,
+                       W_star=np.reshape(entries, (2, 3)),
+                       w_target_star=np.ones(2), sigma_z=0.5)
+
+
+# the file is rewritten on every example, so one tmp_path serves them all
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(_FINITE, min_size=6, max_size=6))
+def test_save_load_round_trips_w_star_bit_for_bit(tmp_path, entries):
+    gt = _instance_with_w_star(entries)
+    path = tmp_path / "inst.json"
+    save_instance(gt, path)
+    back = load_instance(path)
+    assert back.W_star.tobytes() == gt.W_star.tobytes()
+    assert back.B_star.tobytes() == gt.B_star.tobytes()
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(_FINITE, min_size=6, max_size=6), st.integers(0, 5),
+       st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_save_rejects_non_finite_entries(tmp_path, entries, at, bad):
+    entries[at] = bad
+    with pytest.raises(ValueError):
+        save_instance(_instance_with_w_star(entries), tmp_path / "inst.json")
 
 
 def test_load_rejects_malformed_file(tmp_path):

@@ -80,6 +80,9 @@ def test_total_samples_match_oracle_draws():
         res = runner(oracle, gt.d, gt.k, gt.T, params=params)
         assert res.total_samples == oracle.total_drawn
         assert res.total_samples == res.N_tot + res.target_samples
+        # the target head leaves B_hat as the last stage fitted it
+        assert res.subspace_distance == \
+            res.stage_summaries[-1]["subspace_distance"]
 
 
 def test_l1_two_phase_is_two_stage_multistage():
