@@ -66,7 +66,8 @@ class SweepConfig:
             raise ConfigError("budgets must be strictly increasing")
         for name in ("seeds", "N_floor", "n_target"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if (isinstance(value, bool)
+                    or not isinstance(value, (int, np.integer))):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.seeds < 1:
             raise ConfigError("seeds must be >= 1")

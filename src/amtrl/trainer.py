@@ -229,6 +229,10 @@ def fit_source(datasets, k, options=None, init_B=None):
 
     Returns:
         FittedModel with a non-increasing train_loss_history.
+
+    Raises:
+        ValueError: on malformed input, or when d*k exceeds 20000, the
+            largest B-step system the fit forms.
     """
     if options is None:
         options = FitOptions()
