@@ -36,6 +36,16 @@ class ConfigError(ValueError):
     """Raised for malformed configs; maps to exit code 2."""
 
 
+def _budget(value):
+    """A sweep budget as an int. Integral floats are taken, since JSON
+    writes 1e4 as the float 10000.0; any other non-integer raises."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ConfigError(f"budgets must be integers, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Declarative description of a sweep: instance, strategies, grid."""
@@ -53,7 +63,8 @@ class SweepConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "strategies", tuple(self.strategies))
-        object.__setattr__(self, "budgets", tuple(int(b) for b in self.budgets))
+        object.__setattr__(self, "budgets",
+                           tuple(_budget(b) for b in self.budgets))
         if not self.strategies:
             raise ConfigError("strategies must be non-empty")
         for s in self.strategies:

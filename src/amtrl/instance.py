@@ -15,6 +15,11 @@ words come from _seed_words, a vectorized replica of SeedSequence's
 hashing that derives the words of many spawn keys in one numpy pass, so
 sample_task derives those of all T + 1 tasks of a draw at once, on the
 draw's first sample, instead of paying a SeedSequence per task.
+
+A drawn task is kept as the statistics the fit reads (TaskDataset: n, d,
+X^T X, X^T Y, Y^T Y), formed once from the rows, which are then dropped:
+a stage's increment joins a task's data by adding statistics, and the rare
+reader of rows gets them drawn again from the stream, bit for bit.
 """
 
 import dataclasses
@@ -265,65 +270,96 @@ class GroundTruth:
         raise IndexError(f"task_index {task_index} outside 0..{self.T}")
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, init=False, eq=False)
 class TaskDataset:
-    """One task's sampled data: X is n x d, Y is length n, both read-only
-    copies of the arrays passed in."""
+    """One task's data, held as the statistics the fit reads: n samples of
+    dimension d, G = X^T X (d x d), H = X^T Y (d,) and yty = Y^T Y, formed
+    once, the arrays read-only.
+
+    A dataset built from a caller's X (n x d) and Y (length n) keeps
+    read-only copies of them. One that sample_task drew keeps no rows: it
+    records the (draw, n) parts it was drawn in, and rows(), X and Y draw
+    them again, bit for bit, on every call. merge() appends another draw of
+    the same task by adding statistics.
+    """
 
     task_index: int
-    X: np.ndarray
-    Y: np.ndarray
     n: int
+    d: int
     seed: int
-    draw: int = 0
+    draw: int
+    G: np.ndarray = dataclasses.field(repr=False)
+    H: np.ndarray = dataclasses.field(repr=False)
+    yty: float = dataclasses.field(repr=False)
+    _gt: GroundTruth | None = dataclasses.field(repr=False)
+    _parts: tuple | None = dataclasses.field(repr=False)
+    _rows: tuple | None = dataclasses.field(repr=False)
 
-    def __post_init__(self):
-        self._set_arrays(_readonly(self.X), _readonly(self.Y))
-
-    def _set_arrays(self, X, Y):
+    def __init__(self, task_index, X, Y, n, seed, draw=0):
+        X, Y = _readonly(X), _readonly(Y)
         if X.ndim != 2 or Y.ndim != 1 or X.shape[0] != Y.shape[0]:
             raise ValueError(f"inconsistent shapes X{X.shape}, Y{Y.shape}")
-        if self.n != X.shape[0]:
-            raise ValueError(f"n={self.n} but X has {X.shape[0]} rows")
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "Y", Y)
+        if n != X.shape[0]:
+            raise ValueError(f"n={n} but X has {X.shape[0]} rows")
+        self._fill(task_index=task_index, n=n, d=X.shape[1], seed=seed,
+                   draw=draw, G=X.T @ X, H=X.T @ Y, yty=float(Y @ Y),
+                   _gt=None, _parts=None, _rows=(X, Y))
 
-    def gram(self):
-        """The Gram statistics (X^T X, X^T Y), read-only, formed on the first
-        call and cached: every fit and head solve on this dataset reads the
-        same arrays."""
-        stats = self.__dict__.get("_gram")
-        if stats is None:
-            stats = (self.X.T @ self.X, self.X.T @ self.Y)
-            for a in stats:
-                a.setflags(write=False)
-            object.__setattr__(self, "_gram", stats)
-        return stats
+    def _fill(self, **fields):
+        fields["G"].setflags(write=False)
+        fields["H"].setflags(write=False)
+        self.__dict__.update(fields)  # frozen: __setattr__ raises
+
+    @classmethod
+    def _drawn(cls, gt, task_index, seed, parts, G, H, yty):
+        """The dataset of one task's draws parts, ((draw, n), ...), held as
+        their statistics."""
+        ds = object.__new__(cls)
+        ds._fill(task_index=task_index, n=sum(n for _, n in parts), d=gt.d,
+                 seed=seed, draw=parts[-1][0], G=G, H=H, yty=float(yty),
+                 _gt=gt, _parts=parts, _rows=None)
+        return ds
+
+    def rows(self):
+        """The rows (X, Y), read-only. A drawn dataset draws them again from
+        its parts, in the order they were merged, on every call; a caller
+        who reads both should take them from one call."""
+        if self._gt is None:
+            return self._rows
+        draws = [_draw_rows(self._gt, self.task_index, n, self.seed, draw)
+                 for draw, n in self._parts]
+        X = np.vstack([X for X, _ in draws])
+        Y = np.concatenate([Y for _, Y in draws])
+        X.setflags(write=False)
+        Y.setflags(write=False)
+        return X, Y
+
+    @property
+    def X(self):
+        return self.rows()[0]
+
+    @property
+    def Y(self):
+        return self.rows()[1]
+
+    def merge(self, other):
+        """This drawn dataset followed by other, a later draw of the same
+        task at the same seed: n and the statistics add, and other's rows
+        follow this one's in X and Y."""
+        if (self._gt is None or other._gt is not self._gt
+                or (other.task_index, other.seed)
+                != (self.task_index, self.seed)):
+            raise ValueError("merge takes draws of one task of one instance "
+                             "at one seed")
+        return TaskDataset._drawn(self._gt, self.task_index, self.seed,
+                                  self._parts + other._parts,
+                                  self.G + other.G, self.H + other.H,
+                                  self.yty + other.yty)
 
 
-def _fresh_dataset(task_index, X, Y, seed, draw):
-    """A TaskDataset over float64 arrays X and Y that the package has just
-    made and holds no other reference to (sample_task, the pipeline's
-    merges). They are made read-only and kept without the copy the
-    constructor takes of a caller's arrays."""
-    ds = object.__new__(TaskDataset)
-    for name, value in (("task_index", task_index), ("n", X.shape[0]),
-                        ("seed", seed), ("draw", draw)):
-        object.__setattr__(ds, name, value)
-    X.setflags(write=False)
-    Y.setflags(write=False)
-    ds._set_arrays(X, Y)
-    return ds
-
-
-def sample_task(gt, task_index, n, seed, draw=0):
-    """Draw n i.i.d. samples for one task.
-
-    Deterministic in (seed, task_index, draw); distinct draw indices give
-    independent streams, so incremental sampling never replays data.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+def _draw_rows(gt, task_index, n, seed, draw):
+    """The rows (X, Y) of n samples of one task from its stream at (seed,
+    draw)."""
     theta = gt.regression_vector(task_index)  # validates task_index
     table = _sample_seed_table(int(seed), gt.T, int(draw))
     rng = _generator(table[task_index])
@@ -331,7 +367,20 @@ def sample_task(gt, task_index, n, seed, draw=0):
     if gt.covariance_kind == "diagonal-bounded":
         X = X * np.sqrt(gt.sigma_diag)
     Y = X @ theta + gt.sigma_z * rng.standard_normal(n)
-    return _fresh_dataset(task_index, X, Y, seed, draw)
+    return X, Y
+
+
+def sample_task(gt, task_index, n, seed, draw=0):
+    """Draw n i.i.d. samples for one task, kept as their statistics.
+
+    Deterministic in (seed, task_index, draw); distinct draw indices give
+    independent streams, so incremental sampling never replays data.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    X, Y = _draw_rows(gt, task_index, n, seed, draw)
+    return TaskDataset._drawn(gt, task_index, seed, ((draw, int(n)),),
+                              X.T @ X, X.T @ Y, Y @ Y)
 
 
 def _orthonormal_columns(rng, rows, cols):

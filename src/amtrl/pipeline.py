@@ -7,8 +7,9 @@ models per stage, the final excess risk, and sample accounting.
 Every strategy is one stage loop over a budget schedule. A stage
 water-fills its budget by the current relevance vector nu (raised to the
 power q), draws each task's increment over what it already holds at draw
-index = stage, appends it to that task's data, refits (warm from the
-previous B_hat) and may estimate nu again from the fitted heads. The
+index = stage, merges it into that task's dataset (TaskDataset.merge adds
+the statistics; no rows are kept), refits (warm from the previous B_hat)
+and may estimate nu again from the fitted heads. The
 strategies differ only in what they hand the loop:
 
 - passive: one stage of N_tot at nu = 1;
@@ -30,9 +31,9 @@ from .allocation import InfeasibleBudgetError, lpnq_allocation
 # not called here, but the benchmark's tracer wraps pipeline.allocate_fixed_nu
 # as well as pipeline.lpnq_allocation, through which the loop allocates
 from .allocation import allocate_fixed_nu  # noqa: F401
-from .instance import _fresh_dataset, sample_task
-from .relevance import (LAZY_LAMBDA, kkt_residual, lambda_rule, lasso,
-                        min_l2_solution, support_size)
+from .instance import sample_task
+from .relevance import (LAZY_LAMBDA, lambda_rule, lasso, min_l2_solution,
+                        support_size)
 from .trainer import (excess_risk, fit_source, fit_target_head, head_for,
                       subspace_distance)
 
@@ -172,7 +173,7 @@ def _estimate_nu(model, target_ds, p, estimator):
     lam = lambda_for(p, W_hat, w_hat)
     nu, info = lasso(W_hat, w_hat, lam)
     record = {"steps": int(info["sweeps"]),
-              "kkt_residual": kkt_residual(W_hat, w_hat, nu, lam),
+              "kkt_residual": info["kkt_residual"],
               "converged": bool(info["converged"])}
     if not record["converged"]:
         warnings.warn("the Lasso relevance estimate did not converge (KKT "
@@ -187,7 +188,7 @@ def _run_stages(strategy, oracle, k, p, budgets, q=1, nu=None,
 
     Stage i water-fills budgets[i] on |nu|^q, draws each task's increment
     at draw index i (every task at stage 0, even at n = 0, so fit_source
-    carries zero-sample tasks), appends it, refits warm and, for the first
+    carries zero-sample tasks), merges it, refits warm and, for the first
     `estimates` stages, estimates nu by `estimator` ("lasso" or "min_l2")
     from the target data. nu None starts from all ones, outside the
     record; a given nu is the run's reference and heads nu_history. The
@@ -212,10 +213,8 @@ def _run_stages(strategy, oracle, k, p, budgets, q=1, nu=None,
             if datasets[t] is None:
                 datasets[t] = oracle.sample(t, inc, draw=stage)
             elif inc > 0:
-                old, new = datasets[t], oracle.sample(t, inc, draw=stage)
-                datasets[t] = _fresh_dataset(t, np.vstack([old.X, new.X]),
-                                             np.concatenate([old.Y, new.Y]),
-                                             oracle.seed, stage)
+                datasets[t] = datasets[t].merge(
+                    oracle.sample(t, inc, draw=stage))
         counts = np.maximum(counts, alloc.n)
         model = fit_source(datasets, k,
                            init_B=None if model is None else model.B_hat)

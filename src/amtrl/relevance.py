@@ -90,8 +90,9 @@ def lasso(W, w, lam):
     that just entered or left is not re-processed at the same kink, and
     kinks within round-off of lam = 0 are ignored.
 
-    Returns (nu, info): info["sweeps"] counts path steps, "converged" is
-    whether the KKT residual is at most 1e-11 * (1 + lam_max) plus the
+    Returns (nu, info): info["sweeps"] counts path steps,
+    "kkt_residual" is kkt_residual(W, w, nu, lam), "converged" is whether
+    that residual is at most 1e-11 * (1 + lam_max) plus the
     round-off bound 8 eps ||W||_2 (||W||_2 ||nu||_1 + ||w||_2) of computing
     it (False also when the path runs out of steps), and "degenerate" flags
     lam = 0 on a wide system, where the minimizer need not be unique.
@@ -174,10 +175,11 @@ def lasso(W, w, lam):
     W_norm = np.linalg.norm(W, 2)
     round_off = 8.0 * np.finfo(float).eps * W_norm * (
         W_norm * np.abs(nu).sum() + np.linalg.norm(w))
-    converged = (kkt_residual(W, w, nu, lam)
-                 <= 1e-11 * (1.0 + lam_max) + round_off)
+    residual = kkt_residual(W, w, nu, lam)
+    converged = residual <= 1e-11 * (1.0 + lam_max) + round_off
     info = {
         "sweeps": steps,
+        "kkt_residual": residual,
         "converged": bool(converged and not exhausted),
         "degenerate": bool(lam == 0.0 and min(k, T) < T),
     }
@@ -195,13 +197,9 @@ def kkt_residual(W, w, nu, lam):
     w = np.asarray(w, dtype=float)
     nu = np.asarray(nu, dtype=float)
     g = W.T @ (w - W @ nu)
-    res = 0.0
-    for j in range(nu.size):
-        if nu[j] != 0.0:
-            res = max(res, abs(g[j] - lam * math.copysign(1.0, nu[j])))
-        else:
-            res = max(res, max(0.0, abs(g[j]) - lam))
-    return float(res)
+    violation = np.where(nu != 0.0, np.abs(g - lam * np.copysign(1.0, nu)),
+                         np.maximum(np.abs(g) - lam, 0.0))
+    return float(np.max(violation, initial=0.0))
 
 
 def lambda_rule(k, R, C_W, sigma_min):

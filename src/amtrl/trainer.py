@@ -12,18 +12,19 @@ re-orthonormalized by QR after every update; absorbing the R factor into W
 would leave the objective unchanged, and the next W-step can only lower it,
 so the recorded loss history is non-increasing.
 
-The data enter only through per-task sufficient statistics stacked over the
+The data enter through per-task sufficient statistics stacked over the
 tasks once per fit: G (T, d, d) with G_t = X_t^T X_t, H (T, d) with
-H_t = X_t^T Y_t and yty (T,) with yty_t = Y_t^T Y_t. G_t and H_t come from
-each dataset's cached Gram statistics (TaskDataset.gram), so a dataset that
-is fitted or given a head several times forms them once. Each half-step and
+H_t = X_t^T Y_t and yty (T,) with yty_t = Y_t^T Y_t, each dataset's own
+statistics, formed once when it was drawn (TaskDataset). Each half-step and
 the loss are then a few array contractions over that stack: the B-step's
 normal matrix is one matmul of the (T, k^2) weights u_t w_t w_t^T with the
 (T, d^2) Gram stack, and the W-step is one batched solve of the k x k
 systems B^T G_t B w_t = B^T H_t. Heads of tasks with 0 < n_t < k, where that
 system is singular, are minimum-norm least-squares solutions against X_t B.
 Since every head solves its system, the loss at the W-step's heads is
-sum_t u_t (yty_t - w_t . B^T H_t).
+sum_t u_t (yty_t - w_t . B^T H_t). Only those heads and the residual form of
+the loss near the noiseless floor read rows, and a fit fetches each task's
+rows (TaskDataset.rows) at most once.
 
 The loop's linear algebra calls LAPACK directly through handles fetched once
 (scipy.linalg.get_lapack_funcs): the B-step is a Cholesky solve
@@ -41,6 +42,7 @@ W_hat instead of solving them again.
 """
 
 import dataclasses
+import functools
 import warnings
 
 import numpy as np
@@ -88,14 +90,13 @@ def _stack_stats(datasets):
     counts = np.array([ds.n for ds in datasets])
     u = np.zeros(counts.size)
     u[counts > 0] = 1.0 / (counts.size * counts[counts > 0])
-    grams = [ds.gram() for ds in datasets]
-    G = np.stack([XtX for XtX, _ in grams])
-    H = np.stack([XtY for _, XtY in grams])
-    yty = np.array([ds.Y @ ds.Y for ds in datasets], dtype=float)
+    G = np.stack([ds.G for ds in datasets])
+    H = np.stack([ds.H for ds in datasets])
+    yty = np.array([ds.yty for ds in datasets])
     return counts, u, G, H, yty
 
 
-def _w_step(counts, H, G, B, datasets):
+def _w_step(counts, H, G, B, rows):
     """Exact heads for a fixed B. Returns W (k x T) and the projected
     right-hand sides m_t = B^T H_t (T, k) of the systems M_t w_t = m_t,
     M_t = B^T G_t B, that every head solves.
@@ -104,8 +105,9 @@ def _w_step(counts, H, G, B, datasets):
     n_t = 0 keeps a zero head. For 0 < n_t < k, M_t is singular and squaring
     X_t B blurs its rank, so those heads are the minimum-norm least-squares
     solutions against X_t B itself, and so is the head of any task whose
-    M_t LU finds exactly singular. The rule is applied task by task, so
-    each head equals what head_for gives on that task alone."""
+    M_t LU finds exactly singular; rows(t) gives those tasks' (X_t, Y_t).
+    The rule is applied task by task, so each head equals what head_for
+    gives on that task alone."""
     k = B.shape[1]
     M = B.T @ (G @ B)
     m = (B.T @ H[..., None])[..., 0]
@@ -128,8 +130,8 @@ def _w_step(counts, H, G, B, datasets):
             except np.linalg.LinAlgError:
                 full[t] = False
     for t in np.flatnonzero((counts > 0) & ~full):
-        ds = datasets[t]
-        W[:, t] = np.linalg.lstsq(ds.X @ B, ds.Y, rcond=None)[0]
+        X, Y = rows(t)
+        W[:, t] = np.linalg.lstsq(X @ B, Y, rcond=None)[0]
     return W, m
 
 
@@ -142,12 +144,11 @@ def _loss_gram(u, yty, m, W):
     return max(float(u @ per_task), 0.0)
 
 
-def _loss_residual(u, datasets, B, W):
+def _loss_residual(u, rows, B, W):
     total = 0.0
-    for t, ds in enumerate(datasets):
-        if u[t] == 0.0:
-            continue
-        r = ds.Y - ds.X @ (B @ W[:, t])
+    for t in np.flatnonzero(u):
+        X, Y = rows(t)
+        r = Y - X @ (B @ W[:, t])
         total += u[t] * (r @ r)
     return total
 
@@ -238,8 +239,8 @@ def fit_source(datasets, k, options=None, init_B=None):
         options = FitOptions()
     if not datasets:
         raise ValueError("need at least one dataset")
-    d = datasets[0].X.shape[1]
-    if any(ds.X.shape[1] != d for ds in datasets):
+    d = datasets[0].d
+    if any(ds.d != d for ds in datasets):
         raise ValueError("datasets disagree on input dimension")
     if not (1 <= k <= d):
         raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
@@ -248,6 +249,7 @@ def fit_source(datasets, k, options=None, init_B=None):
                          "the dense B-step solves")
 
     counts, u, G, H, yty = _stack_stats(datasets)
+    rows = functools.cache(lambda t: datasets[t].rows())
 
     if init_B is not None:
         init_B = np.asarray(init_B, dtype=float)
@@ -260,12 +262,12 @@ def fit_source(datasets, k, options=None, init_B=None):
     history = []
 
     def heads_and_loss(B):
-        W, m = _w_step(counts, H, G, B, datasets)
+        W, m = _w_step(counts, H, G, B, rows)
         val = _loss_gram(u, yty, m, W)
         # near the noiseless floor the Gram form loses digits to cancellation;
         # recompute from residuals where it matters
         if val <= 1e-8 * (1.0 + history[0] if history else 1.0):
-            val = _loss_residual(u, datasets, B, W)
+            val = _loss_residual(u, rows, B, W)
         history.append(val)
         return W
 
@@ -291,16 +293,15 @@ def head_for(B_hat, dataset):
     """Least-squares head for one task against a fixed B_hat: the fit's
     W-step on this task alone. For n < k it is the minimum-norm
     lstsq(X B_hat, Y). For n >= k it solves the k x k normal equations
-    (X B_hat)^T X B_hat w = (X B_hat)^T Y from the dataset's cached Gram
-    statistics by LU, so its error grows with cond(X B_hat)^2, and when
+    (X B_hat)^T X B_hat w = (X B_hat)^T Y from the dataset's statistics
+    by LU, so its error grows with cond(X B_hat)^2, and when
     X B_hat is rank-deficient it is a least-squares solution but in general
     not the minimum-norm one; only a system LU finds exactly singular takes
     lstsq(X B_hat, Y)."""
     if dataset.n == 0:
         raise ValueError("cannot fit a head on zero samples")
-    XtX, XtY = dataset.gram()
-    W, _ = _w_step(np.array([dataset.n]), XtY[None], XtX[None], B_hat,
-                   [dataset])
+    W, _ = _w_step(np.array([dataset.n]), dataset.H[None], dataset.G[None],
+                   B_hat, lambda t: dataset.rows())
     return W[:, 0]
 
 

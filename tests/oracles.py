@@ -332,6 +332,20 @@ def loss_gram_oracle(u, yty, H, G, B, W):
     return max(total, 0.0)
 
 
+def kkt_residual_oracle(W, w, nu, lam):
+    """Max violation of the Lasso stationarity conditions at nu, entry by
+    entry: |g_j - lam sign(nu_j)| where nu_j != 0, max(|g_j| - lam, 0)
+    elsewhere, g = W^T (w - W nu)."""
+    g = W.T @ (w - W @ nu)
+    res = 0.0
+    for j in range(nu.size):
+        if nu[j] != 0.0:
+            res = max(res, abs(g[j] - lam * math.copysign(1.0, nu[j])))
+        else:
+            res = max(res, max(0.0, abs(g[j]) - lam))
+    return float(res)
+
+
 def w_step_oracle(datasets, B):
     """Minimum-norm least-squares head lstsq(X_t B, Y_t) of every task with
     samples, one per task; zero heads elsewhere."""

@@ -51,16 +51,20 @@ TRACED_RUNS = [
                          ids=[r[0] for r in TRACED_RUNS])
 def test_traced_run_records_every_layer(runner, params, extra):
     gt, _ = make_almost_sparse_instance(6, 2, 8, sigma_z=0.1, seed=0)
+    oracle = amtrl.pipeline.TaskOracle(gt, seed=0)
     tracer = _tracing().Tracer()
     tracer.install(amtrl)
     try:
-        getattr(amtrl.pipeline, runner)(
-            amtrl.pipeline.TaskOracle(gt, seed=0), gt.d, gt.k, gt.T, params)
+        getattr(amtrl.pipeline, runner)(oracle, gt.d, gt.k, gt.T, params)
     finally:
         tracer.uninstall()
     names = {span["name"] for span in tracer.spans}
     assert {runner, "sample_task", "allocate", "fit_source", "head",
             "risk"} | extra <= names
+    # every draw goes through the wrapped sample_task, so the benchmark's
+    # instance.samples_drawn counts what the oracle handed out
+    assert sum(span["n"] for span in tracer.spans
+               if span["name"] == "sample_task") == oracle.total_drawn
     # uninstall restored the library's own functions
     assert amtrl.pipeline.fit_source is amtrl.trainer.fit_source
     assert amtrl.pipeline.lpnq_allocation is amtrl.allocation.lpnq_allocation

@@ -71,6 +71,21 @@ def test_sweep_config_validation():
         SweepConfig(**{**good, "multistage": {"stages": 5, "growth": 3.0}})
 
 
+def test_sweep_budgets_must_be_integers():
+    raw = {"instance": {"kind": "random", "d": 4, "k": 2, "T": 3,
+                        "sigma_z": 0.1},
+           "strategies": ["passive"]}
+    # JSON writes 1e4 as the float 10000.0: integral floats are taken
+    cfg = config_from_dict(json.loads(
+        json.dumps({**raw, "budgets": [100, 1e4]})))
+    assert cfg.budgets == (100, 10000)
+    assert all(type(b) is int for b in cfg.budgets)
+    for bad in ((100.7, 200.2), (100, 200.5), (True, 200), ("100",),
+                (100, float("inf"))):
+        with pytest.raises(ConfigError, match="budgets must be integers"):
+            config_from_dict({**raw, "budgets": list(bad)})
+
+
 def test_config_from_dict():
     raw = {"instance": {"kind": "random", "d": 4, "k": 2, "T": 3,
                         "sigma_z": 0.1},

@@ -243,26 +243,55 @@ def test_dataset_copies_caller_arrays():
     assert frozen.X[1, 1] == X0[1, 1] and frozen.Y[1] == Y0[1]
 
 
-def test_fresh_dataset_takes_its_arrays_over():
-    rng = np.random.default_rng(0)
-    X, Y = rng.standard_normal((4, 3)), rng.standard_normal(4)
-    ds = instance._fresh_dataset(2, X, Y, seed=5, draw=1)
-    assert ds.X is X and ds.Y is Y
-    assert not X.flags.writeable and not Y.flags.writeable
-    assert (ds.task_index, ds.n, ds.seed, ds.draw) == (2, 4, 5, 1)
-    with pytest.raises(ValueError):
-        instance._fresh_dataset(0, X, Y[:3], seed=0, draw=0)
-
-
-def test_dataset_gram_is_cached_and_read_only():
+def test_dataset_statistics_are_exact_and_read_only():
     gt = make_random_instance(5, 2, 4, sigma_z=0.1, seed=0)
     ds = sample_task(gt, 1, 30, seed=2)
-    XtX, XtY = ds.gram()
-    np.testing.assert_array_equal(XtX, ds.X.T @ ds.X)
-    np.testing.assert_array_equal(XtY, ds.X.T @ ds.Y)
-    assert ds.gram()[0] is XtX and ds.gram()[1] is XtY
-    with pytest.raises(ValueError):
-        XtX[0, 0] = 0.0
+    X, Y = ds.rows()
+    assert (ds.n, ds.d) == (30, 5)
+    np.testing.assert_array_equal(ds.G, X.T @ X)
+    np.testing.assert_array_equal(ds.H, X.T @ Y)
+    assert ds.yty == Y @ Y
+    own = TaskDataset(task_index=1, X=X, Y=Y, n=30, seed=2)
+    for got in (ds, own):
+        for a in (got.G, got.H):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+    np.testing.assert_array_equal(own.G, ds.G)
+    np.testing.assert_array_equal(own.H, ds.H)
+    assert own.yty == ds.yty
+    # compared and hashed by identity: equal statistics are not equal data
+    assert own != ds and len({own, ds, ds}) == 2
+
+
+def test_merged_dataset_redraws_its_stacked_draws():
+    gt = make_random_instance(6, 2, 4, sigma_z=0.3, seed=1)
+    draws = [sample_task(gt, 2, n, seed=9, draw=i)
+             for i, n in enumerate((40, 0, 25, 7))]
+    ds = draws[0]
+    for more in draws[1:]:
+        ds = ds.merge(more)
+    assert (ds.task_index, ds.n, ds.d, ds.seed, ds.draw) == (2, 72, 6, 9, 3)
+    X = np.vstack([part.X for part in draws])
+    Y = np.concatenate([part.Y for part in draws])
+    got_X, got_Y = ds.rows()
+    np.testing.assert_array_equal(got_X, X)
+    np.testing.assert_array_equal(got_Y, Y)
+    np.testing.assert_array_equal(ds.X, X)
+    np.testing.assert_array_equal(ds.Y, Y)
+    assert not got_X.flags.writeable and not got_Y.flags.writeable
+    # the statistics add, so they match the rows' Gram up to rounding
+    for got, want in ((ds.G, X.T @ X), (ds.H, X.T @ Y), (ds.yty, Y @ Y)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # only later draws of the same task, instance and seed merge
+    same_spec = make_random_instance(6, 2, 4, sigma_z=0.3, seed=1)
+    rows = TaskDataset(task_index=2, X=X, Y=Y, n=72, seed=9)
+    for other in (sample_task(gt, 1, 5, seed=9, draw=4),
+                  sample_task(gt, 2, 5, seed=8, draw=4),
+                  sample_task(same_spec, 2, 5, seed=9, draw=4), rows):
+        with pytest.raises(ValueError, match="merge"):
+            ds.merge(other)
+    with pytest.raises(ValueError, match="merge"):
+        rows.merge(draws[0])
 
 
 def test_diagonal_covariance_sampling():

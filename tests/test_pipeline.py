@@ -1,6 +1,7 @@
 """End-to-end strategy runners."""
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,21 @@ from amtrl import instance, pipeline
 
 def _oracle(gt, seed=0):
     return TaskOracle(gt, seed=seed)
+
+
+def test_drawn_datasets_hold_no_rows():
+    # the benchmark's fit_heavy passive run: 20000 source and 5000 target
+    # samples at d = 30 are 6 MB of rows, which no dataset keeps
+    gt = make_random_instance(30, 5, 40, sigma_z=0.5, sigma_min_floor=0.5,
+                              seed=770000)
+    params = {"N_tot": 20000, "N_floor": 20, "n_target": 5000}
+    tracemalloc.start()
+    try:
+        run_passive(_oracle(gt), gt.d, gt.k, gt.T, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
 
 
 def test_noiseless_run_reaches_floor():
@@ -296,7 +312,9 @@ def test_oracle_samples_equal_sample_task_in_any_order(seed, data):
     # sample_task seeds every task of a draw from one table of seed words,
     # derived on the draw's first sample and cached by (seed, T, draw); no
     # sample may depend on which task, draw or instance was sampled first.
-    # The reference derives a fresh table for each sample
+    # The reference derives a fresh table for each sample. Drawn datasets
+    # draw their rows again on each call, so the rows are read right after
+    # each sample, under the seed-table cache of that moment
     gts = [make_random_instance(5, 2, 6, sigma_z=0.3, seed=4),
            make_random_instance(5, 2, 3, sigma_z=0.3, seed=5)]
     keys = [(i, t, draw) for i, gt in enumerate(gts)
@@ -307,10 +325,13 @@ def test_oracle_samples_equal_sample_task_in_any_order(seed, data):
     want = {}
     for (i, t, draw), n in zip(order, sizes):
         instance._sample_seed_table.cache_clear()
-        want[i, t, draw] = sample_task(gts[i], t, n, seed, draw=draw)
+        ds = sample_task(gts[i], t, n, seed, draw=draw)
+        want[i, t, draw] = ds.rows(), ds.G
     instance._sample_seed_table.cache_clear()
     oracles = [TaskOracle(gt, seed=seed) for gt in gts]
     for (i, t, draw), n in zip(order, sizes):
         got = oracles[i].sample(t, n, draw=draw)
-        np.testing.assert_array_equal(got.X, want[i, t, draw].X)
-        np.testing.assert_array_equal(got.Y, want[i, t, draw].Y)
+        (X, Y), G = want[i, t, draw]
+        np.testing.assert_array_equal(got.rows()[0], X)
+        np.testing.assert_array_equal(got.rows()[1], Y)
+        np.testing.assert_array_equal(got.G, G)

@@ -17,7 +17,7 @@ from amtrl import (
     support_size,
 )
 from amtrl import relevance
-from oracles import lasso_oracle
+from oracles import kkt_residual_oracle, lasso_oracle
 
 
 def _rand_system(seed, k=4, T=10):
@@ -249,6 +249,21 @@ def test_lasso_kkt_and_support_properties(system, frac):
     assert info["converged"]
     assert kkt_residual(W, w, nu, lam) <= 1e-10 * (1.0 + lam_max)
     assert np.count_nonzero(nu) <= np.linalg.matrix_rank(W)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_systems(), _lam_fractions, st.integers(0, 2 ** 32 - 1))
+def test_kkt_residual_matches_per_entry_loop(system, frac, seed):
+    # a max over the same per-entry values is exact, so the two agree bit
+    # for bit, at the Lasso's solution and off it
+    W, w = system
+    lam = frac * _lam_max(W, w)
+    nu, info = lasso(W, w, lam)
+    assert info["kkt_residual"] == kkt_residual(W, w, nu, lam)
+    rng = np.random.default_rng(seed)
+    bumped = nu + rng.standard_normal(nu.size) * (rng.random(nu.size) < 0.5)
+    for v in (nu, bumped, np.zeros_like(nu)):
+        assert kkt_residual(W, w, v, lam) == kkt_residual_oracle(W, w, v, lam)
 
 
 @settings(max_examples=100, deadline=None)

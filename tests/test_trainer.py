@@ -134,17 +134,21 @@ def test_fit_source_input_validation():
         fit_source(data + [other], gt.k)
 
 
-def test_fit_source_rejects_oversized_b_step(monkeypatch):
-    # d*k = 20100 is past the dense B-step's limit; the check runs before
-    # the Gram statistics are stacked
-    def no_stats(self):
-        raise AssertionError("gram() called on an oversized fit")
+class _DimensionOnly:
+    """A dataset of which the fit may read only n and d."""
 
-    monkeypatch.setattr(TaskDataset, "gram", no_stats)
-    data = [TaskDataset(task_index=t, X=np.zeros((0, 201)), Y=np.zeros(0),
-                        n=0, seed=0) for t in range(2)]
+    def __init__(self, d):
+        self.n, self.d = 0, d
+
+    def __getattr__(self, name):
+        raise AssertionError(f"{name} read on an oversized fit")
+
+
+def test_fit_source_rejects_oversized_b_step():
+    # d*k = 20100 is past the dense B-step's limit; the check runs before
+    # any statistics or rows are read
     with pytest.raises(ValueError, match="exceeds 20000"):
-        fit_source(data, 100)
+        fit_source([_DimensionOnly(201), _DimensionOnly(201)], 100)
 
 
 def test_head_for_recovers_true_head_noiseless():
@@ -206,7 +210,7 @@ def _assert_same_minimizer(M, rhs, x, x_ref):
 @given(_stacked_problems())
 def test_stacked_w_step_and_loss_match_per_task_reference(problem):
     data, counts, u, G, H, yty, B, _ = problem
-    W, m = trainer._w_step(counts, H, G, B, data)
+    W, m = trainer._w_step(counts, H, G, B, lambda t: data[t].rows())
     W_ref = w_step_oracle(data, B)
     k = B.shape[1]
     for t in range(counts.size):
