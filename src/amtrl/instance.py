@@ -279,8 +279,9 @@ class TaskDataset:
     A dataset built from a caller's X (n x d) and Y (length n) keeps
     read-only copies of them. One that sample_task drew keeps no rows: it
     records the (draw, n) parts it was drawn in, and rows(), X and Y draw
-    them again, bit for bit, on every call. merge() appends another draw of
-    the same task by adding statistics.
+    them again, bit for bit, on every call; its draw is that of its last
+    part. merge() appends another draw of the same task by adding
+    statistics.
     """
 
     task_index: int
