@@ -2,9 +2,11 @@
 
 Under a saltus cost (free up to a threshold, then a fixed charge plus a
 linear rate) the number of tasks sampled above the threshold dominates
-the bill. Keeping the above-floor budget on the sparse minimum-L1
-support caps that number at k; uniform sampling pays the fixed charge on
-every task.
+the bill. cost_aware_allocate is plain water-filling on the minimum-L1
+mixture with its dead band set to zero: a floored water-filling leaves
+every task off the support at the floor, so the above-floor budget goes
+to at most k tasks. The saving comes from that sparsity; uniform
+sampling pays the fixed charge on every task.
 """
 
 import numpy as np

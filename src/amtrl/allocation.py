@@ -65,7 +65,8 @@ def continuous_allocation(nu, N_tot, N_floor):
     """Exact water-filling solution x_t = max(c'|nu_t|, N_floor).
 
     The map c' -> sum_t max(c'|nu_t|, N_floor) is piecewise linear with at
-    most T breakpoints, so c' is found by a sorted scan, not bisection.
+    most T breakpoints, so c' is solved on every piece at once, not by
+    bisection.
     Internally |nu| is normalized by its max, which makes the result
     exactly invariant under rescaling nu by a power of two; other positive
     factors can move the normalized weights by an ulp.
@@ -87,22 +88,17 @@ def continuous_allocation(nu, N_tot, N_floor):
         return c * a, c / amax
     u = F / a[pos]  # activation points: c'a_t crosses the floor at c' = u_t
     order = np.argsort(u, kind="stable")
-    u_s = u[order]
-    a_s = a[pos][order]
-    csum = np.cumsum(a_s)
-    P = u_s.size
-    c = 0.0
-    for i in range(1, P + 1):
-        active = csum[i - 1]
-        cand = (float(N_tot) - (T - i) * F) / active
-        lo = u_s[i - 1]
-        hi = u_s[i] if i < P else math.inf
-        if cand >= lo - 1e-12 * (1.0 + lo) and (
-                i == P or cand <= hi + 1e-12 * (1.0 + hi)):
-            c = max(cand, 0.0)
-            break
-    else:
-        c = (float(N_tot) - 0.0) / csum[-1] if P else 0.0
+    lo = u[order]
+    hi = np.append(lo[1:], math.inf)
+    # piece i (i = 1..P, c' in [u_i, u_i+1]) has i active tasks, so its
+    # budget equation gives c' = (N - (T - i) F) / csum_i; take the first
+    # candidate that lies within its own piece. One always does: at u_1 the
+    # floored sum is T F <= N_tot, and the last piece is unbounded.
+    i = np.arange(1, lo.size + 1)
+    cand = (float(N_tot) - (T - i) * F) / np.cumsum(a[pos][order])
+    inside = ((cand >= lo - 1e-12 * (1.0 + lo))
+              & (cand <= hi + 1e-12 * (1.0 + hi)))
+    c = max(float(cand[np.argmax(inside)]), 0.0)
     x = np.maximum(c * a, F)
     return x, c / amax
 
@@ -254,33 +250,17 @@ def eval_cost(allocation, phase1, cost_fns):
 
 
 def cost_aware_allocate(nu, N_tot, N_floor):
-    """Allocation whose above-floor increments stay on the support of nu.
+    """Water-filling on the dead-banded nu: allocate_fixed_nu after the
+    entries with |nu_t| <= 1e-9 max|nu| are set to zero.
 
-    Tasks off the support receive exactly the floor; the remaining budget
-    is water-filled across the support proportionally to |nu_t|. Driven by
-    a minimum-L1 relevance vector this touches at most k tasks, which is
-    what keeps fixed per-task charges small. The split itself is cost-free.
+    Water-filling with a floor already gives every task off the support
+    of nu exactly the floor, so the above-floor budget stays on the
+    support. For a minimum-L1 relevance vector that support is at most k
+    tasks, which is what keeps fixed per-task charges small: the saving
+    comes from nu's sparsity, not from a separate split. The dead band is
+    relative, so the support does not change when nu is rescaled.
     """
     nu = np.asarray(nu, dtype=float)
-    T = nu.size
-    _check_budget(T, N_tot, N_floor)
-    # relative dead band, so the support (like the water-filling) does not
-    # change when nu is rescaled
-    supp = np.abs(nu) > 1e-9 * float(np.max(np.abs(nu), initial=0.0))
-    s = int(supp.sum())
-    if s == 0:
-        warnings.warn("nu is identically zero; falling back to a uniform "
-                      "allocation", RuntimeWarning, stacklevel=2)
-        uni = allocate_fixed_nu(np.zeros(T), N_tot, N_floor)
-        return Allocation(n=uni.n, N_tot=int(N_tot), N_floor=int(N_floor),
-                          strategy="cost_aware", c_prime=0.0,
-                          continuous=uni.continuous)
-    budget_s = int(N_tot - (T - s) * N_floor)
-    sub = allocate_fixed_nu(nu[supp], budget_s, N_floor)
-    n = np.full(T, int(N_floor))
-    n[supp] = sub.n
-    x = np.full(T, float(N_floor))
-    x[supp] = sub.continuous
-    return Allocation(n=n, N_tot=int(N_tot), N_floor=int(N_floor),
-                      strategy="cost_aware", c_prime=float(sub.c_prime),
-                      continuous=x)
+    nu = np.where(np.abs(nu) > 1e-9 * float(np.max(np.abs(nu), initial=0.0)),
+                  nu, 0.0)
+    return allocate_fixed_nu(nu, N_tot, N_floor, strategy="cost_aware")

@@ -11,7 +11,7 @@ import json
 import sys
 
 from .harness import (ConfigError, cmd_gen, cmd_nu_solve, cmd_run,
-                      cmd_verify, load_config, run_sweep)
+                      cmd_verify, json_default, load_config, run_sweep)
 
 
 def _build_parser():
@@ -59,7 +59,7 @@ def main(argv=None):
             report, code = cmd_verify(args.level,
                                       _parse_tolerances(args.tolerance),
                                       out_dir=args.out)
-            json.dump(report, sys.stdout, indent=2)
+            json.dump(report, sys.stdout, indent=2, default=json_default)
             sys.stdout.write("\n")
             if code != 0:
                 failing = [p["name"] for p in report["properties"]

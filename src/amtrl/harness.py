@@ -84,6 +84,11 @@ class SweepConfig:
             raise ConfigError("seeds must be >= 1")
         if self.N_floor < 0:
             raise ConfigError("N_floor must be >= 0")
+        explored = set(self.strategies) & {"L1", "L2", "multistage"}
+        if explored and self.N_floor < 1:
+            raise ConfigError(
+                f"N_floor must be >= 1 for {', '.join(sorted(explored))}: "
+                "they sample every task at the floor before estimating nu")
         if self.n_target < 1:
             raise ConfigError("n_target must be >= 1")
         if self.lambda_policy not in ("lazy", "theory", "explicit"):
@@ -207,7 +212,7 @@ def run_single(gt, strategy, seed, N_tot, cfg):
                 "beta_1", _multistage_beta1(N_tot, S, L)))
             res = pipeline.run_multistage(oracle, d, k, T, {
                 **base, "S": S, "L": L, "beta_1": beta_1,
-                "N_floor": max(cfg.N_floor, 1)})
+                "N_floor": cfg.N_floor})
         else:
             raise ConfigError(f"unknown strategy {strategy!r}")
     except allocation.InfeasibleBudgetError:
@@ -293,25 +298,11 @@ def summarize(rows):
     return out
 
 
-def _to_jsonable(obj):
-    if isinstance(obj, np.ndarray):
+def json_default(obj):
+    """json.dumps hook: numpy arrays and scalars as lists and numbers."""
+    if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _to_jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): _to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_jsonable(v) for v in obj]
-    return obj
-
-
-def result_to_json(res):
-    return json.dumps(_to_jsonable(res), indent=2)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def cmd_gen(cfg, out_dir=None):
@@ -334,7 +325,8 @@ def cmd_run(cfg, out_dir=None):
     path = os.path.join(out_dir, "run.json")
     if res is not None:
         with open(path, "w") as fh:
-            fh.write(result_to_json(res))
+            fh.write(json.dumps(dataclasses.asdict(res), indent=2,
+                                default=json_default))
     write_rows_csv(os.path.join(out_dir, "run.csv"), [row])
     return row, path
 
@@ -571,11 +563,11 @@ def cmd_verify(level="fast", tolerances=None, out_dir=None):
         all_pass = all_pass and ok
         properties.append({"name": name, "passed": ok, "tolerance": tol,
                            "seconds": round(elapsed, 3),
-                           key: _to_jsonable(worst), "cases": n_cases})
+                           key: worst, "cases": n_cases})
     report = {"level": level, "all_pass": bool(all_pass),
               "properties": properties}
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "verify.json"), "w") as fh:
-            json.dump(report, fh, indent=2)
+            json.dump(report, fh, indent=2, default=json_default)
     return report, (0 if all_pass else 1)

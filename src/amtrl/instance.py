@@ -191,7 +191,7 @@ def _sample_seed_table(seed, T, draw):
     return table
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class GroundTruth:
     """Immutable instance description.
 

@@ -23,7 +23,7 @@ strategies differ only in what they hand the loop:
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -157,19 +157,19 @@ def lambda_for(p, W, w):
 
 def _estimate_nu(model, target_ds, p, estimator):
     """Relevance estimate from the fitted representation: the source heads
-    are the fit's own W_hat, exact for B_hat. Returns (nu, record), the
-    record holding the Lasso's solver diagnostics (None for the min-L2
-    route); warns when the Lasso did not converge."""
+    are the fit's own W_hat, exact for B_hat. Returns (nu, w_hat, record):
+    the target head solved on B_hat, and the Lasso's solver diagnostics
+    (None for the min-L2 route); warns when the Lasso did not converge."""
     W_hat = model.W_hat
     w_hat = head_for(model.B_hat, target_ds)
     if estimator == "min_l2":
         try:
-            return min_l2_solution(W_hat, w_hat), None
+            return min_l2_solution(W_hat, w_hat), w_hat, None
         except ValueError:
             warnings.warn("estimated heads are rank-deficient; using a "
                           "plain least-squares relevance estimate",
                           RuntimeWarning, stacklevel=3)
-            return np.linalg.lstsq(W_hat, w_hat, rcond=None)[0], None
+            return np.linalg.lstsq(W_hat, w_hat, rcond=None)[0], w_hat, None
     lam = lambda_for(p, W_hat, w_hat)
     nu, info = lasso(W_hat, w_hat, lam)
     record = {"steps": int(info["sweeps"]),
@@ -179,7 +179,7 @@ def _estimate_nu(model, target_ds, p, estimator):
         warnings.warn("the Lasso relevance estimate did not converge (KKT "
                       f"residual {record['kkt_residual']:.3e})",
                       RuntimeWarning, stacklevel=3)
-    return nu, record
+    return nu, w_hat, record
 
 
 def _run_stages(strategy, oracle, k, p, budgets, q=1, nu=None,
@@ -190,7 +190,9 @@ def _run_stages(strategy, oracle, k, p, budgets, q=1, nu=None,
     at draw index i (every task at stage 0, even at n = 0, so fit_source
     carries zero-sample tasks), merges it, refits warm and, for the first
     `estimates` stages, estimates nu by `estimator` ("lasso" or "min_l2")
-    from the target data. nu None starts from all ones, outside the
+    from the target data. A run whose last stage estimated nu keeps the
+    target head that estimate solved on the final B_hat; any other run
+    fits it once at the end. nu None starts from all ones, outside the
     record; a given nu is the run's reference and heads nu_history. The
     reported N_tot is the number of source samples drawn: a task never
     gives samples back when a later stage allots it fewer.
@@ -219,12 +221,14 @@ def _run_stages(strategy, oracle, k, p, budgets, q=1, nu=None,
         model = fit_source(datasets, k,
                            init_B=None if model is None else model.B_hat)
         summaries.append(_stage_summary(model, gt))
+        w_hat = None
         if stage < estimates:
-            nu, record = _estimate_nu(model, target_ds, p, estimator)
+            nu, w_hat, record = _estimate_nu(model, target_ds, p, estimator)
             nu_history.append(nu)
             if record is not None:
                 summaries[-1]["relevance"] = record
-    model = fit_target_head(model, target_ds)
+    model = (fit_target_head(model, target_ds) if w_hat is None
+             else replace(model, w_target_hat=w_hat))
     er = excess_risk(model, gt)
     last = nu_history[-1] if nu_history else np.zeros(0)
     return RunResult(

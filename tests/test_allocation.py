@@ -107,6 +107,12 @@ def test_cost_aware_budget_and_floors(problem):
     alloc = cost_aware_allocate(nu, N, F)
     assert alloc.n.sum() == N
     assert np.all(alloc.n >= F)
+    # the same counts as a water-filling restricted to the support, with
+    # every task off it held at the floor
+    supp = np.abs(nu) > 1e-9 * np.abs(nu).max()
+    np.testing.assert_array_equal(alloc.n[~supp], F)
+    sub = allocate_fixed_nu(nu[supp], N - (nu.size - supp.sum()) * F, F)
+    np.testing.assert_array_equal(alloc.n[supp], sub.n)
 
 
 def test_rounding_tie_break_is_low_index():
@@ -296,6 +302,12 @@ def test_cost_aware_allocate_off_support_floors():
     # the support is relative to max |nu|, so a rescaled nu keeps it
     np.testing.assert_array_equal(cost_aware_allocate(1e-12 * nu, 300, 10).n,
                                   alloc.n)
+    # an entry inside the dead band counts as zero: at floor 0 plain
+    # water-filling would hand it a spare unit
+    banded = nu + np.array([0.0, 1e-12, 0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(cost_aware_allocate(banded, 301, 0).n,
+                                  [201, 0, 0, 100, 0])
+    assert allocate_fixed_nu(banded, 301, 0).n[1] == 1
 
 
 def test_cost_aware_zero_nu_warns():

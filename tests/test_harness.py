@@ -71,6 +71,19 @@ def test_sweep_config_validation():
         SweepConfig(**{**good, "multistage": {"stages": 5, "growth": 3.0}})
 
 
+def test_sweep_config_rejects_floorless_exploration():
+    # L1, L2 and multistage sample every task at the floor before they
+    # estimate nu, so a sweep listing one needs N_floor >= 1 up front
+    # rather than aborting after the strategies listed before it
+    good = dict(instance={"kind": "random", "d": 4, "k": 2, "T": 3,
+                          "sigma_z": 0.1}, budgets=(100,))
+    for strategy in ("L1", "L2", "multistage"):
+        with pytest.raises(ConfigError, match="N_floor must be >= 1"):
+            SweepConfig(**good, strategies=("passive", strategy))
+        SweepConfig(**good, strategies=("passive", strategy), N_floor=1)
+    SweepConfig(**good, strategies=("passive", "known_nu_q1", "known_nu_q2"))
+
+
 def test_sweep_budgets_must_be_integers():
     raw = {"instance": {"kind": "random", "d": 4, "k": 2, "T": 3,
                         "sigma_z": 0.1},
@@ -285,6 +298,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     # usage and config errors: exit 2
     bad_cfg = _write_cfg(tmp_path, name="bad.json", bogus=1)
     assert amtrl.cli.main(["run", "--config", bad_cfg]) == 2
+    # a floorless sweep with an exploring strategy: exit 2, no runs.csv
+    floorless = tmp_path / "floorless"
+    assert amtrl.cli.main([
+        "sweep", "--config", _write_cfg(tmp_path, name="floorless.json",
+                                        strategies=["passive", "L1"],
+                                        budgets=[500]),
+        "--out", str(floorless)]) == 2
+    assert not (floorless / "runs.csv").exists()
     # missing file: exit 3
     assert amtrl.cli.main(["run", "--config",
                            str(tmp_path / "missing.json")]) == 3

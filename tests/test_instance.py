@@ -215,6 +215,16 @@ def test_ground_truth_validation():
                     w_target_star=w, sigma_z=0.1, meta={"diverse": True})
 
 
+def test_ground_truth_compares_by_identity():
+    # array fields make field-wise equality ambiguous; like TaskDataset, an
+    # instance is equal only to itself and can key a dict
+    gt = make_random_instance(5, 2, 4, sigma_z=0.1, seed=0)
+    twin = make_random_instance(5, 2, 4, sigma_z=0.1, seed=0)
+    assert gt == gt and gt != twin
+    assert {gt: 1, twin: 2}[gt] == 1
+    assert len({gt, twin, gt}) == 2
+
+
 def test_instance_arrays_are_read_only():
     gt = make_random_instance(5, 2, 4, sigma_z=0.1, seed=0)
     with pytest.raises(ValueError):

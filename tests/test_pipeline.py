@@ -13,6 +13,8 @@ from amtrl import (
     InfeasibleBudgetError,
     TaskOracle,
     allocate_fixed_nu,
+    excess_risk,
+    fit_target_head,
     lpnq_allocation,
     make_aligned_worstcase_instance,
     make_random_instance,
@@ -204,6 +206,39 @@ def test_multistage_accounting():
     # covers at least the final stage
     assert 3200 <= res.N_tot <= sum(budgets)
     assert res.total_samples == res.N_tot + 300
+
+
+def test_target_head_is_solved_once_per_stage(monkeypatch):
+    # the last stage's relevance estimate already solved the target head on
+    # the final B_hat, so an S-stage run solves it S times, not S + 1
+    gt = make_random_instance(8, 2, 5, sigma_z=0.1, seed=5)
+    solves, scored = [], []
+
+    def spy(fn, log):
+        @functools.wraps(fn)
+        def wrapped(*args):
+            log.append(args)
+            return fn(*args)
+        return wrapped
+
+    for name, log in (("head_for", solves), ("fit_target_head", solves),
+                      ("excess_risk", scored)):
+        monkeypatch.setattr(pipeline, name, spy(getattr(pipeline, name), log))
+    res = run_multistage(_oracle(gt), gt.d, gt.k, gt.T,
+                         {"S": 3, "L": 2.0, "beta_1": 400, "N_floor": 10,
+                          "n_target": 300})
+    assert len(solves) == 3
+    # the kept head is bit for bit the one a fresh solve on the final B_hat
+    # gives, so the excess risk is what fitting the head again reported
+    (model, _), = scored
+    refit = fit_target_head(model, solves[-1][1])
+    np.testing.assert_array_equal(model.w_target_hat, refit.w_target_hat)
+    assert res.excess_risk == excess_risk(refit, gt)
+    # a two-phase run refits B_hat after its estimate and solves again
+    solves.clear()
+    run_l1_amtrl(_oracle(gt), gt.d, gt.k, gt.T,
+                 {"N_tot_phase2": 800, "N_floor": 10, "n_target": 300})
+    assert len(solves) == 2
 
 
 def test_multistage_single_stage_is_floored_uniform():
