@@ -9,6 +9,7 @@ cheapest-support searches that check these routes live with the tests.
 """
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -146,8 +147,12 @@ def allocate_fixed_nu(nu, N_tot, N_floor, strategy="L1"):
     T = nu.size
     _check_budget(T, N_tot, N_floor)
     if np.all(nu == 0.0):
+        # name the first caller outside this module, past its wrappers
+        frame, level = sys._getframe(), 1
+        while frame.f_code.co_filename == __file__ and frame.f_back:
+            frame, level = frame.f_back, level + 1
         warnings.warn("nu is identically zero; falling back to a uniform "
-                      "allocation", RuntimeWarning, stacklevel=2)
+                      "allocation", RuntimeWarning, stacklevel=level)
         x = np.full(T, N_tot / T)
         c_prime = 0.0
     else:

@@ -8,9 +8,9 @@ Every strategy is one stage loop over a budget schedule. A stage
 water-fills its budget by the current relevance vector nu (raised to the
 power q), draws each task's increment over what it already holds at draw
 index = stage, merges it into that task's dataset (TaskDataset.merge adds
-the statistics; no rows are kept), refits (warm from the previous B_hat)
-and may estimate nu again from the fitted heads. The
-strategies differ only in what they hand the loop:
+the statistics; no rows are kept), refits (warm from the previous B_hat),
+fits the target head on it and may estimate nu again from the fitted
+heads. The strategies differ only in what they hand the loop:
 
 - passive: one stage of N_tot at nu = 1;
 - known_nu: one stage of N_tot at the reference nu, with exponent q;
@@ -23,7 +23,7 @@ strategies differ only in what they hand the loop:
 
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,8 +34,11 @@ from .allocation import allocate_fixed_nu  # noqa: F401
 from .instance import sample_task
 from .relevance import (LAZY_LAMBDA, lambda_rule, lasso, min_l2_solution,
                         support_size)
-from .trainer import (excess_risk, fit_source, fit_target_head, head_for,
+from .trainer import (excess_risk, fit_source, fit_target_head,
                       subspace_distance)
+# not called here, but the benchmark's tracer wraps pipeline.head_for as well
+# as pipeline.fit_target_head, through which the loop solves the target head
+from .trainer import head_for  # noqa: F401
 
 _DEFAULTS = {
     "n_target": 500,
@@ -155,21 +158,21 @@ def lambda_for(p, W, w):
     raise ValueError(f"unknown lambda_policy {policy!r}")
 
 
-def _estimate_nu(model, target_ds, p, estimator):
+def _estimate_nu(model, p, estimator):
     """Relevance estimate from the fitted representation: the source heads
-    are the fit's own W_hat, exact for B_hat. Returns (nu, w_hat, record):
-    the target head solved on B_hat, and the Lasso's solver diagnostics
-    (None for the min-L2 route); warns when the Lasso did not converge."""
-    W_hat = model.W_hat
-    w_hat = head_for(model.B_hat, target_ds)
+    are the fit's own W_hat, exact for B_hat, and the target head is the
+    model's w_target_hat, fitted on the same B_hat. Returns (nu, record),
+    the Lasso's solver diagnostics (None for the min-L2 route); warns when
+    the Lasso did not converge."""
+    W_hat, w_hat = model.W_hat, model.w_target_hat
     if estimator == "min_l2":
         try:
-            return min_l2_solution(W_hat, w_hat), w_hat, None
+            return min_l2_solution(W_hat, w_hat), None
         except ValueError:
             warnings.warn("estimated heads are rank-deficient; using a "
                           "plain least-squares relevance estimate",
                           RuntimeWarning, stacklevel=3)
-            return np.linalg.lstsq(W_hat, w_hat, rcond=None)[0], w_hat, None
+            return np.linalg.lstsq(W_hat, w_hat, rcond=None)[0], None
     lam = lambda_for(p, W_hat, w_hat)
     nu, info = lasso(W_hat, w_hat, lam)
     record = {"steps": int(info["sweeps"]),
@@ -179,7 +182,7 @@ def _estimate_nu(model, target_ds, p, estimator):
         warnings.warn("the Lasso relevance estimate did not converge (KKT "
                       f"residual {record['kkt_residual']:.3e})",
                       RuntimeWarning, stacklevel=3)
-    return nu, w_hat, record
+    return nu, record
 
 
 def _run_stages(strategy, oracle, k, p, budgets, q=1, nu=None,
@@ -188,11 +191,10 @@ def _run_stages(strategy, oracle, k, p, budgets, q=1, nu=None,
 
     Stage i water-fills budgets[i] on |nu|^q, draws each task's increment
     at draw index i (every task at stage 0, even at n = 0, so fit_source
-    carries zero-sample tasks), merges it, refits warm and, for the first
-    `estimates` stages, estimates nu by `estimator` ("lasso" or "min_l2")
-    from the target data. A run whose last stage estimated nu keeps the
-    target head that estimate solved on the final B_hat; any other run
-    fits it once at the end. nu None starts from all ones, outside the
+    carries zero-sample tasks), merges it, refits warm, fits the target
+    head on the new B_hat and, for the first `estimates` stages, estimates
+    nu by `estimator` ("lasso" or "min_l2") from the heads. The last
+    stage's model is the run's. nu None starts from all ones, outside the
     record; a given nu is the run's reference and heads nu_history. The
     reported N_tot is the number of source samples drawn: a task never
     gives samples back when a later stage allots it fewer.
@@ -218,17 +220,16 @@ def _run_stages(strategy, oracle, k, p, budgets, q=1, nu=None,
                 datasets[t] = datasets[t].merge(
                     oracle.sample(t, inc, draw=stage))
         counts = np.maximum(counts, alloc.n)
-        model = fit_source(datasets, k,
-                           init_B=None if model is None else model.B_hat)
+        model = fit_target_head(
+            fit_source(datasets, k,
+                       init_B=None if model is None else model.B_hat),
+            target_ds)
         summaries.append(_stage_summary(model, gt))
-        w_hat = None
         if stage < estimates:
-            nu, w_hat, record = _estimate_nu(model, target_ds, p, estimator)
+            nu, record = _estimate_nu(model, p, estimator)
             nu_history.append(nu)
             if record is not None:
                 summaries[-1]["relevance"] = record
-    model = (fit_target_head(model, target_ds) if w_hat is None
-             else replace(model, w_target_hat=w_hat))
     er = excess_risk(model, gt)
     last = nu_history[-1] if nu_history else np.zeros(0)
     return RunResult(

@@ -311,9 +311,16 @@ def test_cost_aware_allocate_off_support_floors():
 
 
 def test_cost_aware_zero_nu_warns():
-    with pytest.warns(RuntimeWarning):
+    with pytest.warns(RuntimeWarning) as w:
         alloc = cost_aware_allocate(np.zeros(4), 40, 0)
     np.testing.assert_array_equal(alloc.n, [10, 10, 10, 10])
+    # the warning names the caller, not a line of allocation.py, whichever
+    # wrapper it came through
+    with pytest.warns(RuntimeWarning) as w2:
+        lpnq_allocation(np.zeros(4), 2, 40, 0)
+    with pytest.warns(RuntimeWarning) as w3:
+        allocate_fixed_nu(np.zeros(4), 40, 0)
+    assert [r[0].filename for r in (w, w2, w3)] == [__file__] * 3
 
 
 def test_cost_support_oracle_prefers_sparse_under_fixed_charges():

@@ -209,8 +209,8 @@ def test_multistage_accounting():
 
 
 def test_target_head_is_solved_once_per_stage(monkeypatch):
-    # the last stage's relevance estimate already solved the target head on
-    # the final B_hat, so an S-stage run solves it S times, not S + 1
+    # each stage fits the target head once and its relevance estimate
+    # reads that head, so an S-stage run solves it S times, not S + 1
     gt = make_random_instance(8, 2, 5, sigma_z=0.1, seed=5)
     solves, scored = [], []
 
