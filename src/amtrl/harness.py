@@ -2,8 +2,10 @@
 
 A SweepConfig (usually loaded from JSON) names an instance, a strategy
 list, a budget grid, and seed count; the sweep runner executes the grid
-serially in the calling thread and writes one CSV row per run plus
-per-strategy summary and plot data. The verify section holds one
+serially in the calling thread, seed by seed (every strategy and budget
+of a seed before the next seed, so the runs of a seed reuse its target
+draw), and writes one CSV row per run, sorted by strategy, budget and
+seed, plus per-strategy summary and plot data. The verify section holds one
 function per core numerical property (water-filling optimality, the
 floor-free closed form, LP sparsity, the norm ceilings, Lasso/LP
 agreement, monotone and exact fitting); `amtrl verify` runs them on its own
@@ -245,6 +247,15 @@ def write_rows_csv(path, rows):
             writer.writerow([_format_cell(row[c]) for c in CSV_HEADER])
 
 
+def write_summary_csv(path, summary):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("strategy", "N_tot", "median_ER", "iqr_ER"))
+        for s in summary:
+            writer.writerow((s["strategy"], s["N_tot"],
+                             repr(s["median_ER"]), repr(s["iqr_ER"])))
+
+
 def read_rows_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -256,20 +267,17 @@ def run_sweep(cfg, out_dir=None):
     out_dir = out_dir or cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
     gt = make_instance(cfg.instance)
+    # seed-major, so the runs sharing a seed's target set are consecutive
+    # and all but the first take it from instance.sample_task's memo
     rows = [run_single(gt, strategy, seed, budget, cfg)[0]
+            for seed in range(cfg.seeds)
             for strategy in cfg.strategies
-            for budget in cfg.budgets
-            for seed in range(cfg.seeds)]
+            for budget in cfg.budgets]
     rows.sort(key=lambda r: (r["strategy"], r["N_tot"], r["seed"]))
     write_rows_csv(os.path.join(out_dir, "runs.csv"), rows)
 
     summary = summarize(rows)
-    with open(os.path.join(out_dir, "summary.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("strategy", "N_tot", "median_ER", "iqr_ER"))
-        for s in summary:
-            writer.writerow((s["strategy"], s["N_tot"],
-                             repr(s["median_ER"]), repr(s["iqr_ER"])))
+    write_summary_csv(os.path.join(out_dir, "summary.csv"), summary)
     for strategy in cfg.strategies:
         pts = [(s["N_tot"], s["median_ER"]) for s in summary
                if s["strategy"] == strategy and s["median_ER"] > 0]

@@ -19,10 +19,12 @@ _RANK_RTOL = 1e-10
 
 
 def support_size(nu, tol=None):
-    """Number of entries of nu above the dead-band tolerance."""
+    """Number of entries of nu above the dead-band tolerance, by default
+    1e-9 max|nu| (0 for an empty or zero nu): relative, so a nonzero nu
+    has a nonzero support at any scale."""
     nu = np.asarray(nu, dtype=float)
     if tol is None:
-        tol = 1e-9 * (1.0 + (np.max(np.abs(nu)) if nu.size else 0.0))
+        tol = 1e-9 * float(np.max(np.abs(nu), initial=0.0))
     return int(np.sum(np.abs(nu) > tol))
 
 

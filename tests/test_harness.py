@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import amtrl.cli
-from amtrl import pipeline, relevance
+from amtrl import harness, instance, pipeline, relevance
 from amtrl.harness import (
     CSV_HEADER,
     ConfigError,
@@ -20,8 +20,11 @@ from amtrl.harness import (
     make_instance,
     read_rows_csv,
     reference_nu,
+    run_single,
     run_sweep,
     summarize,
+    write_rows_csv,
+    write_summary_csv,
 )
 
 
@@ -175,6 +178,44 @@ def test_sweep_deterministic_across_reruns(tmp_path):
         _rows_without_wall(d2 / "runs.csv")
     assert (d1 / "summary.csv").read_bytes() == \
         (d2 / "summary.csv").read_bytes()
+
+
+def test_sweep_runs_seed_by_seed_with_strategy_major_outputs(tmp_path,
+                                                            monkeypatch):
+    cfg = _small_cfg(tmp_path, strategies=("passive", "L2", "known_nu_q1"),
+                     N_floor=10)
+    # the strategy-major loop, each run drawing its target set afresh
+    gt = make_instance(cfg.instance)
+    rows = []
+    for strategy in cfg.strategies:
+        for budget in cfg.budgets:
+            for seed in range(cfg.seeds):
+                instance._target_draw.cache_clear()
+                rows.append(run_single(gt, strategy, seed, budget, cfg)[0])
+    rows.sort(key=lambda r: (r["strategy"], r["N_tot"], r["seed"]))
+    old = tmp_path / "old"
+    old.mkdir()
+    write_rows_csv(old / "runs.csv", rows)
+    write_summary_csv(old / "summary.csv", summarize(rows))
+
+    seeds = []
+
+    def spy(gt, strategy, seed, N_tot, cfg):
+        seeds.append(seed)
+        return run_single(gt, strategy, seed, N_tot, cfg)
+
+    monkeypatch.setattr(harness, "run_single", spy)
+    new = tmp_path / "new"
+    instance._target_draw.cache_clear()
+    run_sweep(cfg, out_dir=str(new))
+    per_seed = len(cfg.strategies) * len(cfg.budgets)
+    assert seeds == [s for s in range(cfg.seeds) for _ in range(per_seed)]
+    assert instance._target_draw.cache_info().hits == \
+        cfg.seeds * (per_seed - 1)
+    assert _rows_without_wall(new / "runs.csv") == \
+        _rows_without_wall(old / "runs.csv")
+    assert (new / "summary.csv").read_bytes() == \
+        (old / "summary.csv").read_bytes()
 
 
 def test_sweep_infeasible_budget_rows_are_recorded(tmp_path):

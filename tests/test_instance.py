@@ -304,6 +304,58 @@ def test_merged_dataset_redraws_its_stacked_draws():
         rows.merge(draws[0])
 
 
+def _hex_stats(ds):
+    return ([float.hex(v) for v in ds.G.ravel()],
+            [float.hex(v) for v in ds.H], float.hex(ds.yty))
+
+
+def test_target_draw_memo_returns_the_fresh_draw():
+    gt = make_random_instance(6, 2, 4, sigma_z=0.3, seed=0)
+    first = sample_task(gt, gt.T, 40, seed=3)
+    hit = sample_task(gt, np.int64(gt.T), 40, seed=np.int64(3))
+    assert hit is first
+    assert instance._target_draw.cache_info().hits == 1
+    instance._target_draw.cache_clear()
+    fresh = sample_task(gt, gt.T, 40, seed=3)
+    assert fresh is not first
+    assert _hex_stats(fresh) == _hex_stats(first)
+    assert (fresh.task_index, fresh.n, fresh.seed, fresh.draw) == \
+        (first.task_index, first.n, first.seed, first.draw)
+
+
+def test_target_draw_memo_keys_on_instance_identity():
+    # equal parameters, equal arrays, yet another instance: no shared data
+    a = make_random_instance(6, 2, 4, sigma_z=0.3, seed=0)
+    b = make_random_instance(6, 2, 4, sigma_z=0.3, seed=0)
+    ds_a = sample_task(a, a.T, 30, seed=1)
+    ds_b = sample_task(b, b.T, 30, seed=1)
+    assert ds_b is not ds_a and ds_b._gt is b
+    assert instance._target_draw.cache_info().misses == 2
+    assert _hex_stats(ds_b) == _hex_stats(ds_a)
+
+
+def test_target_draw_memo_holds_one_target_entry():
+    gt = make_random_instance(6, 2, 4, sigma_z=0.3, seed=0)
+    sample_task(gt, gt.T, 30, seed=0)
+    before = instance._target_draw.cache_info()
+    for t in range(gt.T):
+        sample_task(gt, t, 30, seed=0)
+        sample_task(gt, t, 30, seed=0)
+    assert instance._target_draw.cache_info() == before
+    # one entry: going back to a seed drawn two calls ago draws again, so
+    # the memo never replays a run from earlier in a sweep
+    instance._target_draw.cache_clear()
+    for seed in (0, 1, 0):
+        sample_task(gt, gt.T, 30, seed=seed)
+    info = instance._target_draw.cache_info()
+    assert (info.hits, info.misses, info.maxsize, info.currsize) == \
+        (0, 3, 1, 1)
+    # every part of the key counts: n and draw too
+    sample_task(gt, gt.T, 31, seed=0)
+    sample_task(gt, gt.T, 31, seed=0, draw=1)
+    assert instance._target_draw.cache_info().misses == 5
+
+
 def test_diagonal_covariance_sampling():
     base = make_random_instance(4, 2, 3, sigma_z=0.0, seed=6)
     sd = np.array([1.0, 4.0, 9.0, 16.0])

@@ -103,6 +103,31 @@ def test_total_samples_match_oracle_draws():
             res.stage_summaries[-1]["subspace_distance"]
 
 
+def test_target_memo_hits_are_counted_and_change_no_output():
+    gt = make_random_instance(8, 2, 5, sigma_z=0.2, seed=3)
+    params = {"N_tot": 1000, "N_floor": 5, "n_target": 300}
+    nu_ref = [3.0, 0.0, 1.0, 0.0, 0.5]
+    run_passive(_oracle(gt, seed=4), gt.d, gt.k, gt.T, params)
+    oracle = _oracle(gt, seed=4)
+    after_passive = run_known_nu(oracle, gt.d, gt.k, gt.T, nu_ref, 1, params)
+    assert instance._target_draw.cache_info().hits == 1
+    # a hit is a draw all the same to the oracle and to the run's count
+    assert oracle.total_drawn == after_passive.total_samples == \
+        after_passive.N_tot + 300
+    instance._target_draw.cache_clear()
+    alone = run_known_nu(_oracle(gt, seed=4), gt.d, gt.k, gt.T, nu_ref, 1,
+                         params)
+    assert instance._target_draw.cache_info().hits == 0
+
+    def hexed(res):
+        return (float.hex(res.excess_risk),
+                [[float.hex(v) for v in nu] for nu in res.nu_history],
+                [a.n.tolist() for a in res.allocations])
+
+    assert hexed(after_passive) == hexed(alone)
+    assert alone.total_samples == after_passive.total_samples
+
+
 def test_l1_two_phase_is_two_stage_multistage():
     # the two-phase run is the multistage loop with stages T * N_floor and
     # N and no estimate after the last: the same draws, fits and estimate

@@ -180,6 +180,9 @@ def test_support_size_dead_band():
     assert support_size(nu, tol=0.6) == 1
     assert support_size(np.zeros(3)) == 0
     assert support_size(np.array([])) == 0
+    # the band is relative: a nonzero nu is never all dead band
+    assert support_size(np.array([6.25e-10])) == 1
+    assert support_size(np.array([6.25e-10, 1e-19])) == 1
 
 
 @st.composite
