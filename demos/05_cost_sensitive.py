@@ -30,7 +30,7 @@ def main():
 
     nu1 = l1_oracle_lp(gt.W_star, gt.w_target_star)
     aware = cost_aware_allocate(nu1, N, F)
-    uniform = allocate_fixed_nu(np.ones(50), N, 0, strategy="passive")
+    uniform = allocate_fixed_nu(np.ones(50), N, 0)
 
     c_aware = eval_cost(aware, None, fns)
     c_unif = eval_cost(uniform, None, fns)

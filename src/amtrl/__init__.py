@@ -20,13 +20,13 @@ from .pipeline import (RunResult, TaskOracle, run_known_nu, run_l1_amtrl,
 from .relevance import (LAZY_LAMBDA, kkt_residual, l1_oracle_lp, lambda_rule,
                         lasso, min_l2_solution, norm_bound_check,
                         support_size)
-from .trainer import (FitOptions, FittedModel, excess_risk, fit_source,
-                      fit_target_head, head_for, subspace_distance)
+from .trainer import (FittedModel, excess_risk, fit_source, fit_target_head,
+                      head_for, subspace_distance)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Allocation", "CostFunction", "FitOptions", "FittedModel", "GroundTruth",
+    "Allocation", "CostFunction", "FittedModel", "GroundTruth",
     "InfeasibleBudgetError", "LAZY_LAMBDA", "RunResult",
     "TaskDataset", "TaskOracle", "allocate_fixed_nu", "almost_sparse_nu",
     "continuous_allocation", "cost_aware_allocate",

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-STRATEGIES = ("L1", "L2", "LpNq", "passive", "known_nu", "cost_aware")
+from .relevance import dead_banded
 
 
 class InfeasibleBudgetError(ValueError):
@@ -34,7 +34,6 @@ class Allocation:
     n: np.ndarray
     N_tot: int
     N_floor: int
-    strategy: str
     c_prime: float
     continuous: np.ndarray = field(repr=False, default=None)
 
@@ -42,8 +41,6 @@ class Allocation:
         n = np.asarray(self.n, dtype=int)
         n.setflags(write=False)
         object.__setattr__(self, "n", n)
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
         if np.any(n < 0):
             raise ValueError("negative sample count")
         if int(n.sum()) != int(self.N_tot):
@@ -134,7 +131,7 @@ def _round_largest_remainder(x, N_tot, N_floor):
     return base
 
 
-def allocate_fixed_nu(nu, N_tot, N_floor, strategy="L1"):
+def allocate_fixed_nu(nu, N_tot, N_floor):
     """Water-filling allocation n_t = max(c'|nu_t|, N_floor), integerized.
 
     c' is solved exactly from the piecewise-linear budget equation, then
@@ -159,10 +156,10 @@ def allocate_fixed_nu(nu, N_tot, N_floor, strategy="L1"):
         x, c_prime = continuous_allocation(nu, N_tot, N_floor)
     n = _round_largest_remainder(x, N_tot, N_floor)
     return Allocation(n=n, N_tot=int(N_tot), N_floor=int(N_floor),
-                      strategy=strategy, c_prime=float(c_prime), continuous=x)
+                      c_prime=float(c_prime), continuous=x)
 
 
-def lpnq_allocation(nu_p, q, N_tot, N_floor, strategy="LpNq"):
+def lpnq_allocation(nu_p, q, N_tot, N_floor):
     """Allocation proportional to |nu_p|^q with the same floor rule.
 
     q = 1 reproduces allocate_fixed_nu exactly; q = 2 on the min-L2
@@ -171,8 +168,7 @@ def lpnq_allocation(nu_p, q, N_tot, N_floor, strategy="LpNq"):
     if q <= 0:
         raise ValueError("q must be positive")
     nu_p = np.asarray(nu_p, dtype=float)
-    return allocate_fixed_nu(np.abs(nu_p) ** q, N_tot, N_floor,
-                             strategy=strategy)
+    return allocate_fixed_nu(np.abs(nu_p) ** q, N_tot, N_floor)
 
 
 def nu_tilde_objective(nu, allocation):
@@ -255,8 +251,8 @@ def eval_cost(allocation, phase1, cost_fns):
 
 
 def cost_aware_allocate(nu, N_tot, N_floor):
-    """Water-filling on the dead-banded nu: allocate_fixed_nu after the
-    entries with |nu_t| <= 1e-9 max|nu| are set to zero.
+    """allocate_fixed_nu on relevance.dead_banded(nu), where the entries
+    with |nu_t| <= 1e-9 max|nu| are zero.
 
     Water-filling with a floor already gives every task off the support
     of nu exactly the floor, so the above-floor budget stays on the
@@ -265,7 +261,4 @@ def cost_aware_allocate(nu, N_tot, N_floor):
     comes from nu's sparsity, not from a separate split. The dead band is
     relative, so the support does not change when nu is rescaled.
     """
-    nu = np.asarray(nu, dtype=float)
-    nu = np.where(np.abs(nu) > 1e-9 * float(np.max(np.abs(nu), initial=0.0)),
-                  nu, 0.0)
-    return allocate_fixed_nu(nu, N_tot, N_floor, strategy="cost_aware")
+    return allocate_fixed_nu(dead_banded(nu), N_tot, N_floor)

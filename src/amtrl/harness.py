@@ -38,19 +38,19 @@ class ConfigError(ValueError):
     """Raised for malformed configs; maps to exit code 2."""
 
 
-def _budget(value):
-    """A sweep budget as an int. Integral floats are taken, since JSON
-    writes 1e4 as the float 10000.0; any other non-integer raises."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (float, np.floating)) and float(value).is_integer():
-        return int(value)
-    raise ConfigError(f"budgets must be integers, got {value!r}")
+def _integer(value, name):
+    """value as an int by pipeline.integer's rule; ConfigError otherwise."""
+    try:
+        return pipeline.integer(value, name)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Declarative description of a sweep: instance, strategies, grid."""
+    """Declarative description of a sweep: instance, strategies, grid.
+    multistage takes S (default 3), L (default 2.0) and beta_1 (default: a
+    schedule summing to about each budget)."""
 
     instance: dict
     strategies: tuple
@@ -60,13 +60,17 @@ class SweepConfig:
     lambda_policy: str = "lazy"
     lambda_value: float = None
     n_target: int = 500
-    multistage: dict = field(default_factory=lambda: {"S": 3, "L": 2.0})
+    multistage: dict = field(default_factory=dict)
     out_dir: str = "."
 
     def __post_init__(self):
         object.__setattr__(self, "strategies", tuple(self.strategies))
-        object.__setattr__(self, "budgets",
-                           tuple(_budget(b) for b in self.budgets))
+        try:
+            budgets = tuple(pipeline.integer(b, "budget")
+                            for b in self.budgets)
+        except ValueError as e:
+            raise ConfigError(f"budgets must be integers: {e}") from None
+        object.__setattr__(self, "budgets", budgets)
         if not self.strategies:
             raise ConfigError("strategies must be non-empty")
         for s in self.strategies:
@@ -78,10 +82,7 @@ class SweepConfig:
         if any(b2 <= b1 for b1, b2 in zip(self.budgets, self.budgets[1:])):
             raise ConfigError("budgets must be strictly increasing")
         for name in ("seeds", "N_floor", "n_target"):
-            value = getattr(self, name)
-            if (isinstance(value, bool)
-                    or not isinstance(value, (int, np.integer))):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.seeds < 1:
             raise ConfigError("seeds must be >= 1")
         if self.N_floor < 0:
@@ -103,6 +104,11 @@ class SweepConfig:
         if unknown:
             raise ConfigError(f"unknown multistage keys: {sorted(unknown)}; "
                               "choose from S, L, beta_1")
+        ms = {"S": 3, "L": 2.0, **self.multistage}
+        for name in ("S", "beta_1"):
+            if name in ms:
+                ms[name] = _integer(ms[name], f"multistage {name}")
+        object.__setattr__(self, "multistage", ms)
 
 
 def config_from_dict(raw):
@@ -137,31 +143,37 @@ def make_instance(desc):
     """Build (or load) a GroundTruth from an instance description mapping."""
     spec = dict(desc)
     if "file" in spec:
-        return instance.load_instance(spec["file"])
+        path = spec.pop("file")
+        if spec:
+            raise ConfigError(f"instance keys beside 'file': {sorted(spec)}")
+        return instance.load_instance(path)
     kind = spec.pop("kind", "random")
     seed = int(spec.pop("seed", 0))
     try:
         if kind == "random":
-            return instance.make_random_instance(
+            gt = instance.make_random_instance(
                 d=int(spec.pop("d")), k=int(spec.pop("k")),
                 T=int(spec.pop("T")), sigma_z=float(spec.pop("sigma_z")),
                 sigma_min_floor=float(spec.pop("sigma_min_floor", 0.0)),
                 seed=seed)
-        if kind == "almost_sparse":
+        elif kind == "almost_sparse":
             gt, _ = instance.make_almost_sparse_instance(
                 d=int(spec.pop("d")), k=int(spec.pop("k")),
                 T=int(spec.pop("T")), sigma_z=float(spec.pop("sigma_z")),
                 seed=seed, spectrum=spec.pop("spectrum", None))
-            return gt
-        if kind == "aligned_worstcase":
-            return instance.make_aligned_worstcase_instance(
+        elif kind == "aligned_worstcase":
+            gt = instance.make_aligned_worstcase_instance(
                 d=int(spec.pop("d")), k=int(spec.pop("k")),
                 T=int(spec.pop("T")), c_w=float(spec.pop("c_w", 1.0)),
                 seed=seed, sigma_z=float(spec.pop("sigma_z", 0.0)))
+        else:
+            raise ConfigError(f"unknown instance kind {kind!r}; choose from "
+                              f"{INSTANCE_KINDS}")
     except KeyError as e:
         raise ConfigError(f"instance spec is missing {e.args[0]!r}") from e
-    raise ConfigError(f"unknown instance kind {kind!r}; choose from "
-                      f"{INSTANCE_KINDS}")
+    if spec:
+        raise ConfigError(f"unknown instance keys: {sorted(spec)}")
+    return gt
 
 
 def reference_nu(gt, q):
@@ -208,10 +220,9 @@ def run_single(gt, strategy, seed, N_tot, cfg):
                                         q, {**base, "N_tot": N_tot,
                                             "N_floor": cfg.N_floor})
         elif strategy == "multistage":
-            S = int(cfg.multistage.get("S", 3))
-            L = float(cfg.multistage.get("L", 2.0))
-            beta_1 = int(cfg.multistage.get(
-                "beta_1", _multistage_beta1(N_tot, S, L)))
+            S, L = cfg.multistage["S"], float(cfg.multistage["L"])
+            beta_1 = cfg.multistage.get("beta_1",
+                                        _multistage_beta1(N_tot, S, L))
             res = pipeline.run_multistage(oracle, d, k, T, {
                 **base, "S": S, "L": L, "beta_1": beta_1,
                 "N_floor": cfg.N_floor})
@@ -446,11 +457,10 @@ def lasso_vs_lp(gt, lam):
     (relative L1-norm gap, relative L1 distance, KKT residual)."""
     W, w = gt.W_star, gt.w_target_star
     nu_lp = relevance.l1_oracle_lp(W, w)
-    nu_hat = relevance.lasso(W, w, lam)[0]
+    nu_hat, info = relevance.lasso(W, w, lam)
     scale = 1.0 + np.abs(nu_lp).sum()
     return (abs(np.abs(nu_hat).sum() - np.abs(nu_lp).sum()) / scale,
-            np.abs(nu_hat - nu_lp).sum() / scale,
-            relevance.kkt_residual(W, w, nu_hat, lam))
+            np.abs(nu_hat - nu_lp).sum() / scale, info["kkt_residual"])
 
 
 def loss_increase(model):

@@ -2,8 +2,8 @@
 
 An instance is a ground truth (B_star, W_star, w_target_star, sigma_z):
 source task t has regression vector B_star @ W_star[:, t], the target task
-has B_star @ w_target_star, inputs are N(0, I_d) (or a fixed diagonal
-covariance) and labels carry N(0, sigma_z^2) noise.
+has B_star @ w_target_star, inputs are N(0, I_d) and labels carry
+N(0, sigma_z^2) noise.
 
 Task indices are 0-based: 0..T-1 are source tasks, index T is the target.
 
@@ -211,8 +211,6 @@ class GroundTruth:
 
     B_star is d x k with orthonormal columns, W_star is k x T,
     w_target_star is the target head in the k-dimensional latent space.
-    covariance_kind is "identity" or "diagonal-bounded"; the latter stores
-    the input-variance diagonal in sigma_diag (shared across tasks).
     """
 
     d: int
@@ -222,8 +220,6 @@ class GroundTruth:
     W_star: np.ndarray
     w_target_star: np.ndarray
     sigma_z: float
-    covariance_kind: str = "identity"
-    sigma_diag: np.ndarray | None = None
     meta: dict = dataclasses.field(default_factory=dict)
 
     def __post_init__(self):
@@ -250,17 +246,6 @@ class GroundTruth:
             )
         if not (float(self.sigma_z) >= 0.0):
             raise ValueError("sigma_z must be >= 0")
-        if self.covariance_kind not in ("identity", "diagonal-bounded"):
-            raise ValueError(f"unknown covariance_kind {self.covariance_kind!r}")
-        if self.covariance_kind == "diagonal-bounded":
-            if self.sigma_diag is None:
-                raise ValueError("diagonal-bounded covariance needs sigma_diag")
-            sd = _readonly(self.sigma_diag)
-            if sd.shape != (d,) or np.any(sd <= 0):
-                raise ValueError("sigma_diag must be a positive length-d vector")
-            object.__setattr__(self, "sigma_diag", sd)
-        elif self.sigma_diag is not None:
-            raise ValueError("sigma_diag only valid for diagonal-bounded covariance")
         object.__setattr__(self, "B_star", B)
         object.__setattr__(self, "W_star", W)
         object.__setattr__(self, "w_target_star", w)
@@ -291,18 +276,18 @@ class TaskDataset:
     once, the arrays read-only.
 
     A dataset built from a caller's X (n x d) and Y (length n) keeps
-    read-only copies of them. One that sample_task drew keeps no rows: it
-    records the (draw, n) parts it was drawn in, and rows(), X and Y draw
-    them again, bit for bit, on every call; its draw is that of its last
-    part. merge() appends another draw of the same task by adding
-    statistics.
+    read-only copies of them; n is X's row count, and seed and draw are
+    None. One that sample_task drew keeps no rows: it records the (draw, n)
+    parts it was drawn at seed, and rows(), X and Y draw them again, bit
+    for bit, on every call; its draw is that of its last part. merge()
+    appends another draw of the same task by adding statistics.
     """
 
     task_index: int
     n: int
     d: int
-    seed: int
-    draw: int
+    seed: int | None
+    draw: int | None
     G: np.ndarray = dataclasses.field(repr=False)
     H: np.ndarray = dataclasses.field(repr=False)
     yty: float = dataclasses.field(repr=False)
@@ -310,15 +295,13 @@ class TaskDataset:
     _parts: tuple | None = dataclasses.field(repr=False)
     _rows: tuple | None = dataclasses.field(repr=False)
 
-    def __init__(self, task_index, X, Y, n, seed, draw=0):
+    def __init__(self, task_index, X, Y):
         X, Y = _readonly(X), _readonly(Y)
         if X.ndim != 2 or Y.ndim != 1 or X.shape[0] != Y.shape[0]:
             raise ValueError(f"inconsistent shapes X{X.shape}, Y{Y.shape}")
-        if n != X.shape[0]:
-            raise ValueError(f"n={n} but X has {X.shape[0]} rows")
-        self._fill(task_index=task_index, n=n, d=X.shape[1], seed=seed,
-                   draw=draw, G=X.T @ X, H=X.T @ Y, yty=float(Y @ Y),
-                   _gt=None, _parts=None, _rows=(X, Y))
+        self._fill(task_index=task_index, n=X.shape[0], d=X.shape[1],
+                   seed=None, draw=None, G=X.T @ X, H=X.T @ Y,
+                   yty=float(Y @ Y), _gt=None, _parts=None, _rows=(X, Y))
 
     def _fill(self, **fields):
         fields["G"].setflags(write=False)
@@ -379,8 +362,6 @@ def _draw_rows(gt, task_index, n, seed, draw):
     table = _sample_seed_table(int(seed), gt.T, int(draw))
     rng = _generator(table[task_index])
     X = rng.standard_normal((n, gt.d))
-    if gt.covariance_kind == "diagonal-bounded":
-        X = X * np.sqrt(gt.sigma_diag)
     Y = X @ theta + gt.sigma_z * rng.standard_normal(n)
     return X, Y
 
@@ -556,11 +537,8 @@ def make_aligned_worstcase_instance(d, k, T, c_w, seed=0, sigma_z=0.0):
 def save_instance(gt, path):
     """Write an instance as JSON; matrices are flat row-major float lists.
     json writes each float as its shortest round-trip repr, so a reloaded
-    instance is bit-identical; a non-finite entry raises ValueError."""
-    meta = dict(gt.meta)
-    meta["covariance_kind"] = gt.covariance_kind
-    if gt.sigma_diag is not None:
-        meta["sigma_diag"] = gt.sigma_diag.tolist()
+    instance is bit-identical; a non-finite entry raises ValueError. The
+    meta names the identity input covariance, as every instance file has."""
     doc = {
         "d": gt.d,
         "k": gt.k,
@@ -569,28 +547,30 @@ def save_instance(gt, path):
         "B_star": gt.B_star.ravel(order="C").tolist(),
         "W_star": gt.W_star.ravel(order="C").tolist(),
         "w_target_star": gt.w_target_star.tolist(),
-        "meta": meta,
+        "meta": {**gt.meta, "covariance_kind": "identity"},
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, allow_nan=False)
 
 
 def load_instance(path):
+    """Read an instance that save_instance wrote. Inputs are N(0, I_d), so a
+    file whose meta names another covariance raises ValueError."""
     with open(path) as fh:
         doc = json.load(fh)
     try:
         d, k, T = int(doc["d"]), int(doc["k"]), int(doc["T"])
         meta = dict(doc.get("meta", {}))
-        covariance_kind = meta.pop("covariance_kind", "identity")
-        sigma_diag = meta.pop("sigma_diag", None)
+        covariance = meta.pop("covariance_kind", "identity")
+        if covariance != "identity" or "sigma_diag" in meta:
+            raise ValueError(f"{path}: input covariance {covariance!r} is "
+                             "not supported; inputs are N(0, I_d)")
         gt = GroundTruth(
             d=d, k=k, T=T,
             B_star=np.asarray(doc["B_star"], dtype=float).reshape(d, k),
             W_star=np.asarray(doc["W_star"], dtype=float).reshape(k, T),
             w_target_star=np.asarray(doc["w_target_star"], dtype=float),
             sigma_z=float(doc["sigma_z"]),
-            covariance_kind=covariance_kind,
-            sigma_diag=None if sigma_diag is None else np.asarray(sigma_diag, float),
             meta=meta,
         )
     except (KeyError, TypeError) as exc:

@@ -47,6 +47,17 @@ _DEFAULTS = {
 }
 
 
+def integer(value, name):
+    """The count called name as an int. Ints, numpy ints and integral floats
+    (JSON writes 1e4 as 10000.0) are taken; bools, other floats and anything
+    else raise ValueError instead of being truncated."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 class TaskOracle:
     """Sampling access to a ground-truth instance, with draw accounting.
 
@@ -112,6 +123,9 @@ def _params(params):
         if unknown:
             raise ValueError(f"unknown params: {sorted(unknown)}")
         merged.update(params)
+    for key in ("N_tot", "N_tot_phase2", "N_floor", "n_target", "S", "beta_1"):
+        if key in merged:
+            merged[key] = integer(merged[key], key)
     return merged
 
 
@@ -201,8 +215,7 @@ def _run_stages(strategy, oracle, k, p, budgets, q=1, nu=None,
     """
     t0 = time.perf_counter()
     gt, T = oracle.gt, oracle.gt.T
-    N_floor = int(p.get("N_floor", 0))
-    label = "L1" if strategy == "multistage" else strategy
+    N_floor = p.get("N_floor", 0)
     nu_history = [] if nu is None else [np.asarray(nu, dtype=float)]
     nu = np.ones(T) if nu is None else nu
     target_ds = oracle.sample(T, p["n_target"], draw=0)
@@ -210,7 +223,7 @@ def _run_stages(strategy, oracle, k, p, budgets, q=1, nu=None,
     counts = np.zeros(T, dtype=int)
     allocations, summaries, model = [], [], None
     for stage, budget in enumerate(budgets):
-        alloc = lpnq_allocation(nu, q, budget, N_floor, strategy=label)
+        alloc = lpnq_allocation(nu, q, budget, N_floor)
         allocations.append(alloc)
         for t in range(T):
             inc = int(alloc.n[t]) - int(counts[t])
@@ -240,7 +253,7 @@ def _run_stages(strategy, oracle, k, p, budgets, q=1, nu=None,
         nu_history=tuple(nu_history),
         nu_l1_norm=float(np.abs(last).sum()), support_size=support_size(last),
         total_samples=int(counts.sum()) + p["n_target"],
-        target_samples=int(p["n_target"]),
+        target_samples=p["n_target"],
         wall_ms=(time.perf_counter() - t0) * 1e3, params=dict(p))
 
 
@@ -249,23 +262,23 @@ def run_known_nu(oracle, d, k, T, nu_ref, q, params=None):
     with exponent q (q=1 water-filling on |nu|, q=2 on squared weights)."""
     _check_dims(oracle, d, k, T)
     p = {"q": q, **_params(params)}
-    return _run_stages("known_nu", oracle, k, p, [int(_require(p, "N_tot"))],
-                       q, nu=nu_ref)
+    return _run_stages("known_nu", oracle, k, p, [_require(p, "N_tot")], q,
+                       nu=nu_ref)
 
 
 def run_passive(oracle, d, k, T, params=None):
     """Uniform allocation across all source tasks; no relevance estimate."""
     _check_dims(oracle, d, k, T)
     p = _params(params)
-    return _run_stages("passive", oracle, k, p, [int(_require(p, "N_tot"))])
+    return _run_stages("passive", oracle, k, p, [_require(p, "N_tot")])
 
 
 def _two_phase(oracle, d, k, T, params, strategy, estimator, q):
     """Explore at the floor, estimate nu once, then water-fill the rest."""
     _check_dims(oracle, d, k, T)
     p = _params(params)
-    N_floor = int(_require(p, "N_floor"))
-    N_tot = int(_require(p, "N_tot_phase2"))
+    N_floor = _require(p, "N_floor")
+    N_tot = _require(p, "N_tot_phase2")
     if N_floor < 1:
         raise ValueError("the exploration phase needs N_floor >= 1")
     if N_tot < T * N_floor:
@@ -297,10 +310,10 @@ def run_multistage(oracle, d, k, T, params=None):
     """
     _check_dims(oracle, d, k, T)
     p = _params(params)
-    S = int(_require(p, "S"))
+    S = _require(p, "S")
     L = float(_require(p, "L"))
-    beta_1 = int(_require(p, "beta_1"))
-    N_floor = int(_require(p, "N_floor"))
+    beta_1 = _require(p, "beta_1")
+    N_floor = _require(p, "N_floor")
     if S < 1:
         raise ValueError("need S >= 1 stages")
     if L <= 1.0:

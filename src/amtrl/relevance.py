@@ -5,6 +5,7 @@ heads, W @ nu = w. Three routes are provided: the exact minimum-L1 solution
 (linear program, vertex solution, support at most rank(W)), the minimum-L2
 solution (pseudoinverse), and an L1-regularized least-squares estimate
 (Lasso) for the realistic case where W and w are themselves estimates.
+A relevance vector's support is defined once, by dead_banded.
 """
 
 import dataclasses
@@ -18,14 +19,19 @@ from . import simplex
 _RANK_RTOL = 1e-10
 
 
-def support_size(nu, tol=None):
-    """Number of entries of nu above the dead-band tolerance, by default
-    1e-9 max|nu| (0 for an empty or zero nu): relative, so a nonzero nu
-    has a nonzero support at any scale."""
+def dead_banded(nu):
+    """nu with its dead band, |nu_t| <= 1e-9 max|nu|, set to zero; what is
+    left nonzero is nu's support. The band is relative: a nonzero nu has a
+    nonzero support, unchanged when nu is scaled by a power of two."""
     nu = np.asarray(nu, dtype=float)
-    if tol is None:
-        tol = 1e-9 * float(np.max(np.abs(nu), initial=0.0))
-    return int(np.sum(np.abs(nu) > tol))
+    return np.where(np.abs(nu) > 1e-9 * float(np.max(np.abs(nu), initial=0.0)),
+                    nu, 0.0)
+
+
+def support_size(nu):
+    """Number of entries of nu outside its dead band (see dead_banded); 0
+    for an empty or zero nu."""
+    return int(np.count_nonzero(dead_banded(nu)))
 
 
 def _check_diverse(W):

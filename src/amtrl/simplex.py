@@ -11,6 +11,9 @@ import dataclasses
 
 import numpy as np
 
+# pivot, ratio-test and feasibility tolerance
+_TOL = 1e-9
+
 
 class InfeasibleError(ValueError):
     pass
@@ -23,7 +26,6 @@ class UnboundedError(ValueError):
 @dataclasses.dataclass(frozen=True)
 class SimplexResult:
     x: np.ndarray
-    basis: np.ndarray
     value: float
     iterations: int
 
@@ -40,7 +42,7 @@ def _pivot(tab, rhs, basis, row, col):
     basis[row] = col
 
 
-def _iterate(tab, rhs, basis, costs, allowed, tol, max_iters):
+def _iterate(tab, rhs, basis, costs, allowed, max_iters):
     iters = 0
     m = tab.shape[0]
     while True:
@@ -48,7 +50,7 @@ def _iterate(tab, rhs, basis, costs, allowed, tol, max_iters):
         reduced = costs - cb @ tab
         entering = -1
         for j in allowed:
-            if reduced[j] < -tol:
+            if reduced[j] < -_TOL:
                 entering = j
                 break
         if entering < 0:
@@ -57,9 +59,9 @@ def _iterate(tab, rhs, basis, costs, allowed, tol, max_iters):
         row = -1
         for i in range(m):
             a = tab[i, entering]
-            if a > tol:
+            if a > _TOL:
                 r = rhs[i] / a
-                if r < ratio - tol or (abs(r - ratio) <= tol and
+                if r < ratio - _TOL or (abs(r - ratio) <= _TOL and
                                        (row < 0 or basis[i] < basis[row])):
                     ratio = min(r, ratio)
                     row = i
@@ -71,16 +73,16 @@ def _iterate(tab, rhs, basis, costs, allowed, tol, max_iters):
             raise RuntimeError("simplex iteration limit exceeded")
 
 
-def solve_lp(c, A, b, tol=1e-9, max_iters=None):
-    """Minimize c@x over {A@x = b, x >= 0}; returns a vertex solution."""
+def solve_lp(c, A, b):
+    """Minimize c@x over {A@x = b, x >= 0}; returns a vertex solution.
+    Raises RuntimeError after 200 (n + m + 10) pivots in either phase."""
     A = np.array(A, dtype=float)
     b = np.array(b, dtype=float)
     c = np.array(c, dtype=float)
     if A.ndim != 2 or c.shape != (A.shape[1],) or b.shape != (A.shape[0],):
         raise ValueError("inconsistent LP dimensions")
     m, n = A.shape
-    if max_iters is None:
-        max_iters = 200 * (n + m + 10)
+    max_iters = 200 * (n + m + 10)
     flip = b < 0
     A = A.copy()
     A[flip] *= -1.0
@@ -92,9 +94,9 @@ def solve_lp(c, A, b, tol=1e-9, max_iters=None):
     rhs = b.copy()
     basis = np.arange(n, n + m)
     costs1 = np.concatenate([np.zeros(n), np.ones(m)])
-    it1 = _iterate(tab, rhs, basis, costs1, range(n), tol, max_iters)
+    it1 = _iterate(tab, rhs, basis, costs1, range(n), max_iters)
     scale = 1.0 + float(np.linalg.norm(b, np.inf))
-    if float(costs1[basis] @ rhs) > tol * scale:
+    if float(costs1[basis] @ rhs) > _TOL * scale:
         raise InfeasibleError("constraints A@x = b, x >= 0 are infeasible")
 
     # drive leftover artificials out of the basis; a row with no eligible
@@ -104,7 +106,7 @@ def solve_lp(c, A, b, tol=1e-9, max_iters=None):
         if basis[i] >= n:
             col = -1
             for j in range(n):
-                if abs(tab[i, j]) > tol:
+                if abs(tab[i, j]) > _TOL:
                     col = j
                     break
             if col >= 0:
@@ -116,12 +118,11 @@ def solve_lp(c, A, b, tol=1e-9, max_iters=None):
     basis = basis[keep]
 
     costs2 = c
-    it2 = _iterate(tab, rhs, basis, costs2, range(n), tol, max_iters)
+    it2 = _iterate(tab, rhs, basis, costs2, range(n), max_iters)
 
     # rebuild the vertex from the original data to shed pivoting round-off
     x = np.zeros(n)
     if basis.size:
         xb = np.linalg.lstsq(A[:, basis], b, rcond=None)[0]
         x[basis] = np.maximum(xb, 0.0)
-    return SimplexResult(x=x, basis=basis.copy(), value=float(c @ x),
-                         iterations=it1 + it2)
+    return SimplexResult(x=x, value=float(c @ x), iterations=it1 + it2)

@@ -55,19 +55,14 @@ from .instance import _rng
 _MAX_VECB = 20000
 # ridge on each task's Gram matrix in the spectral initialization
 _INIT_RIDGE = 1e-8
+# fit_source's stopping rule and subspace_distance's orthonormality check
+_TOL = 1e-10
+_MAX_ITERS = 500
+_FRAME_TOL = 1e-6
 _EPS = np.finfo(float).eps
 
 _potrf, _potrs, _pocon, _lange, _geqrf, _orgqr = scipy.linalg.get_lapack_funcs(
     ("potrf", "potrs", "pocon", "lange", "geqrf", "orgqr"), dtype=np.float64)
-
-
-@dataclasses.dataclass(frozen=True)
-class FitOptions:
-    """Stopping rule: relative loss decrease at most tol, or max_iters
-    alternating steps."""
-
-    tol: float = 1e-10
-    max_iters: int = 500
 
 
 @dataclasses.dataclass(frozen=True)
@@ -216,7 +211,7 @@ def _spectral_init(u, H, G, k):
     return _orthonormalize(pad)
 
 
-def fit_source(datasets, k, options=None, init_B=None):
+def fit_source(datasets, k, init_B=None):
     """Fit the shared representation on source-task datasets.
 
     Args:
@@ -224,19 +219,18 @@ def fit_source(datasets, k, options=None, init_B=None):
             datasets[t]. Tasks with n = 0 are carried with a zero head and
             contribute nothing to the objective.
         k: latent dimension of the representation.
-        options: FitOptions (stopping rule); None means FitOptions().
         init_B: optional d x k warm start for the representation; it is
             re-orthonormalized and replaces the spectral initialization.
 
     Returns:
-        FittedModel with a non-increasing train_loss_history.
+        FittedModel with a non-increasing train_loss_history. The fit stops
+        when a step lowers the loss by at most 1e-10 of its value
+        (converged), or after 500 steps with a RuntimeWarning.
 
     Raises:
         ValueError: on malformed input, or when d*k exceeds 20000, the
             largest B-step system the fit forms.
     """
-    if options is None:
-        options = FitOptions()
     if not datasets:
         raise ValueError("need at least one dataset")
     d = datasets[0].d
@@ -273,16 +267,16 @@ def fit_source(datasets, k, options=None, init_B=None):
 
     W = heads_and_loss(B)
     converged = False
-    for _ in range(options.max_iters):
+    for _ in range(_MAX_ITERS):
         B = _orthonormalize(_b_step(u, H, G, W))
         W = heads_and_loss(B)
         prev, cur = history[-2], history[-1]
-        if prev - cur <= options.tol * max(abs(prev), 1e-300):
+        if prev - cur <= _TOL * max(abs(prev), 1e-300):
             converged = True
             break
     else:
-        warnings.warn(f"alternating fit stopped after {options.max_iters} "
-                      f"iterations without reaching tol {options.tol:g}",
+        warnings.warn(f"alternating fit stopped after {_MAX_ITERS} "
+                      f"iterations without reaching tol {_TOL:g}",
                       RuntimeWarning, stacklevel=2)
     return FittedModel(B_hat=B, W_hat=W, w_target_hat=None,
                        train_loss_history=history, iterations=len(history) - 1,
@@ -312,27 +306,28 @@ def fit_target_head(model, dataset):
 
 
 def excess_risk(model, gt):
-    """Population excess risk of the fitted target predictor."""
+    """Population excess risk of the fitted target predictor: with N(0, I_d)
+    inputs, the squared distance between its regression vector and the
+    target's."""
     if model.w_target_hat is None:
         raise ValueError("model has no target head; run fit_target_head first")
     delta = model.B_hat @ model.w_target_hat - gt.B_star @ gt.w_target_star
-    if gt.covariance_kind == "diagonal-bounded":
-        return float(delta @ (gt.sigma_diag * delta))
     return float(delta @ delta)
 
 
-def subspace_distance(B1, B2, tol=1e-6):
+def subspace_distance(B1, B2):
     """sin of the largest principal angle between two orthonormal frames,
     as the spectral norm of the part of B2 outside span(B1),
     ||B2 - B1 (B1^T B2)||_2. Read off the residual, identical frames give
     round-off of order eps, where sqrt(1 - cos^2) from the smallest cosine
-    would give sqrt(eps) for a cosine one ulp below 1."""
+    would give sqrt(eps) for a cosine one ulp below 1. Raises ValueError
+    when either frame's B^T B is more than 1e-6 from the identity."""
     B1 = np.asarray(B1, dtype=float)
     B2 = np.asarray(B2, dtype=float)
     if B1.shape != B2.shape or B1.ndim != 2:
         raise ValueError(f"shape mismatch {B1.shape} vs {B2.shape}")
     for name, B in (("first", B1), ("second", B2)):
         err = np.max(np.abs(B.T @ B - np.eye(B.shape[1])))
-        if err > tol:
+        if err > _FRAME_TOL:
             raise ValueError(f"{name} argument is not orthonormal (deviation {err:.3e})")
     return float(scipy.linalg.svdvals(B2 - B1 @ (B1.T @ B2))[0])

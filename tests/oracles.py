@@ -189,7 +189,7 @@ def bilevel_oracle(W, w, N_tot, N_floor, n_random_starts=8, seed=0,
             best_obj, best_nu = cur, nu
     if best_nu is None:
         raise RuntimeError("all bilevel starts degenerated")
-    alloc = allocate_fixed_nu(best_nu, N_tot, N_floor, strategy="known_nu")
+    alloc = allocate_fixed_nu(best_nu, N_tot, N_floor)
     return best_nu, alloc
 
 

@@ -230,7 +230,7 @@ def test_criterion_10_cost_aware_selection_halves_saltus_cost():
         gt, _ = _almost_sparse_bench(990000 + s)
         nu1 = l1_oracle_lp(gt.W_star, gt.w_target_star)
         aware = cost_aware_allocate(nu1, 3000, 20)
-        passive = allocate_fixed_nu(np.ones(50), 3000, 0, strategy="passive")
+        passive = allocate_fixed_nu(np.ones(50), 3000, 0)
         ratio = eval_cost(aware, None, fns) / eval_cost(passive, None, fns)
         worst_ratio = max(worst_ratio, ratio)
         wins += ratio <= max_ratio

@@ -364,11 +364,6 @@ def test_cost_support_oracle_guards():
 
 def test_allocation_dataclass_validation():
     with pytest.raises(ValueError):
-        Allocation(n=np.array([5, 5]), N_tot=11, N_floor=0, strategy="L1",
-                   c_prime=1.0)
+        Allocation(n=np.array([5, 5]), N_tot=11, N_floor=0, c_prime=1.0)
     with pytest.raises(ValueError):
-        Allocation(n=np.array([-1, 12]), N_tot=11, N_floor=0, strategy="L1",
-                   c_prime=1.0)
-    with pytest.raises(ValueError):
-        Allocation(n=np.array([5, 6]), N_tot=11, N_floor=0, strategy="huh",
-                   c_prime=1.0)
+        Allocation(n=np.array([-1, 12]), N_tot=11, N_floor=0, c_prime=1.0)

@@ -1,5 +1,6 @@
-"""Every demo script and the README quick start run to completion against
-the source tree."""
+"""The public surface: every demo script and the README quick start run to
+completion against the source tree, and amtrl.__all__ names what the package
+holds."""
 
 import os
 import pathlib
@@ -8,6 +9,8 @@ import subprocess
 import sys
 
 import pytest
+
+import amtrl
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -32,3 +35,8 @@ def test_readme_quick_start_runs():
     blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
     assert len(blocks) == 1
     assert _run_python("-c", blocks[0]).strip()
+
+
+def test_public_names_resolve_once():
+    assert [n for n in amtrl.__all__ if not hasattr(amtrl, n)] == []
+    assert len(set(amtrl.__all__)) == len(amtrl.__all__)

@@ -62,10 +62,21 @@ def test_sweep_config_validation():
     with pytest.raises(ConfigError):
         SweepConfig(**{**good, "seeds": 0})
     for key, value in (("seeds", 2.5), ("seeds", True), ("N_floor", 1.5),
-                       ("N_floor", "20"), ("n_target", 100.0),
-                       ("n_target", 0)):
+                       ("N_floor", "20"), ("n_target", 0),
+                       ("n_target", float("inf"))):
         with pytest.raises(ConfigError, match=key):
             SweepConfig(**{**good, key: value})
+    # counts follow the budgets' rule: JSON cannot tell 100 from 100.0
+    cfg = SweepConfig(**{**good, "n_target": 100.0, "seeds": np.int64(2)})
+    assert (cfg.n_target, cfg.seeds) == (100, 2)
+    assert type(cfg.n_target) is int and type(cfg.seeds) is int
+    # multistage defaults are filled in once; S and beta_1 are counts too
+    assert SweepConfig(**good).multistage == {"S": 3, "L": 2.0}
+    assert SweepConfig(**good, multistage={"L": 3.0, "beta_1": 50.0}
+                       ).multistage == {"S": 3, "L": 3.0, "beta_1": 50}
+    for key, value in (("S", 2.7), ("beta_1", 100.5), ("S", True)):
+        with pytest.raises(ConfigError, match=f"multistage {key}"):
+            SweepConfig(**good, multistage={key: value})
     with pytest.raises(ConfigError):
         SweepConfig(**{**good, "lambda_policy": "explicit"})
     with pytest.raises(ConfigError):
@@ -135,6 +146,12 @@ def test_make_instance_kinds_and_file(tmp_path):
         make_instance({"kind": "huh"})
     with pytest.raises(ConfigError):
         make_instance({"kind": "random", "d": 5})
+    # a misspelt key is an error, not a default
+    with pytest.raises(ConfigError, match="sigam_min_floor"):
+        make_instance({"kind": "random", "d": 5, "k": 2, "T": 4,
+                       "sigma_z": 0.2, "sigam_min_floor": 5.0})
+    with pytest.raises(ConfigError, match="'kind', 'seed'"):
+        make_instance({"file": path, "kind": "random", "seed": 3})
 
 
 def test_reference_nu_sources():

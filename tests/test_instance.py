@@ -1,5 +1,6 @@
 """Synthetic instance construction and sampling."""
 
+import json
 import math
 
 import numpy as np
@@ -189,6 +190,24 @@ def test_save_rejects_non_finite_entries(tmp_path, entries, at, bad):
         save_instance(_instance_with_w_star(entries), tmp_path / "inst.json")
 
 
+def test_load_takes_only_the_identity_covariance(tmp_path):
+    gt = make_random_instance(6, 2, 5, sigma_z=0.25, seed=3)
+    path = tmp_path / "inst.json"
+    save_instance(gt, path)
+    doc = json.loads(path.read_text())
+    # what every instance file has recorded since the format began
+    assert doc["meta"]["covariance_kind"] == "identity"
+    back = load_instance(path)
+    for name in ("B_star", "W_star", "w_target_star"):
+        assert getattr(back, name).tobytes() == getattr(gt, name).tobytes()
+    assert back.sigma_z == gt.sigma_z and back.meta == gt.meta
+    doc["meta"].update(covariance_kind="diagonal-bounded",
+                       sigma_diag=[1.0] * 6)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="covariance"):
+        load_instance(path)
+
+
 def test_load_rejects_malformed_file(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"d": 3, "k": 2}')
@@ -238,13 +257,15 @@ def test_dataset_copies_caller_arrays():
     rng = np.random.default_rng(0)
     X, Y = rng.standard_normal((4, 3)), rng.standard_normal(4)
     X0, Y0 = X.copy(), Y.copy()
-    ds = TaskDataset(task_index=0, X=X, Y=Y, n=4, seed=0)
+    ds = TaskDataset(task_index=0, X=X, Y=Y)
+    # the rows are the caller's: n is read off X, and no stream drew them
+    assert (ds.n, ds.d, ds.seed, ds.draw) == (4, 3, None, None)
     X[0, 0] = Y[0] = 99.0
     # read-only arrays that own their data are copied too: their owner can
     # make them writable again
     X.setflags(write=False)
     Y.setflags(write=False)
-    frozen = TaskDataset(task_index=0, X=X, Y=Y, n=4, seed=0)
+    frozen = TaskDataset(task_index=0, X=X, Y=Y)
     X.setflags(write=True)
     Y.setflags(write=True)
     X[1, 1] = Y[1] = -99.0
@@ -261,7 +282,7 @@ def test_dataset_statistics_are_exact_and_read_only():
     np.testing.assert_array_equal(ds.G, X.T @ X)
     np.testing.assert_array_equal(ds.H, X.T @ Y)
     assert ds.yty == Y @ Y
-    own = TaskDataset(task_index=1, X=X, Y=Y, n=30, seed=2)
+    own = TaskDataset(task_index=1, X=X, Y=Y)
     for got in (ds, own):
         for a in (got.G, got.H):
             with pytest.raises(ValueError):
@@ -294,7 +315,7 @@ def test_merged_dataset_redraws_its_stacked_draws():
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     # only later draws of the same task, instance and seed merge
     same_spec = make_random_instance(6, 2, 4, sigma_z=0.3, seed=1)
-    rows = TaskDataset(task_index=2, X=X, Y=Y, n=72, seed=9)
+    rows = TaskDataset(task_index=2, X=X, Y=Y)
     for other in (sample_task(gt, 1, 5, seed=9, draw=4),
                   sample_task(gt, 2, 5, seed=8, draw=4),
                   sample_task(same_spec, 2, 5, seed=9, draw=4), rows):
@@ -354,17 +375,6 @@ def test_target_draw_memo_holds_one_target_entry():
     sample_task(gt, gt.T, 31, seed=0)
     sample_task(gt, gt.T, 31, seed=0, draw=1)
     assert instance._target_draw.cache_info().misses == 5
-
-
-def test_diagonal_covariance_sampling():
-    base = make_random_instance(4, 2, 3, sigma_z=0.0, seed=6)
-    sd = np.array([1.0, 4.0, 9.0, 16.0])
-    gt = GroundTruth(d=4, k=2, T=3, B_star=base.B_star, W_star=base.W_star,
-                     w_target_star=base.w_target_star, sigma_z=0.0,
-                     covariance_kind="diagonal-bounded", sigma_diag=sd)
-    ds = sample_task(gt, 0, 20000, seed=0)
-    # empirical per-coordinate variances track sigma_diag
-    np.testing.assert_allclose(ds.X.var(axis=0), sd, rtol=0.1)
 
 
 def _seed_sequence(seed, key):

@@ -297,6 +297,28 @@ def test_parameter_validation():
                        {"S": 2, "L": 1.0, "beta_1": 100, "N_floor": 1})
     with pytest.raises(ValueError):
         run_passive(_oracle(gt), gt.d + 1, gt.k, gt.T, {"N_tot": 100})
+    # counts are integers: integral floats are taken, anything else raises
+    # instead of being truncated
+    for runner, params, key, value in (
+            (run_passive, {"N_tot": 400}, "N_tot", 400.9),
+            (run_passive, {"N_tot": 400}, "n_target", 50.5),
+            (run_passive, {"N_tot": 400}, "N_floor", True),
+            (run_l1_amtrl, {"N_tot_phase2": 100, "N_floor": 10},
+             "N_tot_phase2", 100.5),
+            (run_l1_amtrl, {"N_tot_phase2": 100, "N_floor": 10},
+             "N_floor", float("inf")),
+            (run_multistage, {"S": 2, "L": 2.0, "beta_1": 100,
+                              "N_floor": 1}, "S", 2.7),
+            (run_multistage, {"S": 2, "L": 2.0, "beta_1": 100,
+                              "N_floor": 1}, "beta_1", "100")):
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            runner(_oracle(gt), gt.d, gt.k, gt.T, {**params, key: value})
+    whole = run_passive(_oracle(gt), gt.d, gt.k, gt.T,
+                        {"N_tot": 400.0, "n_target": np.int64(50)})
+    ref = run_passive(_oracle(gt), gt.d, gt.k, gt.T,
+                      {"N_tot": 400, "n_target": 50})
+    assert (whole.total_samples, ref.total_samples) == (450, 450)
+    assert whole.excess_risk == ref.excess_risk
 
 
 def test_infeasible_budgets_raise():

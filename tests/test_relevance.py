@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amtrl import (
+    cost_aware_allocate,
     kkt_residual,
     l1_oracle_lp,
     lambda_rule,
@@ -177,12 +178,41 @@ def test_norm_bound_check_consistency():
 def test_support_size_dead_band():
     nu = np.array([1.0, 1e-12, -0.5, 0.0])
     assert support_size(nu) == 2
-    assert support_size(nu, tol=0.6) == 1
     assert support_size(np.zeros(3)) == 0
     assert support_size(np.array([])) == 0
     # the band is relative: a nonzero nu is never all dead band
     assert support_size(np.array([6.25e-10])) == 1
     assert support_size(np.array([6.25e-10, 1e-19])) == 1
+
+
+@st.composite
+def _banded_vectors(draw):
+    """nu with max |nu| = m in 1e-6..1e6 and its other entries 0, -0.0 or of
+    magnitude m 10^-e with e in 0..12, so a share of them fall in the dead
+    band; e = 9 lands on its edge."""
+    m = draw(st.floats(1e-6, 1e6))
+    entry = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-9, -1e-9]),
+                      st.floats(-12.0, 0.0).map(lambda e: 10.0 ** e),
+                      st.floats(-12.0, 0.0).map(lambda e: -10.0 ** e))
+    rest = draw(st.lists(entry, max_size=11))
+    return m * np.array([draw(st.sampled_from([1.0, -1.0]))] + rest)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_banded_vectors(), st.integers(-40, 40), st.integers(0, 20),
+       st.integers(0, 2000))
+def test_dead_band_is_shared(nu, j, F, spare):
+    dead = relevance.dead_banded(nu)
+    inside = np.abs(nu) <= 1e-9 * np.abs(nu).max()
+    np.testing.assert_array_equal(dead, np.where(inside, 0.0, nu))
+    assert support_size(nu) == np.count_nonzero(dead)
+    # a power of two rescales every entry and the band's edge exactly
+    np.testing.assert_array_equal(relevance.dead_banded(2.0 ** j * nu),
+                                  2.0 ** j * dead)
+    assert support_size(2.0 ** j * nu) == support_size(nu)
+    # cost-aware allocation spends above the floor only on that support
+    alloc = cost_aware_allocate(nu, nu.size * F + spare, F)
+    assert np.all(dead[alloc.n > F] != 0.0)
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """Alternating least-squares representation fitting."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from amtrl import trainer
 from amtrl import (
-    FitOptions,
     TaskDataset,
     excess_risk,
     fit_source,
@@ -162,8 +162,9 @@ def test_head_for_recovers_true_head_noiseless():
 def test_unconverged_fit_warns():
     gt = make_random_instance(8, 3, 6, sigma_z=0.3, seed=2)
     data = _datasets(gt, 40, seed=2)
-    with pytest.warns(RuntimeWarning, match="stopped after 1 iterations"):
-        model = fit_source(data, gt.k, FitOptions(max_iters=1))
+    with (mock.patch.object(trainer, "_MAX_ITERS", 1),
+          pytest.warns(RuntimeWarning, match="stopped after 1 iterations")):
+        model = fit_source(data, gt.k)
     assert model.converged is False
     assert model.iterations == 1
 
@@ -182,7 +183,7 @@ def _stacked_problems(draw):
     counts = draw(st.lists(count, min_size=T, max_size=T))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     data = [TaskDataset(task_index=t, X=rng.standard_normal((n, d)),
-                        Y=rng.standard_normal(n), n=n, seed=0)
+                        Y=rng.standard_normal(n))
             for t, n in enumerate(counts)]
     counts, u, G, H, yty = trainer._stack_stats(data)
     B = np.linalg.qr(rng.standard_normal((d, k)))[0]
@@ -261,7 +262,8 @@ def test_stacked_spectral_init_matches_per_task_reference(problem):
 def test_fitted_heads_are_head_for(problem):
     # the pipelines read the source heads off W_hat instead of re-solving them
     data, counts, *_, B, _ = problem
-    model = fit_source(data, B.shape[1], FitOptions(max_iters=5))
+    with mock.patch.object(trainer, "_MAX_ITERS", 5):
+        model = fit_source(data, B.shape[1])
     for t, ds in enumerate(data):
         if counts[t] > 0:
             np.testing.assert_array_equal(model.W_hat[:, t],
@@ -276,9 +278,10 @@ def test_fitted_heads_are_head_for_beside_a_singular_task():
     d, k = 5, 2
     rng = np.random.default_rng(3)
     data = [TaskDataset(task_index=t, X=rng.standard_normal((12, d)) * (t != 1),
-                        Y=rng.standard_normal(12), n=12, seed=0)
+                        Y=rng.standard_normal(12))
             for t in range(4)]
-    model = fit_source(data, k, FitOptions(max_iters=5))
+    with mock.patch.object(trainer, "_MAX_ITERS", 5):
+        model = fit_source(data, k)
     np.testing.assert_array_equal(model.W_hat[:, 1], 0.0)
     for t, ds in enumerate(data):
         np.testing.assert_array_equal(model.W_hat[:, t],
@@ -294,7 +297,7 @@ def test_singular_b_step_takes_minimum_norm_solution():
     d, k, T, n = 5, 4, 3, 6
     rng = np.random.default_rng(14)
     data = [TaskDataset(task_index=t, X=rng.standard_normal((n, d)),
-                        Y=rng.standard_normal(n), n=n, seed=0)
+                        Y=rng.standard_normal(n))
             for t in range(T)]
     _, u, G, H, _ = trainer._stack_stats(data)
     W = rng.standard_normal((k, T))
@@ -365,7 +368,7 @@ def _head_problems(draw):
         X = rng.standard_normal((n, d))
     else:
         X = rng.standard_normal((n, r)) @ rng.standard_normal((r, d))
-    ds = TaskDataset(task_index=0, X=X, Y=rng.standard_normal(n), n=n, seed=0)
+    ds = TaskDataset(task_index=0, X=X, Y=rng.standard_normal(n))
     return ds, np.linalg.qr(rng.standard_normal((d, k)))[0], r == k
 
 
