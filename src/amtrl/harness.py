@@ -39,18 +39,28 @@ class ConfigError(ValueError):
 
 
 def _integer(value, name):
-    """value as an int by pipeline.integer's rule; ConfigError otherwise."""
+    """value as an int by instance.integer's rule; ConfigError otherwise."""
     try:
-        return pipeline.integer(value, name)
+        return instance.integer(value, name)
     except ValueError as e:
         raise ConfigError(str(e)) from None
+
+
+def _finite(value, name):
+    """value as a finite float; ConfigError for bools, strings, NaN and
+    infinities, which would otherwise fail only in a sweep's first run."""
+    if (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool) and math.isfinite(value)):
+        return float(value)
+    raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
 class SweepConfig:
     """Declarative description of a sweep: instance, strategies, grid.
-    multistage takes S (default 3), L (default 2.0) and beta_1 (default: a
-    schedule summing to about each budget)."""
+    multistage takes S >= 1 (default 3), a finite L > 1 (default 2.0) and
+    beta_1 (default: a schedule summing to about each budget). A lambda
+    value, when given, is a finite number >= 0."""
 
     instance: dict
     strategies: tuple
@@ -66,7 +76,7 @@ class SweepConfig:
     def __post_init__(self):
         object.__setattr__(self, "strategies", tuple(self.strategies))
         try:
-            budgets = tuple(pipeline.integer(b, "budget")
+            budgets = tuple(instance.integer(b, "budget")
                             for b in self.budgets)
         except ValueError as e:
             raise ConfigError(f"budgets must be integers: {e}") from None
@@ -98,6 +108,10 @@ class SweepConfig:
             raise ConfigError("lambda_policy must be lazy, theory or explicit")
         if self.lambda_policy == "explicit" and self.lambda_value is None:
             raise ConfigError("lambda_policy 'explicit' needs a lambda value")
+        if (self.lambda_value is not None
+                and _finite(self.lambda_value, "lambda") < 0):
+            raise ConfigError(f"lambda must be >= 0, got "
+                              f"{self.lambda_value!r}")
         if not isinstance(self.instance, dict):
             raise ConfigError("instance must be a mapping")
         unknown = set(self.multistage) - {"S", "L", "beta_1"}
@@ -108,6 +122,11 @@ class SweepConfig:
         for name in ("S", "beta_1"):
             if name in ms:
                 ms[name] = _integer(ms[name], f"multistage {name}")
+        if ms["S"] < 1:
+            raise ConfigError(f"multistage S must be >= 1, got {ms['S']}")
+        ms["L"] = _finite(ms["L"], "multistage L")
+        if ms["L"] <= 1.0:
+            raise ConfigError(f"multistage L must be > 1, got {ms['L']!r}")
         object.__setattr__(self, "multistage", ms)
 
 
@@ -220,7 +239,7 @@ def run_single(gt, strategy, seed, N_tot, cfg):
                                         q, {**base, "N_tot": N_tot,
                                             "N_floor": cfg.N_floor})
         elif strategy == "multistage":
-            S, L = cfg.multistage["S"], float(cfg.multistage["L"])
+            S, L = cfg.multistage["S"], cfg.multistage["L"]
             beta_1 = cfg.multistage.get("beta_1",
                                         _multistage_beta1(N_tot, S, L))
             res = pipeline.run_multistage(oracle, d, k, T, {
@@ -279,7 +298,9 @@ def run_sweep(cfg, out_dir=None):
     os.makedirs(out_dir, exist_ok=True)
     gt = make_instance(cfg.instance)
     # seed-major, so the runs sharing a seed's target set are consecutive
-    # and all but the first take it from instance.sample_task's memo
+    # and all but the first take it from instance.sample_task's memo; a
+    # seed's L1 (or L2) runs are consecutive too, and all but the first
+    # take their exploration stage from pipeline._explore's memo
     rows = [run_single(gt, strategy, seed, budget, cfg)[0]
             for seed in range(cfg.seeds)
             for strategy in cfg.strategies

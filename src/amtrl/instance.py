@@ -66,6 +66,19 @@ def _readonly(a):
     return a
 
 
+def integer(value, name):
+    """The count called name as an int. Ints, numpy ints and integral floats
+    (JSON writes 1e4 as 10000.0) are taken; bools, other floats and anything
+    else raise ValueError instead of being truncated."""
+    if type(value) is int:  # the stage loop's counts: checked per draw
+        return value
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _uint32_words(n):
     """A non-negative integer as little-endian 32-bit words, as SeedSequence
     splits it (0 is one word)."""
@@ -384,7 +397,9 @@ def sample_task(gt, task_index, n, seed, draw=0):
     """Draw n i.i.d. samples for one task, kept as their statistics.
 
     Deterministic in (seed, task_index, draw); distinct draw indices give
-    independent streams, so incremental sampling never replays data.
+    independent streams, so incremental sampling never replays data. n and
+    draw follow integer()'s rule: 5.0 draws 5 samples, while 5.7 or True
+    raises ValueError instead of being truncated.
 
     The target task (task_index == gt.T) comes from a one-entry memo keyed
     by (gt's identity, n, seed, draw): a call repeating the previous target
@@ -393,9 +408,10 @@ def sample_task(gt, task_index, n, seed, draw=0):
     seed share their target set, and little else repeats (see the module
     docstring). Source draws are always drawn afresh.
     """
+    n, draw = integer(n, "n"), integer(draw, "draw")
     if n < 0:
         raise ValueError("n must be >= 0")
-    n, seed, draw = int(n), int(seed), int(draw)
+    seed = int(seed)
     if task_index == gt.T:
         return _target_draw(gt, n, seed, draw)
     return _drawn_dataset(gt, task_index, n, seed, draw)

@@ -19,8 +19,22 @@ heads. The strategies differ only in what they hand the loop:
   (L2, q = 2);
 - multistage: stages round(beta_1 * L^i), i < S, from nu = 1, with a
   Lasso estimate after every stage.
+
+The exploration stage is shared. Stage 0 of an L1, L2 or multistage run
+(water-fill from nu = 1, draw every task, fit from the spectral start, fit
+the target head, estimate nu) is a pure function of the instance, seed, k,
+stage budget, floor, target set, estimator and Lasso penalty, and _explore
+memoizes it one entry deep. A sweep runs seed by seed, so a seed's L1 runs
+after its first budget take the stage from the entry, as do its L2 runs
+and its multistage runs at beta_1 = T * N_floor. Each run still records
+the stage's draws in its own oracle and issues the stage's warnings again,
+so its accounting, replay guard, warnings and outputs are those of a run
+that computed the stage.
 """
 
+import functools
+import math
+import sys
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -31,7 +45,7 @@ from .allocation import InfeasibleBudgetError, lpnq_allocation
 # not called here, but the benchmark's tracer wraps pipeline.allocate_fixed_nu
 # as well as pipeline.lpnq_allocation, through which the loop allocates
 from .allocation import allocate_fixed_nu  # noqa: F401
-from .instance import sample_task
+from .instance import integer, sample_task
 from .relevance import (LAZY_LAMBDA, lambda_rule, lasso, min_l2_solution,
                         support_size)
 from .trainer import (excess_risk, fit_source, fit_target_head,
@@ -47,17 +61,6 @@ _DEFAULTS = {
 }
 
 
-def integer(value, name):
-    """The count called name as an int. Ints, numpy ints and integral floats
-    (JSON writes 1e4 as 10000.0) are taken; bools, other floats and anything
-    else raise ValueError instead of being truncated."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (float, np.floating)) and float(value).is_integer():
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 class TaskOracle:
     """Sampling access to a ground-truth instance, with draw accounting.
 
@@ -66,6 +69,12 @@ class TaskOracle:
     (task_index, draw) pair may be consumed only once, which is what
     makes incremental multi-stage sampling reuse data instead of
     replaying it. Task index gt.T addresses the target task.
+
+    record(task_index, n, draw) consumes a draw without drawing it, for
+    samples the caller already holds from this oracle's stream (the shared
+    exploration stage): it is accounted and guarded as sample() would.
+    Both take n and draw by instance.integer's rule, and a refused draw
+    records nothing.
     """
 
     def __init__(self, gt, seed=0):
@@ -77,14 +86,24 @@ class TaskOracle:
     def target_index(self):
         return self.gt.T
 
-    def sample(self, task_index, n, draw=0):
-        key = (int(task_index), int(draw))
+    def _claim(self, task_index, n, draw):
+        n, key = integer(n, "n"), (int(task_index), integer(draw, "draw"))
+        if n < 0:
+            raise ValueError("n must be >= 0")
         if key in self._drawn:
             raise RuntimeError(
                 f"draw {draw} of task {task_index} was already consumed; "
                 "use a fresh draw index for incremental samples")
-        ds = sample_task(self.gt, task_index, n, self.seed, draw=draw)
-        self._drawn[key] = int(n)
+        return key, n
+
+    def record(self, task_index, n, draw=0):
+        key, n = self._claim(task_index, n, draw)
+        self._drawn[key] = n
+
+    def sample(self, task_index, n, draw=0):
+        key, n = self._claim(task_index, n, draw)
+        ds = sample_task(self.gt, task_index, n, self.seed, draw=key[1])
+        self._drawn[key] = n
         return ds
 
     @property
@@ -199,6 +218,50 @@ def _estimate_nu(model, p, estimator):
     return nu, record
 
 
+def _reissue(caught):
+    """Issue again, under the filters in force now, the warnings that
+    catch_warnings(record=True) recorded, each at the place it was raised."""
+    for w in caught:
+        module = next((name for name, m in list(sys.modules.items())
+                       if getattr(m, "__file__", None) == w.filename), None)
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno,
+                               module=module, source=w.source)
+
+
+@functools.lru_cache(maxsize=1)
+def _explore(gt, seed, k, budget, N_floor, target_ds, estimator,
+             lambda_policy, lam):
+    """Stage 0 of a run that starts from nu = 1 and estimates nu: water-fill
+    budget on all ones with floor N_floor, draw every task at draw index 0
+    of the stream at seed, fit from the spectral start, fit the target head
+    on target_ds and estimate nu by estimator under the lambda policy.
+
+    A pure function of its arguments, memoized one entry deep like
+    instance._target_draw (target_ds, a TaskDataset, and gt key by
+    identity): the runs of one seed that explore alike (L1 and L2 at every
+    budget, multistage at beta_1 = T * N_floor) follow each other in a
+    sweep, so all but the first take the stage from the entry.
+
+    Returns (allocation, datasets, model, summary, (nu, record), caught):
+    the model's arrays and nu are read-only, and caught holds the warnings
+    the stage raised, recorded instead of shown so that every run sharing
+    the stage issues them again (_reissue). catch_warnings swaps the
+    process-wide warning state, so runs made in concurrent threads may
+    catch each other's warnings; the sweep makes its runs one at a time."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        alloc = lpnq_allocation(np.ones(gt.T), 1, budget, N_floor)
+        datasets = tuple(sample_task(gt, t, n, seed, draw=0)
+                         for t, n in enumerate(alloc.n.tolist()))
+        model = fit_target_head(fit_source(datasets, k), target_ds)
+        summary = _stage_summary(model, gt)
+        nu, record = _estimate_nu(
+            model, {"lambda_policy": lambda_policy, "lambda": lam}, estimator)
+    for a in (model.B_hat, model.W_hat, model.w_target_hat, nu):
+        a.setflags(write=False)
+    return alloc, datasets, model, summary, (nu, record), tuple(caught)
+
+
 def _run_stages(strategy, oracle, k, p, budgets, q=1, nu=None,
                 estimator=None, estimates=0):
     """The stage loop every runner calls (see the module docstring).
@@ -212,37 +275,57 @@ def _run_stages(strategy, oracle, k, p, budgets, q=1, nu=None,
     record; a given nu is the run's reference and heads nu_history. The
     reported N_tot is the number of source samples drawn: a task never
     gives samples back when a later stage allots it fewer.
+
+    A run that starts from all ones and estimates takes stage 0 from
+    _explore and records that stage's draws in its oracle as its own (see
+    the module docstring).
     """
     t0 = time.perf_counter()
     gt, T = oracle.gt, oracle.gt.T
     N_floor = p.get("N_floor", 0)
     nu_history = [] if nu is None else [np.asarray(nu, dtype=float)]
+    explore = nu is None and estimates > 0
     nu = np.ones(T) if nu is None else nu
     target_ds = oracle.sample(T, p["n_target"], draw=0)
     datasets = [None] * T
     counts = np.zeros(T, dtype=int)
     allocations, summaries, model = [], [], None
     for stage, budget in enumerate(budgets):
-        alloc = lpnq_allocation(nu, q, budget, N_floor)
+        estimate = None
+        if stage == 0 and explore:
+            lam = p["lambda"] if p["lambda_policy"] == "explicit" else None
+            alloc, shared, model, summary, estimate, caught = _explore(
+                gt, oracle.seed, k, budget, N_floor, target_ds, estimator,
+                p["lambda_policy"], lam)
+            for t, ds in enumerate(shared):
+                oracle.record(t, ds.n, draw=0)
+            datasets = list(shared)
+            summary = dict(summary)
+            _reissue(caught)
+        else:
+            alloc = lpnq_allocation(nu, q, budget, N_floor)
+            for t in range(T):
+                inc = int(alloc.n[t]) - int(counts[t])
+                if datasets[t] is None:
+                    datasets[t] = oracle.sample(t, inc, draw=stage)
+                elif inc > 0:
+                    datasets[t] = datasets[t].merge(
+                        oracle.sample(t, inc, draw=stage))
+            model = fit_target_head(
+                fit_source(datasets, k,
+                           init_B=None if model is None else model.B_hat),
+                target_ds)
+            summary = _stage_summary(model, gt)
+            if stage < estimates:
+                estimate = _estimate_nu(model, p, estimator)
         allocations.append(alloc)
-        for t in range(T):
-            inc = int(alloc.n[t]) - int(counts[t])
-            if datasets[t] is None:
-                datasets[t] = oracle.sample(t, inc, draw=stage)
-            elif inc > 0:
-                datasets[t] = datasets[t].merge(
-                    oracle.sample(t, inc, draw=stage))
         counts = np.maximum(counts, alloc.n)
-        model = fit_target_head(
-            fit_source(datasets, k,
-                       init_B=None if model is None else model.B_hat),
-            target_ds)
-        summaries.append(_stage_summary(model, gt))
-        if stage < estimates:
-            nu, record = _estimate_nu(model, p, estimator)
+        summaries.append(summary)
+        if estimate is not None:
+            nu, record = estimate[0].copy(), estimate[1]
             nu_history.append(nu)
             if record is not None:
-                summaries[-1]["relevance"] = record
+                summary["relevance"] = dict(record)
     er = excess_risk(model, gt)
     last = nu_history[-1] if nu_history else np.zeros(0)
     return RunResult(
@@ -316,8 +399,8 @@ def run_multistage(oracle, d, k, T, params=None):
     N_floor = _require(p, "N_floor")
     if S < 1:
         raise ValueError("need S >= 1 stages")
-    if L <= 1.0:
-        raise ValueError("need budget growth L > 1")
+    if not 1.0 < L < math.inf:
+        raise ValueError(f"need a finite budget growth L > 1, got L = {L!r}")
     if N_floor < 1:
         raise ValueError("the exploration stages need N_floor >= 1")
     if beta_1 < T * N_floor:

@@ -17,9 +17,10 @@ os.environ.update(dict.fromkeys(
 
 @pytest.fixture(autouse=True)
 def _fresh_sampling_caches():
-    """Empty the sampling caches before each test, so no result depends on
-    which test ran before it."""
-    from amtrl import instance
+    """Empty the sampling caches and the shared exploration stage before
+    each test, so no result depends on which test ran before it."""
+    from amtrl import instance, pipeline
 
     instance._target_draw.cache_clear()
     instance._sample_seed_table.cache_clear()
+    pipeline._explore.cache_clear()

@@ -74,9 +74,17 @@ def test_sweep_config_validation():
     assert SweepConfig(**good).multistage == {"S": 3, "L": 2.0}
     assert SweepConfig(**good, multistage={"L": 3.0, "beta_1": 50.0}
                        ).multistage == {"S": 3, "L": 3.0, "beta_1": 50}
-    for key, value in (("S", 2.7), ("beta_1", 100.5), ("S", True)):
+    for key, value in (("S", 2.7), ("beta_1", 100.5), ("S", True),
+                       ("S", 0), ("L", 1.0), ("L", 0.5), ("L", math.nan),
+                       ("L", math.inf), ("L", "2"), ("L", True)):
         with pytest.raises(ConfigError, match=f"multistage {key}"):
             SweepConfig(**good, multistage={key: value})
+    # a lambda value is a finite penalty >= 0, whatever the policy
+    for value in ("abc", -1.0, math.nan, math.inf, True):
+        for policy in ("explicit", "lazy"):
+            with pytest.raises(ConfigError, match="lambda"):
+                SweepConfig(**good, lambda_policy=policy, lambda_value=value)
+    SweepConfig(**good, lambda_policy="explicit", lambda_value=0)
     with pytest.raises(ConfigError):
         SweepConfig(**{**good, "lambda_policy": "explicit"})
     with pytest.raises(ConfigError):
@@ -235,6 +243,23 @@ def test_sweep_runs_seed_by_seed_with_strategy_major_outputs(tmp_path,
         (old / "summary.csv").read_bytes()
 
 
+def test_sweep_explores_once_per_seed(tmp_path, monkeypatch):
+    # an L1 run fits at the floor, then after its estimate; the floor fit
+    # is a seed's shared exploration stage, so a sweep fits it once per seed
+    fits, real = [], pipeline.fit_source
+
+    def spy(*args, **kwargs):
+        fits.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "fit_source", spy)
+    cfg = _small_cfg(tmp_path, strategies=("L1",), budgets=(200, 300, 400),
+                     N_floor=10)
+    rows, _ = run_sweep(cfg)
+    assert all(r["status"] == "ok" for r in rows)
+    assert len(fits) == cfg.seeds * (1 + len(cfg.budgets))
+
+
 def test_sweep_infeasible_budget_rows_are_recorded(tmp_path):
     # first budget cannot cover T x N_floor; the row must say so instead of
     # aborting the sweep
@@ -364,6 +389,17 @@ def test_cli_exit_codes(tmp_path, capsys):
                                         budgets=[500]),
         "--out", str(floorless)]) == 2
     assert not (floorless / "runs.csv").exists()
+    # so does a multistage growth or a lambda no run could use
+    for name, over in (("growth.json", {"strategies": ["multistage"],
+                                         "N_floor": 1,
+                                         "multistage": {"L": 1.0}}),
+                       ("lambda.json", {"lambda_policy": "explicit",
+                                        "lambda": -1})):
+        bad_dir = tmp_path / name
+        assert amtrl.cli.main(["sweep", "--config",
+                               _write_cfg(tmp_path, name=name, **over),
+                               "--out", str(bad_dir)]) == 2
+        assert not (bad_dir / "runs.csv").exists()
     # missing file: exit 3
     assert amtrl.cli.main(["run", "--config",
                            str(tmp_path / "missing.json")]) == 3

@@ -88,6 +88,17 @@ def test_sample_task_zero_samples_and_bad_index():
         sample_task(gt, 0, -1, seed=1)
 
 
+def test_sample_task_counts_are_integers():
+    # the runners' integer rule: integral floats are counts, other floats
+    # and bools raise instead of being truncated
+    gt = make_random_instance(5, 2, 3, sigma_z=0.1, seed=0)
+    assert sample_task(gt, 0, 5.0, seed=0).n == 5
+    assert sample_task(gt, 0, np.int64(5), seed=0, draw=1.0).draw == 1
+    for n, draw in ((5.7, 0), (True, 0), ("5", 0), (5, 0.5), (5, False)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            sample_task(gt, 0, n, seed=0, draw=draw)
+
+
 def test_regression_vector_target_vs_source():
     gt = make_random_instance(8, 3, 6, sigma_z=0.1, seed=1)
     np.testing.assert_allclose(

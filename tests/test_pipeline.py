@@ -2,6 +2,7 @@
 
 import functools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +82,20 @@ def test_oracle_replay_guard_and_accounting():
     oracle.sample(gt.T, 7, draw=0)
     assert oracle.total_drawn == 22
     assert oracle.target_index == gt.T
+    # a refused draw records nothing: the count rule, n >= 0 and an index
+    # outside the instance leave the (task, draw) pair unconsumed
+    for n, t in ((5.7, 1), (True, 1), (-1, 1), (5, gt.T + 1)):
+        with pytest.raises((ValueError, IndexError)):
+            oracle.sample(t, n, draw=0)
+    with pytest.raises(ValueError, match="must be an integer"):
+        oracle.record(1, 5.7, draw=0)
+    assert oracle.total_drawn == 22
+    assert oracle.sample(1, 5.0, draw=0).n == 5
+    # record consumes a draw like sample, without drawing it
+    oracle.record(2, 4, draw=0)
+    with pytest.raises(RuntimeError):
+        oracle.sample(2, 4, draw=0)
+    assert oracle.total_drawn == 31
 
 
 def test_total_samples_match_oracle_draws():
@@ -126,6 +141,140 @@ def test_target_memo_hits_are_counted_and_change_no_output():
 
     assert hexed(after_passive) == hexed(alone)
     assert alone.total_samples == after_passive.total_samples
+
+
+def _hexed(value):
+    """value with every float as float.hex, arrays as lists, for exact
+    comparison of run outputs."""
+    if isinstance(value, dict):
+        return {k: _hexed(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_hexed(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return _hexed(value.tolist())
+    if isinstance(value, (float, np.floating)):
+        return float.hex(float(value))
+    return value
+
+
+def _dump(res):
+    return _hexed({
+        "ER": res.excess_risk, "nu_history": res.nu_history,
+        "allocations": [(a.n, a.N_tot, a.c_prime, a.continuous)
+                        for a in res.allocations],
+        "stage_summaries": res.stage_summaries, "N_tot": res.N_tot,
+        "total_samples": res.total_samples, "support": res.support_size})
+
+
+_SHARED = {"N_floor": 20, "n_target": 300}
+
+
+def _explorers(gt):
+    """Runs of one seed that explore alike, in an order where every run
+    after the first of its estimator takes the shared stage: L1 at two
+    budgets, multistage at beta_1 = T * N_floor, L2 at two budgets."""
+    beta_1 = gt.T * _SHARED["N_floor"]
+    return [
+        (run_l1_amtrl, {**_SHARED, "N_tot_phase2": 800}),
+        (run_l1_amtrl, {**_SHARED, "N_tot_phase2": 1600}),
+        (run_multistage, {**_SHARED, "S": 2, "L": 3.0, "beta_1": beta_1}),
+        (run_l2_amtrl, {**_SHARED, "N_tot_phase2": 800}),
+        (run_l2_amtrl, {**_SHARED, "N_tot_phase2": 1600}),
+    ]
+
+
+def test_shared_exploration_changes_no_output():
+    gt = make_random_instance(8, 2, 6, sigma_z=0.3, sigma_min_floor=0.3,
+                              seed=21)
+    runs = _explorers(gt)
+    in_sequence = [_dump(runner(_oracle(gt, seed=3), gt.d, gt.k, gt.T,
+                                params)) for runner, params in runs]
+    assert pipeline._explore.cache_info().hits == 3
+    for (runner, params), shared in zip(runs, in_sequence):
+        pipeline._explore.cache_clear()
+        instance._target_draw.cache_clear()
+        alone = runner(_oracle(gt, seed=3), gt.d, gt.k, gt.T, params)
+        assert pipeline._explore.cache_info().hits == 0
+        assert _dump(alone) == shared
+
+
+def test_shared_exploration_is_accounted_and_guarded():
+    gt = make_random_instance(8, 2, 6, sigma_z=0.3, seed=21)
+    (runner, first), (_, second) = _explorers(gt)[:2]
+    runner(_oracle(gt, seed=3), gt.d, gt.k, gt.T, first)
+    oracle = _oracle(gt, seed=3)
+    res = runner(oracle, gt.d, gt.k, gt.T, second)
+    assert pipeline._explore.cache_info().hits == 1
+    assert oracle.total_drawn == res.total_samples == res.N_tot + 300
+    for t in range(gt.T):
+        with pytest.raises(RuntimeError, match="already consumed"):
+            oracle.sample(t, 1, draw=0)
+        with pytest.raises(RuntimeError, match="already consumed"):
+            oracle.record(t, 1, draw=0)
+    # the shared stage's arrays are read-only; the run's nu is its own
+    _, datasets, model, _, (nu, _), _ = pipeline._explore(
+        gt, 3, gt.k, gt.T * 20, 20, instance._target_draw(gt, 300, 3, 0),
+        "lasso", "lazy", None)
+    assert pipeline._explore.cache_info().hits == 2
+    assert not (model.B_hat.flags.writeable or nu.flags.writeable
+                or datasets[0].G.flags.writeable)
+    assert res.nu_history[0].flags.writeable
+    assert res.nu_history[0] is not nu
+
+
+def test_shared_exploration_misses_on_any_other_input():
+    gt = make_random_instance(8, 2, 6, sigma_z=0.3, seed=21)
+    twin = make_random_instance(8, 2, 6, sigma_z=0.3, seed=21)
+    base = {"N_tot_phase2": 800, "N_floor": 20, "n_target": 300}
+    lam = {**base, "lambda_policy": "explicit", "lambda": 1e-3}
+    # (first run's params, second run, its instance, seed and params)
+    variants = [
+        (base, run_l1_amtrl, gt, 4, base),  # another seed
+        (base, run_l1_amtrl, twin, 3, base),  # an equal, distinct instance
+        (base, run_l1_amtrl, gt, 3, {**base, "N_floor": 21}),
+        (base, run_l1_amtrl, gt, 3, {**base, "n_target": 301}),
+        (base, run_l2_amtrl, gt, 3, base),  # another estimator
+        (base, run_l1_amtrl, gt, 3, lam),  # another lambda policy
+        (lam, run_l1_amtrl, gt, 3, {**lam, "lambda": 2e-3}),
+    ]
+    for before, runner, inst, seed, params in variants:
+        pipeline._explore.cache_clear()
+        run_l1_amtrl(_oracle(gt, seed=3), gt.d, gt.k, gt.T, before)
+        runner(_oracle(inst, seed=seed), gt.d, gt.k, gt.T, params)
+        assert pipeline._explore.cache_info().hits == 0, (runner, params)
+    # and the same inputs hit, under any phase-2 budget
+    pipeline._explore.cache_clear()
+    run_l1_amtrl(_oracle(gt, seed=3), gt.d, gt.k, gt.T, base)
+    run_l1_amtrl(_oracle(gt, seed=3), gt.d, gt.k, gt.T,
+                 {**base, "N_tot_phase2": 900})
+    assert pipeline._explore.cache_info().hits == 1
+
+
+def test_shared_exploration_warns_again_on_a_hit(monkeypatch):
+    real_lasso = pipeline.lasso
+
+    def stalled(W, w, lam):
+        nu, info = real_lasso(W, w, lam)
+        return nu, {**info, "converged": False}
+
+    monkeypatch.setattr(pipeline, "lasso", stalled)
+    gt = make_random_instance(8, 2, 6, sigma_z=0.3, seed=21)
+    (runner, first), (_, second) = _explorers(gt)[:2]
+    caught = []
+    for params in (first, second):
+        with pytest.warns(RuntimeWarning, match="did not converge") as w:
+            runner(_oracle(gt, seed=3), gt.d, gt.k, gt.T, params)
+        caught.append([(str(r.message), r.category, r.filename, r.lineno)
+                       for r in w])
+    assert pipeline._explore.cache_info().hits == 1
+    assert caught[0] == caught[1] and len(caught[0]) == 1
+    # a filter on the raising module applies to the warning issued again,
+    # as it did to the first (the suite's filter makes it an error)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "the Lasso", RuntimeWarning,
+                                r"amtrl\.pipeline\Z")
+        runner(_oracle(gt, seed=3), gt.d, gt.k, gt.T, second)
+    assert pipeline._explore.cache_info().hits == 2
 
 
 def test_l1_two_phase_is_two_stage_multistage():
@@ -292,9 +441,10 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         run_multistage(_oracle(gt), gt.d, gt.k, gt.T,
                        {"S": 0, "L": 2.0, "beta_1": 100, "N_floor": 1})
-    with pytest.raises(ValueError):
-        run_multistage(_oracle(gt), gt.d, gt.k, gt.T,
-                       {"S": 2, "L": 1.0, "beta_1": 100, "N_floor": 1})
+    for L in (1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="growth L > 1"):
+            run_multistage(_oracle(gt), gt.d, gt.k, gt.T,
+                           {"S": 2, "L": L, "beta_1": 100, "N_floor": 1})
     with pytest.raises(ValueError):
         run_passive(_oracle(gt), gt.d + 1, gt.k, gt.T, {"N_tot": 100})
     # counts are integers: integral floats are taken, anything else raises
