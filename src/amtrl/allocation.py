@@ -68,12 +68,15 @@ def continuous_allocation(nu, N_tot, N_floor):
     Internally |nu| is normalized by its max, which makes the result
     exactly invariant under rescaling nu by a power of two; other positive
     factors can move the normalized weights by an ulp.
-    Returns (x, c_prime) with c_prime in the units of the original nu.
+    Returns (x, c_prime) with c_prime in the units of the original nu; a
+    non-finite entry of nu raises ValueError.
     """
     a = np.abs(np.asarray(nu, dtype=float))
     T = a.size
     if T == 0:
         raise ValueError("empty nu")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"nu must be finite, got {nu!r}")
     _check_budget(T, N_tot, N_floor)
     amax = float(a.max())
     if amax == 0.0:
@@ -138,7 +141,8 @@ def allocate_fixed_nu(nu, N_tot, N_floor):
     the continuous counts are rounded by largest remainder, keeping the
     budget exact and every task at or above the floor; a nonzero-nu task
     whose count rounds down to zero gets a spare unit first. nu = 0
-    degenerates to a uniform allocation with a warning.
+    degenerates to a uniform allocation with a warning; a non-finite entry
+    raises ValueError.
     """
     nu = np.asarray(nu, dtype=float)
     T = nu.size

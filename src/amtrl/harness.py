@@ -167,27 +167,28 @@ def make_instance(desc):
             raise ConfigError(f"instance keys beside 'file': {sorted(spec)}")
         return instance.load_instance(path)
     kind = spec.pop("kind", "random")
-    seed = int(spec.pop("seed", 0))
+    if kind not in INSTANCE_KINDS:
+        raise ConfigError(f"unknown instance kind {kind!r}; choose from "
+                          f"{INSTANCE_KINDS}")
+    seed = _integer(spec.pop("seed", 0), "instance seed")
     try:
+        dims = {name: _integer(spec.pop(name), f"instance {name}")
+                for name in ("d", "k", "T")}
         if kind == "random":
             gt = instance.make_random_instance(
-                d=int(spec.pop("d")), k=int(spec.pop("k")),
-                T=int(spec.pop("T")), sigma_z=float(spec.pop("sigma_z")),
-                sigma_min_floor=float(spec.pop("sigma_min_floor", 0.0)),
+                **dims, sigma_z=_finite(spec.pop("sigma_z"), "sigma_z"),
+                sigma_min_floor=_finite(spec.pop("sigma_min_floor", 0.0),
+                                        "sigma_min_floor"),
                 seed=seed)
         elif kind == "almost_sparse":
             gt, _ = instance.make_almost_sparse_instance(
-                d=int(spec.pop("d")), k=int(spec.pop("k")),
-                T=int(spec.pop("T")), sigma_z=float(spec.pop("sigma_z")),
+                **dims, sigma_z=_finite(spec.pop("sigma_z"), "sigma_z"),
                 seed=seed, spectrum=spec.pop("spectrum", None))
-        elif kind == "aligned_worstcase":
-            gt = instance.make_aligned_worstcase_instance(
-                d=int(spec.pop("d")), k=int(spec.pop("k")),
-                T=int(spec.pop("T")), c_w=float(spec.pop("c_w", 1.0)),
-                seed=seed, sigma_z=float(spec.pop("sigma_z", 0.0)))
         else:
-            raise ConfigError(f"unknown instance kind {kind!r}; choose from "
-                              f"{INSTANCE_KINDS}")
+            gt = instance.make_aligned_worstcase_instance(
+                **dims, c_w=_finite(spec.pop("c_w", 1.0), "c_w"),
+                seed=seed, sigma_z=_finite(spec.pop("sigma_z", 0.0),
+                                           "sigma_z"))
     except KeyError as e:
         raise ConfigError(f"instance spec is missing {e.args[0]!r}") from e
     if spec:
@@ -300,7 +301,7 @@ def run_sweep(cfg, out_dir=None):
     # seed-major, so the runs sharing a seed's target set are consecutive
     # and all but the first take it from instance.sample_task's memo; a
     # seed's L1 (or L2) runs are consecutive too, and all but the first
-    # take their exploration stage from pipeline._explore's memo
+    # take their exploration stage from pipeline._first_stage's memo
     rows = [run_single(gt, strategy, seed, budget, cfg)[0]
             for seed in range(cfg.seeds)
             for strategy in cfg.strategies

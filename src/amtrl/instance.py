@@ -397,9 +397,9 @@ def sample_task(gt, task_index, n, seed, draw=0):
     """Draw n i.i.d. samples for one task, kept as their statistics.
 
     Deterministic in (seed, task_index, draw); distinct draw indices give
-    independent streams, so incremental sampling never replays data. n and
-    draw follow integer()'s rule: 5.0 draws 5 samples, while 5.7 or True
-    raises ValueError instead of being truncated.
+    independent streams, so incremental sampling never replays data. n,
+    seed and draw follow integer()'s rule: 5.0 draws 5 samples, while 5.7
+    or True raises ValueError instead of being truncated.
 
     The target task (task_index == gt.T) comes from a one-entry memo keyed
     by (gt's identity, n, seed, draw): a call repeating the previous target
@@ -411,7 +411,7 @@ def sample_task(gt, task_index, n, seed, draw=0):
     n, draw = integer(n, "n"), integer(draw, "draw")
     if n < 0:
         raise ValueError("n must be >= 0")
-    seed = int(seed)
+    seed = integer(seed, "seed")
     if task_index == gt.T:
         return _target_draw(gt, n, seed, draw)
     return _drawn_dataset(gt, task_index, n, seed, draw)

@@ -4,13 +4,14 @@ Each runner consumes a TaskOracle (fresh i.i.d. samples on demand, fully
 deterministic in its seed) and produces a RunResult: allocations, fitted
 models per stage, the final excess risk, and sample accounting.
 
-Every strategy is one stage loop over a budget schedule. A stage
-water-fills its budget by the current relevance vector nu (raised to the
-power q), draws each task's increment over what it already holds at draw
-index = stage, merges it into that task's dataset (TaskDataset.merge adds
-the statistics; no rows are kept), refits (warm from the previous B_hat),
-fits the target head on it and may estimate nu again from the fitted
-heads. The strategies differ only in what they hand the loop:
+Every strategy is one stage loop over a budget schedule, and every stage
+is one function, _stage. A stage water-fills its budget by the current
+relevance vector nu (raised to the power q), draws each task's increment
+over what it already holds at draw index = stage, merges it into that
+task's dataset (TaskDataset.merge adds the statistics; no rows are kept),
+refits (warm from the previous B_hat), fits the target head on it and may
+estimate nu again from the fitted heads. The strategies differ only in what
+they hand the loop:
 
 - passive: one stage of N_tot at nu = 1;
 - known_nu: one stage of N_tot at the reference nu, with exponent q;
@@ -20,16 +21,16 @@ heads. The strategies differ only in what they hand the loop:
 - multistage: stages round(beta_1 * L^i), i < S, from nu = 1, with a
   Lasso estimate after every stage.
 
-The exploration stage is shared. Stage 0 of an L1, L2 or multistage run
-(water-fill from nu = 1, draw every task, fit from the spectral start, fit
-the target head, estimate nu) is a pure function of the instance, seed, k,
-stage budget, floor, target set, estimator and Lasso penalty, and _explore
-memoizes it one entry deep. A sweep runs seed by seed, so a seed's L1 runs
-after its first budget take the stage from the entry, as do its L2 runs
-and its multistage runs at beta_1 = T * N_floor. Each run still records
-the stage's draws in its own oracle and issues the stage's warnings again,
-so its accounting, replay guard, warnings and outputs are those of a run
-that computed the stage.
+The exploration stage is shared. _stage is a pure function of the
+instance, seed, k, stage, nu, q, budget, floor, held datasets, warm start,
+target set, estimator and Lasso penalty, and _first_stage memoizes it one
+entry deep for stage 0 of the runs that start from nu = 1 and estimate nu
+(L1, L2, multistage). A sweep runs seed by seed, so a seed's L1 runs after
+its first budget take the stage from the entry, as do its L2 runs and its
+multistage runs at beta_1 = T * N_floor. Each run records every stage's
+draws in its own oracle and issues the stage's warnings again, so its
+accounting, replay guard, warnings and outputs are those of a run that
+computed the stage.
 """
 
 import functools
@@ -71,15 +72,16 @@ class TaskOracle:
     replaying it. Task index gt.T addresses the target task.
 
     record(task_index, n, draw) consumes a draw without drawing it, for
-    samples the caller already holds from this oracle's stream (the shared
-    exploration stage): it is accounted and guarded as sample() would.
-    Both take n and draw by instance.integer's rule, and a refused draw
-    records nothing.
+    samples the caller drew from this oracle's stream itself (the stage
+    loop, whose stages draw through sample_task): it is accounted and
+    guarded as sample() would. Both take n and draw, and the constructor
+    the seed, by instance.integer's rule, and a refused draw records
+    nothing.
     """
 
     def __init__(self, gt, seed=0):
         self.gt = gt
-        self.seed = int(seed)
+        self.seed = integer(seed, "seed")
         self._drawn = {}
 
     @property
@@ -228,125 +230,123 @@ def _reissue(caught):
                                module=module, source=w.source)
 
 
-@functools.lru_cache(maxsize=1)
-def _explore(gt, seed, k, budget, N_floor, target_ds, estimator,
-             lambda_policy, lam):
-    """Stage 0 of a run that starts from nu = 1 and estimates nu: water-fill
-    budget on all ones with floor N_floor, draw every task at draw index 0
-    of the stream at seed, fit from the spectral start, fit the target head
-    on target_ds and estimate nu by estimator under the lambda policy.
+def _stage(gt, seed, k, stage, nu, q, budget, N_floor, held, init_B,
+           target_ds, estimator, lambda_policy, lam):
+    """One stage (see the module docstring), a pure function of its
+    arguments: water-fill budget on |nu|^q with floor N_floor, draw each
+    task's increment over its dataset in held at draw index stage (held
+    None: every task, even at n = 0, so fit_source carries zero-sample
+    tasks), merge it, refit warm from init_B, fit the target head on
+    target_ds and, when estimator is set, estimate nu.
 
-    A pure function of its arguments, memoized one entry deep like
-    instance._target_draw (target_ds, a TaskDataset, and gt key by
-    identity): the runs of one seed that explore alike (L1 and L2 at every
-    budget, multistage at beta_1 = T * N_floor) follow each other in a
-    sweep, so all but the first take the stage from the entry.
-
-    Returns (allocation, datasets, model, summary, (nu, record), caught):
-    the model's arrays and nu are read-only, and caught holds the warnings
-    the stage raised, recorded instead of shown so that every run sharing
-    the stage issues them again (_reissue). catch_warnings swaps the
+    Returns (allocation, datasets, model, summary, (nu, record) or None,
+    draws, caught): draws holds the stage's (task, n) source draws, the
+    model's arrays and nu are read-only, and caught holds the warnings the
+    stage raised, recorded instead of shown so that every run the stage
+    serves issues them again (_reissue). catch_warnings swaps the
     process-wide warning state, so runs made in concurrent threads may
     catch each other's warnings; the sweep makes its runs one at a time."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        alloc = lpnq_allocation(np.ones(gt.T), 1, budget, N_floor)
-        datasets = tuple(sample_task(gt, t, n, seed, draw=0)
-                         for t, n in enumerate(alloc.n.tolist()))
-        model = fit_target_head(fit_source(datasets, k), target_ds)
+        alloc = lpnq_allocation(nu, q, budget, N_floor)
+        if held is None:
+            draws = tuple(enumerate(alloc.n.tolist()))
+            datasets = tuple(sample_task(gt, t, n, seed, draw=stage)
+                             for t, n in draws)
+        else:
+            draws = tuple((t, n - ds.n) for t, (n, ds)
+                          in enumerate(zip(alloc.n.tolist(), held))
+                          if n > ds.n)
+            datasets = list(held)
+            for t, n in draws:
+                datasets[t] = datasets[t].merge(
+                    sample_task(gt, t, n, seed, draw=stage))
+            datasets = tuple(datasets)
+        model = fit_target_head(fit_source(datasets, k, init_B=init_B),
+                                target_ds)
         summary = _stage_summary(model, gt)
-        nu, record = _estimate_nu(
+        estimate = None if estimator is None else _estimate_nu(
             model, {"lambda_policy": lambda_policy, "lambda": lam}, estimator)
-    for a in (model.B_hat, model.W_hat, model.w_target_hat, nu):
+    for a in (model.B_hat, model.W_hat, model.w_target_hat):
         a.setflags(write=False)
-    return alloc, datasets, model, summary, (nu, record), tuple(caught)
+    if estimate is not None:
+        estimate[0].setflags(write=False)
+    return alloc, datasets, model, summary, estimate, draws, tuple(caught)
+
+
+# stage 0 of the runs that estimate nu, one entry deep like
+# instance._target_draw (gt, held and target_ds key by identity); passive
+# and known-nu runs call _stage directly, so they never evict the entry
+_first_stage = functools.lru_cache(maxsize=1)(_stage)
 
 
 def _run_stages(strategy, oracle, k, p, budgets, q=1, nu=None,
                 estimator=None, estimates=0):
     """The stage loop every runner calls (see the module docstring).
 
-    Stage i water-fills budgets[i] on |nu|^q, draws each task's increment
-    at draw index i (every task at stage 0, even at n = 0, so fit_source
-    carries zero-sample tasks), merges it, refits warm, fits the target
-    head on the new B_hat and, for the first `estimates` stages, estimates
-    nu by `estimator` ("lasso" or "min_l2") from the heads. The last
+    Stage i is _stage at draw index i on stage i - 1's datasets and B_hat,
+    estimating nu by `estimator` ("lasso" or "min_l2") in the first
+    `estimates` stages, which at stage 0 comes from _first_stage; the last
     stage's model is the run's. nu None starts from all ones, outside the
     record; a given nu is the run's reference and heads nu_history. The
     reported N_tot is the number of source samples drawn: a task never
     gives samples back when a later stage allots it fewer.
-
-    A run that starts from all ones and estimates takes stage 0 from
-    _explore and records that stage's draws in its oracle as its own (see
-    the module docstring).
     """
     t0 = time.perf_counter()
-    gt, T = oracle.gt, oracle.gt.T
+    gt = oracle.gt
     N_floor = p.get("N_floor", 0)
-    nu_history = [] if nu is None else [np.asarray(nu, dtype=float)]
-    explore = nu is None and estimates > 0
-    nu = np.ones(T) if nu is None else nu
-    target_ds = oracle.sample(T, p["n_target"], draw=0)
-    datasets = [None] * T
-    counts = np.zeros(T, dtype=int)
-    allocations, summaries, model = [], [], None
+    nu_history = [] if nu is None else [nu]
+    # a tuple, so that stage 0 can key _first_stage's memo
+    nu = (1.0,) * gt.T if nu is None else tuple(nu.tolist())
+    lam = p["lambda"] if p["lambda_policy"] == "explicit" else None
+    target_ds = oracle.sample(gt.T, p["n_target"], draw=0)
+    datasets, model = None, None
+    allocations, summaries = [], []
     for stage, budget in enumerate(budgets):
-        estimate = None
-        if stage == 0 and explore:
-            lam = p["lambda"] if p["lambda_policy"] == "explicit" else None
-            alloc, shared, model, summary, estimate, caught = _explore(
-                gt, oracle.seed, k, budget, N_floor, target_ds, estimator,
-                p["lambda_policy"], lam)
-            for t, ds in enumerate(shared):
-                oracle.record(t, ds.n, draw=0)
-            datasets = list(shared)
-            summary = dict(summary)
-            _reissue(caught)
-        else:
-            alloc = lpnq_allocation(nu, q, budget, N_floor)
-            for t in range(T):
-                inc = int(alloc.n[t]) - int(counts[t])
-                if datasets[t] is None:
-                    datasets[t] = oracle.sample(t, inc, draw=stage)
-                elif inc > 0:
-                    datasets[t] = datasets[t].merge(
-                        oracle.sample(t, inc, draw=stage))
-            model = fit_target_head(
-                fit_source(datasets, k,
-                           init_B=None if model is None else model.B_hat),
-                target_ds)
-            summary = _stage_summary(model, gt)
-            if stage < estimates:
-                estimate = _estimate_nu(model, p, estimator)
+        est = estimator if stage < estimates else None
+        stage_fn = _first_stage if stage == 0 and est else _stage
+        alloc, datasets, model, summary, estimate, draws, caught = stage_fn(
+            gt, oracle.seed, k, stage, nu, q, budget, N_floor, datasets,
+            None if model is None else model.B_hat, target_ds, est,
+            p["lambda_policy"], lam)
+        for t, n in draws:
+            oracle.record(t, n, draw=stage)
+        _reissue(caught)
         allocations.append(alloc)
-        counts = np.maximum(counts, alloc.n)
-        summaries.append(summary)
+        summaries.append(dict(summary))
         if estimate is not None:
-            nu, record = estimate[0].copy(), estimate[1]
-            nu_history.append(nu)
+            nu_hat, record = estimate
+            nu_history.append(nu_hat.copy())
+            nu = tuple(nu_hat.tolist())
             if record is not None:
-                summary["relevance"] = dict(record)
+                summaries[-1]["relevance"] = dict(record)
+    N_tot = sum(ds.n for ds in datasets)
     er = excess_risk(model, gt)
     last = nu_history[-1] if nu_history else np.zeros(0)
     return RunResult(
-        strategy=strategy, seed=oracle.seed, N_tot=int(counts.sum()),
+        strategy=strategy, seed=oracle.seed, N_tot=N_tot,
         N_floor=N_floor, allocations=tuple(allocations),
         stage_summaries=tuple(summaries), excess_risk=float(er),
         subspace_distance=summaries[-1]["subspace_distance"],
         nu_history=tuple(nu_history),
         nu_l1_norm=float(np.abs(last).sum()), support_size=support_size(last),
-        total_samples=int(counts.sum()) + p["n_target"],
+        total_samples=N_tot + p["n_target"],
         target_samples=p["n_target"],
         wall_ms=(time.perf_counter() - t0) * 1e3, params=dict(p))
 
 
 def run_known_nu(oracle, d, k, T, nu_ref, q, params=None):
     """Oracle strategy: allocate straight from a reference relevance vector
-    with exponent q (q=1 water-filling on |nu|, q=2 on squared weights)."""
+    with exponent q (q=1 water-filling on |nu|, q=2 on squared weights).
+    nu_ref must be a finite vector of T entries."""
     _check_dims(oracle, d, k, T)
     p = {"q": q, **_params(params)}
+    nu = np.asarray(nu_ref, dtype=float)
+    if nu.shape != (T,) or not np.all(np.isfinite(nu)):
+        raise ValueError(f"nu_ref must be a finite vector of shape ({T},), "
+                         f"got {nu_ref!r}")
     return _run_stages("known_nu", oracle, k, p, [_require(p, "N_tot")], q,
-                       nu=nu_ref)
+                       nu=nu)
 
 
 def run_passive(oracle, d, k, T, params=None):

@@ -23,4 +23,4 @@ def _fresh_sampling_caches():
 
     instance._target_draw.cache_clear()
     instance._sample_seed_table.cache_clear()
-    pipeline._explore.cache_clear()
+    pipeline._first_stage.cache_clear()

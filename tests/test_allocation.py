@@ -205,6 +205,15 @@ def test_zero_nu_falls_back_to_uniform_with_warning():
     assert alloc.c_prime == 0.0
 
 
+def test_non_finite_nu_is_rejected():
+    # a NaN entry used to give a silent uniform split (NaN water level)
+    for bad in (np.nan, np.inf, -np.inf):
+        for fn in (allocate_fixed_nu, continuous_allocation,
+                   lambda nu, N, F: lpnq_allocation(nu, 2, N, F)):
+            with pytest.raises(ValueError, match="nu must be finite"):
+                fn(np.array([bad, 1.0, 1.0, 1.0]), 400, 0)
+
+
 def test_water_filling_beats_random_allocations():
     rng = np.random.default_rng(5)
     for trial in range(10):

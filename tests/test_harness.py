@@ -162,6 +162,32 @@ def test_make_instance_kinds_and_file(tmp_path):
         make_instance({"file": path, "kind": "random", "seed": 3})
 
 
+def test_make_instance_numbers_are_checked():
+    # counts and seeds follow the integer rule (int() used to build
+    # {"d": 8.7, "k": 2.9, "T": 4.5, "seed": 3.9} as (8, 2, 4) at seed 3),
+    # and the real parameters must be finite numbers, not strings
+    spec = {"kind": "random", "d": 8, "k": 2, "T": 4, "sigma_z": 0.1,
+            "seed": 3}
+    gt = make_instance(spec)
+    floats = make_instance({**spec, "d": 8.0, "T": 4.0, "seed": 3.0})
+    assert (floats.d, floats.k, floats.T) == (8, 2, 4)
+    assert floats.W_star.tobytes() == gt.W_star.tobytes()
+    for key, value in (("d", 8.7), ("k", 2.9), ("T", 4.5), ("seed", 3.9),
+                       ("seed", True), ("d", True), ("d", "8")):
+        with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+            make_instance({**spec, key: value})
+    for key, value in (("sigma_z", "0.1"), ("sigma_z", math.nan),
+                       ("sigma_min_floor", math.inf)):
+        with pytest.raises(ConfigError, match=f"{key} must be a finite"):
+            make_instance({**spec, key: value})
+    for kind, key in (("almost_sparse", "sigma_z"),
+                      ("aligned_worstcase", "c_w"),
+                      ("aligned_worstcase", "sigma_z")):
+        with pytest.raises(ConfigError, match=f"{key} must be a finite"):
+            make_instance({"kind": kind, "d": 5, "k": 2, "T": 6,
+                           "sigma_z": 0.1, key: "1"})
+
+
 def test_reference_nu_sources():
     gt = make_instance({"kind": "almost_sparse", "d": 6, "k": 2, "T": 5,
                         "sigma_z": 0.1})

@@ -97,6 +97,12 @@ def test_sample_task_counts_are_integers():
     for n, draw in ((5.7, 0), (True, 0), ("5", 0), (5, 0.5), (5, False)):
         with pytest.raises(ValueError, match="must be an integer"):
             sample_task(gt, 0, n, seed=0, draw=draw)
+    # and so is the seed, which int() used to truncate (3.9 drew seed 3)
+    assert sample_task(gt, 0, 5, seed=3.0).G.tobytes() == \
+        sample_task(gt, 0, 5, seed=np.int64(3)).G.tobytes()
+    for seed in (3.9, True, "3"):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            sample_task(gt, 0, 5, seed=seed)
 
 
 def test_regression_vector_target_vs_source():

@@ -96,10 +96,22 @@ def test_oracle_replay_guard_and_accounting():
     with pytest.raises(RuntimeError):
         oracle.sample(2, 4, draw=0)
     assert oracle.total_drawn == 31
+    # the seed follows the integer rule too, instead of int()'s truncation
+    assert TaskOracle(gt, seed=np.float64(3.0)).seed == 3
+    for seed in (3.9, True):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            TaskOracle(gt, seed=seed)
 
 
-def test_total_samples_match_oracle_draws():
+def test_total_samples_match_oracle_draws(monkeypatch):
     gt = make_random_instance(8, 2, 5, sigma_z=0.2, seed=3)
+    fitted, real_fit = [], pipeline.fit_source
+
+    def spy(datasets, k, init_B=None):
+        fitted.append(datasets)
+        return real_fit(datasets, k, init_B=init_B)
+
+    monkeypatch.setattr(pipeline, "fit_source", spy)
     for runner, params in (
             (run_l1_amtrl, {"N_tot_phase2": 1000, "N_floor": 20}),
             (run_l2_amtrl, {"N_tot_phase2": 1000, "N_floor": 20}),
@@ -113,6 +125,9 @@ def test_total_samples_match_oracle_draws():
         res = runner(oracle, gt.d, gt.k, gt.T, params=params)
         assert res.total_samples == oracle.total_drawn
         assert res.total_samples == res.N_tot + res.target_samples
+        # N_tot is what the last fit held: every task's largest allotment
+        assert res.N_tot == sum(ds.n for ds in fitted[-1]) == \
+            int(np.max([a.n for a in res.allocations], axis=0).sum())
         # the target head leaves B_hat as the last stage fitted it
         assert res.subspace_distance == \
             res.stage_summaries[-1]["subspace_distance"]
@@ -189,12 +204,12 @@ def test_shared_exploration_changes_no_output():
     runs = _explorers(gt)
     in_sequence = [_dump(runner(_oracle(gt, seed=3), gt.d, gt.k, gt.T,
                                 params)) for runner, params in runs]
-    assert pipeline._explore.cache_info().hits == 3
+    assert pipeline._first_stage.cache_info().hits == 3
     for (runner, params), shared in zip(runs, in_sequence):
-        pipeline._explore.cache_clear()
+        pipeline._first_stage.cache_clear()
         instance._target_draw.cache_clear()
         alone = runner(_oracle(gt, seed=3), gt.d, gt.k, gt.T, params)
-        assert pipeline._explore.cache_info().hits == 0
+        assert pipeline._first_stage.cache_info().hits == 0
         assert _dump(alone) == shared
 
 
@@ -204,7 +219,7 @@ def test_shared_exploration_is_accounted_and_guarded():
     runner(_oracle(gt, seed=3), gt.d, gt.k, gt.T, first)
     oracle = _oracle(gt, seed=3)
     res = runner(oracle, gt.d, gt.k, gt.T, second)
-    assert pipeline._explore.cache_info().hits == 1
+    assert pipeline._first_stage.cache_info().hits == 1
     assert oracle.total_drawn == res.total_samples == res.N_tot + 300
     for t in range(gt.T):
         with pytest.raises(RuntimeError, match="already consumed"):
@@ -212,10 +227,10 @@ def test_shared_exploration_is_accounted_and_guarded():
         with pytest.raises(RuntimeError, match="already consumed"):
             oracle.record(t, 1, draw=0)
     # the shared stage's arrays are read-only; the run's nu is its own
-    _, datasets, model, _, (nu, _), _ = pipeline._explore(
-        gt, 3, gt.k, gt.T * 20, 20, instance._target_draw(gt, 300, 3, 0),
-        "lasso", "lazy", None)
-    assert pipeline._explore.cache_info().hits == 2
+    _, datasets, model, _, (nu, _), _, _ = pipeline._first_stage(
+        gt, 3, gt.k, 0, (1.0,) * gt.T, 1, gt.T * 20, 20, None, None,
+        instance._target_draw(gt, 300, 3, 0), "lasso", "lazy", None)
+    assert pipeline._first_stage.cache_info().hits == 2
     assert not (model.B_hat.flags.writeable or nu.flags.writeable
                 or datasets[0].G.flags.writeable)
     assert res.nu_history[0].flags.writeable
@@ -238,16 +253,16 @@ def test_shared_exploration_misses_on_any_other_input():
         (lam, run_l1_amtrl, gt, 3, {**lam, "lambda": 2e-3}),
     ]
     for before, runner, inst, seed, params in variants:
-        pipeline._explore.cache_clear()
+        pipeline._first_stage.cache_clear()
         run_l1_amtrl(_oracle(gt, seed=3), gt.d, gt.k, gt.T, before)
         runner(_oracle(inst, seed=seed), gt.d, gt.k, gt.T, params)
-        assert pipeline._explore.cache_info().hits == 0, (runner, params)
+        assert pipeline._first_stage.cache_info().hits == 0, (runner, params)
     # and the same inputs hit, under any phase-2 budget
-    pipeline._explore.cache_clear()
+    pipeline._first_stage.cache_clear()
     run_l1_amtrl(_oracle(gt, seed=3), gt.d, gt.k, gt.T, base)
     run_l1_amtrl(_oracle(gt, seed=3), gt.d, gt.k, gt.T,
                  {**base, "N_tot_phase2": 900})
-    assert pipeline._explore.cache_info().hits == 1
+    assert pipeline._first_stage.cache_info().hits == 1
 
 
 def test_shared_exploration_warns_again_on_a_hit(monkeypatch):
@@ -266,7 +281,7 @@ def test_shared_exploration_warns_again_on_a_hit(monkeypatch):
             runner(_oracle(gt, seed=3), gt.d, gt.k, gt.T, params)
         caught.append([(str(r.message), r.category, r.filename, r.lineno)
                        for r in w])
-    assert pipeline._explore.cache_info().hits == 1
+    assert pipeline._first_stage.cache_info().hits == 1
     assert caught[0] == caught[1] and len(caught[0]) == 1
     # a filter on the raising module applies to the warning issued again,
     # as it did to the first (the suite's filter makes it an error)
@@ -274,7 +289,60 @@ def test_shared_exploration_warns_again_on_a_hit(monkeypatch):
         warnings.filterwarnings("ignore", "the Lasso", RuntimeWarning,
                                 r"amtrl\.pipeline\Z")
         runner(_oracle(gt, seed=3), gt.d, gt.k, gt.T, second)
-    assert pipeline._explore.cache_info().hits == 2
+    assert pipeline._first_stage.cache_info().hits == 2
+
+
+def test_known_nu_reference_is_validated():
+    # a wrong length used to fail in the allocation with an IndexError or a
+    # broadcast error, and a NaN entry gave a silent uniform split
+    gt = make_random_instance(8, 2, 4, sigma_z=0.2, seed=3)
+    for nu_ref in ([1.0, 2.0, 3.0], [1.0] * 5, [[1.0] * 4], 1.0,
+                   [1.0, np.nan, 1.0, 1.0], [np.inf, 0.0, 0.0, 0.0]):
+        oracle = _oracle(gt)
+        with pytest.raises(ValueError, match="nu_ref must be a finite"):
+            run_known_nu(oracle, gt.d, gt.k, gt.T, nu_ref, 1,
+                         {"N_tot": 400})
+        assert oracle.total_drawn == 0
+
+
+def test_passive_and_known_nu_runs_keep_the_shared_stage():
+    # they never take stage 0 from the memo, so they do not evict the entry
+    # that the runs of the same seed around them share
+    gt = make_random_instance(8, 2, 6, sigma_z=0.3, seed=21)
+    (runner, first), (_, second) = _explorers(gt)[:2]
+    others = (
+        functools.partial(run_passive, params={**_SHARED, "N_tot": 400}),
+        functools.partial(run_known_nu, nu_ref=np.ones(gt.T), q=1,
+                          params={**_SHARED, "N_tot": gt.T * 20}))
+    for other in others:
+        pipeline._first_stage.cache_clear()
+        runner(_oracle(gt, seed=3), gt.d, gt.k, gt.T, first)
+        other(_oracle(gt, seed=3), gt.d, gt.k, gt.T)
+        runner(_oracle(gt, seed=3), gt.d, gt.k, gt.T, second)
+        info = pipeline._first_stage.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+
+def test_warnings_of_every_stage_name_the_pipeline(monkeypatch):
+    real_lasso = pipeline.lasso
+
+    def stalled(W, w, lam):
+        nu, info = real_lasso(W, w, lam)
+        return nu, {**info, "converged": False}
+
+    monkeypatch.setattr(pipeline, "lasso", stalled)
+    gt = make_random_instance(8, 2, 6, sigma_z=0.3, seed=21)
+    params = {**_SHARED, "S": 3, "L": 2.0, "beta_1": gt.T * 20}
+    with pytest.warns(RuntimeWarning, match="did not converge") as caught:
+        run_multistage(_oracle(gt, seed=3), gt.d, gt.k, gt.T, params)
+    assert len(caught) == 3  # one per stage, from stage 0 and the others
+    assert all(w.filename == pipeline.__file__ for w in caught)
+    # the stages after the first are issued again under the raising module,
+    # so a filter on it applies to them as to stage 0
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "the Lasso", RuntimeWarning,
+                                r"amtrl\.pipeline\Z")
+        run_multistage(_oracle(gt, seed=4), gt.d, gt.k, gt.T, params)
 
 
 def test_l1_two_phase_is_two_stage_multistage():
