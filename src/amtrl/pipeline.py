@@ -21,21 +21,22 @@ they hand the loop:
 - multistage: stages round(beta_1 * L^i), i < S, from nu = 1, with a
   Lasso estimate after every stage.
 
-The exploration stage is shared. _stage is a pure function of the
-instance, seed, k, stage, nu, q, budget, floor, held datasets, warm start,
-target set, estimator and Lasso penalty, and _first_stage memoizes it one
-entry deep for stage 0 of the runs that start from nu = 1 and estimate nu
+The exploration stage is shared unless it warned. _stage is a pure function
+of the instance, seed, k, stage, nu, q, budget, floor, held datasets, warm
+start, target set, estimator and Lasso penalty, and _first_stage memoizes it
+one entry deep for stage 0 of the runs that start from nu = 1 and estimate nu
 (L1, L2, multistage). A sweep runs seed by seed, so a seed's L1 runs after
 its first budget take the stage from the entry, as do its L2 runs and its
 multistage runs at beta_1 = T * N_floor. Each run records every stage's
-draws in its own oracle and issues the stage's warnings again, so its
-accounting, replay guard, warnings and outputs are those of a run that
-computed the stage.
+draws in its own oracle, so its accounting and replay guard are those of a
+run that computed the stage. Warnings go out where they are raised, under
+the filters in force; the entry is kept only for a stage that raised none
+(the fit converged, the Lasso converged, no fallback was taken), so a run
+whose exploration stage warned computes it again and warns in turn.
 """
 
 import functools
 import math
-import sys
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -74,9 +75,9 @@ class TaskOracle:
     record(task_index, n, draw) consumes a draw without drawing it, for
     samples the caller drew from this oracle's stream itself (the stage
     loop, whose stages draw through sample_task): it is accounted and
-    guarded as sample() would. Both take n and draw, and the constructor
-    the seed, by instance.integer's rule, and a refused draw records
-    nothing.
+    guarded as sample() would. Both take the task index (0..gt.T), n and
+    draw, and the constructor the seed, by instance.integer's rule, and a
+    refused draw records nothing.
     """
 
     def __init__(self, gt, seed=0):
@@ -89,7 +90,11 @@ class TaskOracle:
         return self.gt.T
 
     def _claim(self, task_index, n, draw):
-        n, key = integer(n, "n"), (int(task_index), integer(draw, "draw"))
+        t = integer(task_index, "task_index")
+        if not 0 <= t <= self.gt.T:
+            raise ValueError(f"task_index must be in 0..{self.gt.T}, got "
+                             f"{task_index!r}")
+        n, key = integer(n, "n"), (t, integer(draw, "draw"))
         if n < 0:
             raise ValueError("n must be >= 0")
         if key in self._drawn:
@@ -104,7 +109,7 @@ class TaskOracle:
 
     def sample(self, task_index, n, draw=0):
         key, n = self._claim(task_index, n, draw)
-        ds = sample_task(self.gt, task_index, n, self.seed, draw=key[1])
+        ds = sample_task(self.gt, key[0], n, self.seed, draw=key[1])
         self._drawn[key] = n
         return ds
 
@@ -196,9 +201,10 @@ def lambda_for(p, W, w):
 def _estimate_nu(model, p, estimator):
     """Relevance estimate from the fitted representation: the source heads
     are the fit's own W_hat, exact for B_hat, and the target head is the
-    model's w_target_hat, fitted on the same B_hat. Returns (nu, record),
-    the Lasso's solver diagnostics (None for the min-L2 route); warns when
-    the Lasso did not converge."""
+    model's w_target_hat, fitted on the same B_hat. Returns (nu, record):
+    the Lasso's solver diagnostics, {"fallback": "lstsq"} when the min-L2
+    route falls back to least squares, None when it does not. Warns when the
+    Lasso did not converge or the fallback was taken."""
     W_hat, w_hat = model.W_hat, model.w_target_hat
     if estimator == "min_l2":
         try:
@@ -207,27 +213,20 @@ def _estimate_nu(model, p, estimator):
             warnings.warn("estimated heads are rank-deficient; using a "
                           "plain least-squares relevance estimate",
                           RuntimeWarning, stacklevel=3)
-            return np.linalg.lstsq(W_hat, w_hat, rcond=None)[0], None
+            return (np.linalg.lstsq(W_hat, w_hat, rcond=None)[0],
+                    {"fallback": "lstsq"})
     lam = lambda_for(p, W_hat, w_hat)
     nu, info = lasso(W_hat, w_hat, lam)
     record = {"steps": int(info["sweeps"]),
               "kkt_residual": info["kkt_residual"],
               "converged": bool(info["converged"])}
     if not record["converged"]:
-        warnings.warn("the Lasso relevance estimate did not converge (KKT "
-                      f"residual {record['kkt_residual']:.3e})",
+        # one text for every stage, so that the "default" filter shows it
+        # once per place; the residual is in the record
+        warnings.warn("the Lasso relevance estimate did not converge; the "
+                      "stage's relevance record holds its KKT residual",
                       RuntimeWarning, stacklevel=3)
     return nu, record
-
-
-def _reissue(caught):
-    """Issue again, under the filters in force now, the warnings that
-    catch_warnings(record=True) recorded, each at the place it was raised."""
-    for w in caught:
-        module = next((name for name, m in list(sys.modules.items())
-                       if getattr(m, "__file__", None) == w.filename), None)
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno,
-                               module=module, source=w.source)
 
 
 def _stage(gt, seed, k, stage, nu, q, budget, N_floor, held, init_B,
@@ -240,43 +239,38 @@ def _stage(gt, seed, k, stage, nu, q, budget, N_floor, held, init_B,
     target_ds and, when estimator is set, estimate nu.
 
     Returns (allocation, datasets, model, summary, (nu, record) or None,
-    draws, caught): draws holds the stage's (task, n) source draws, the
-    model's arrays and nu are read-only, and caught holds the warnings the
-    stage raised, recorded instead of shown so that every run the stage
-    serves issues them again (_reissue). catch_warnings swaps the
-    process-wide warning state, so runs made in concurrent threads may
-    catch each other's warnings; the sweep makes its runs one at a time."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        alloc = lpnq_allocation(nu, q, budget, N_floor)
-        if held is None:
-            draws = tuple(enumerate(alloc.n.tolist()))
-            datasets = tuple(sample_task(gt, t, n, seed, draw=stage)
-                             for t, n in draws)
-        else:
-            draws = tuple((t, n - ds.n) for t, (n, ds)
-                          in enumerate(zip(alloc.n.tolist(), held))
-                          if n > ds.n)
-            datasets = list(held)
-            for t, n in draws:
-                datasets[t] = datasets[t].merge(
-                    sample_task(gt, t, n, seed, draw=stage))
-            datasets = tuple(datasets)
-        model = fit_target_head(fit_source(datasets, k, init_B=init_B),
-                                target_ds)
-        summary = _stage_summary(model, gt)
-        estimate = None if estimator is None else _estimate_nu(
-            model, {"lambda_policy": lambda_policy, "lambda": lam}, estimator)
+    draws): draws holds the stage's (task, n) source draws, and the model's
+    arrays and nu are read-only."""
+    alloc = lpnq_allocation(nu, q, budget, N_floor)
+    if held is None:
+        draws = tuple(enumerate(alloc.n.tolist()))
+        datasets = tuple(sample_task(gt, t, n, seed, draw=stage)
+                         for t, n in draws)
+    else:
+        draws = tuple((t, n - ds.n) for t, (n, ds)
+                      in enumerate(zip(alloc.n.tolist(), held))
+                      if n > ds.n)
+        datasets = list(held)
+        for t, n in draws:
+            datasets[t] = datasets[t].merge(
+                sample_task(gt, t, n, seed, draw=stage))
+        datasets = tuple(datasets)
+    model = fit_target_head(fit_source(datasets, k, init_B=init_B),
+                            target_ds)
+    summary = _stage_summary(model, gt)
+    estimate = None if estimator is None else _estimate_nu(
+        model, {"lambda_policy": lambda_policy, "lambda": lam}, estimator)
     for a in (model.B_hat, model.W_hat, model.w_target_hat):
         a.setflags(write=False)
     if estimate is not None:
         estimate[0].setflags(write=False)
-    return alloc, datasets, model, summary, estimate, draws, tuple(caught)
+    return alloc, datasets, model, summary, estimate, draws
 
 
 # stage 0 of the runs that estimate nu, one entry deep like
-# instance._target_draw (gt, held and target_ds key by identity); passive
-# and known-nu runs call _stage directly, so they never evict the entry
+# instance._target_draw (gt, held and target_ds key by identity), holding
+# only a stage that raised no warning (_run_stages clears it after any
+# other); passive and known-nu runs call _stage directly, so never evict it
 _first_stage = functools.lru_cache(maxsize=1)(_stage)
 
 
@@ -305,21 +299,25 @@ def _run_stages(strategy, oracle, k, p, budgets, q=1, nu=None,
     for stage, budget in enumerate(budgets):
         est = estimator if stage < estimates else None
         stage_fn = _first_stage if stage == 0 and est else _stage
-        alloc, datasets, model, summary, estimate, draws, caught = stage_fn(
+        alloc, datasets, model, summary, estimate, draws = stage_fn(
             gt, oracle.seed, k, stage, nu, q, budget, N_floor, datasets,
             None if model is None else model.B_hat, target_ds, est,
             p["lambda_policy"], lam)
+        nu_hat, record = estimate or (None, None)
+        # keep only a stage that raised no warning (a fallback record has no
+        # "converged"), so that no run takes a stage without its warnings
+        if stage_fn is _first_stage and not (summary["converged"] and (
+                record is None or record.get("converged", False))):
+            _first_stage.cache_clear()
         for t, n in draws:
             oracle.record(t, n, draw=stage)
-        _reissue(caught)
         allocations.append(alloc)
         summaries.append(dict(summary))
-        if estimate is not None:
-            nu_hat, record = estimate
+        if nu_hat is not None:
             nu_history.append(nu_hat.copy())
             nu = tuple(nu_hat.tolist())
-            if record is not None:
-                summaries[-1]["relevance"] = dict(record)
+        if record is not None:
+            summaries[-1]["relevance"] = dict(record)
     N_tot = sum(ds.n for ds in datasets)
     er = excess_risk(model, gt)
     last = nu_history[-1] if nu_history else np.zeros(0)

@@ -1,6 +1,10 @@
 """End-to-end strategy runners."""
 
 import functools
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -26,7 +30,7 @@ from amtrl import (
     run_passive,
     sample_task,
 )
-from amtrl import instance, pipeline
+from amtrl import instance, pipeline, trainer
 
 
 def _oracle(gt, seed=0):
@@ -96,6 +100,19 @@ def test_oracle_replay_guard_and_accounting():
     with pytest.raises(RuntimeError):
         oracle.sample(2, 4, draw=0)
     assert oracle.total_drawn == 31
+    # the task index follows the integer rule and must name a source task or
+    # the target, so no draw is charged to a truncated or absent task
+    for t in (1.7, True, -1, gt.T + 1, 99):
+        with pytest.raises(ValueError, match="task_index must be"):
+            oracle.record(t, 3, draw=5)
+        assert oracle.total_drawn == 31
+    with pytest.raises(ValueError, match="task_index must be an integer"):
+        oracle.sample(2.9, 3, draw=5)
+    assert oracle.total_drawn == 31
+    # sample passes the checked int on, so 3.0 draws task 3
+    np.testing.assert_array_equal(oracle.sample(3.0, 4, draw=5).G,
+                                  sample_task(gt, 3, 4, 0, draw=5).G)
+    assert oracle.total_drawn == 35
     # the seed follows the integer rule too, instead of int()'s truncation
     assert TaskOracle(gt, seed=np.float64(3.0)).seed == 3
     for seed in (3.9, True):
@@ -227,7 +244,7 @@ def test_shared_exploration_is_accounted_and_guarded():
         with pytest.raises(RuntimeError, match="already consumed"):
             oracle.record(t, 1, draw=0)
     # the shared stage's arrays are read-only; the run's nu is its own
-    _, datasets, model, _, (nu, _), _, _ = pipeline._first_stage(
+    _, datasets, model, _, (nu, _), _ = pipeline._first_stage(
         gt, 3, gt.k, 0, (1.0,) * gt.T, 1, gt.T * 20, 20, None, None,
         instance._target_draw(gt, 300, 3, 0), "lasso", "lazy", None)
     assert pipeline._first_stage.cache_info().hits == 2
@@ -265,31 +282,108 @@ def test_shared_exploration_misses_on_any_other_input():
     assert pipeline._first_stage.cache_info().hits == 1
 
 
-def test_shared_exploration_warns_again_on_a_hit(monkeypatch):
+def _warned_stage_is_not_shared(gt, runs, message):
+    """Two runs of one seed whose exploration stage warns `message`: the
+    second computes the stage again, and both warn from the same place and
+    give the outputs of the run made alone. Returns their results."""
+    caught, results = [], []
+    for runner, params in runs:
+        with pytest.warns(RuntimeWarning, match=message) as w:
+            results.append(runner(_oracle(gt, seed=3), gt.d, gt.k, gt.T,
+                                  params))
+        caught.append([(str(r.message), r.category, r.filename, r.lineno)
+                       for r in w])
+    assert pipeline._first_stage.cache_info().hits == 0
+    assert caught[0] == caught[1] and len(caught[0]) == 1
+    for (runner, params), res in zip(runs, results):
+        pipeline._first_stage.cache_clear()
+        instance._target_draw.cache_clear()
+        with pytest.warns(RuntimeWarning, match=message):
+            alone = runner(_oracle(gt, seed=3), gt.d, gt.k, gt.T, params)
+        assert _dump(alone) == _dump(res)
+    # a filter on the raising module applies to every run's warning (the
+    # suite's filter makes it an error)
+    runner, params = runs[-1]
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message, RuntimeWarning,
+                                r"amtrl\.pipeline\Z")
+        runner(_oracle(gt, seed=3), gt.d, gt.k, gt.T, params)
+    return results
+
+
+def test_a_stage_that_warned_is_not_shared(monkeypatch):
+    real_lasso, calls = pipeline.lasso, []
+
+    def stalled(W, w, lam):
+        calls.append(lam)
+        nu, info = real_lasso(W, w, lam)
+        return nu, {**info, "converged": False}
+
+    monkeypatch.setattr(pipeline, "lasso", stalled)
+    gt = make_random_instance(8, 2, 6, sigma_z=0.3, seed=21)
+    message = "the Lasso relevance estimate did not converge"
+    _warned_stage_is_not_shared(gt, _explorers(gt)[:2], message)
+    assert len(calls) == 2 + 2 + 1  # in sequence, alone, filtered
+
+    # the same holds for an L2 run whose min-L2 estimate falls back to
+    # least squares, and the fallback is kept in the stage's record
+    def deficient(W, w):
+        raise ValueError("W is rank-deficient")
+
+    monkeypatch.setattr(pipeline, "min_l2_solution", deficient)
+    for res in _warned_stage_is_not_shared(
+            gt, _explorers(gt)[3:], "estimated heads are rank-deficient"):
+        assert res.stage_summaries[0]["relevance"] == {"fallback": "lstsq"}
+        assert "relevance" not in res.stage_summaries[1]
+    # and for a fit stopped by its iteration cap (one-stage runs, as the
+    # capped fit warns in every stage)
+    monkeypatch.setattr(pipeline, "lasso", real_lasso)
+    monkeypatch.setattr(trainer, "_MAX_ITERS", 1)
+    once = (run_multistage, {**_SHARED, "S": 1, "L": 2.0,
+                             "beta_1": gt.T * _SHARED["N_floor"]})
+    for res in _warned_stage_is_not_shared(gt, [once, once],
+                                           "alternating fit stopped"):
+        assert res.stage_summaries[0]["relevance"]["converged"]
+
+
+_FOUR_MULTISTAGE_RUNS = """
+import sys
+from amtrl import TaskOracle, make_random_instance, pipeline, run_multistage
+from amtrl import trainer
+
+if sys.argv[1] == "capped_fit":
+    trainer._MAX_ITERS = 1
+else:
     real_lasso = pipeline.lasso
 
     def stalled(W, w, lam):
         nu, info = real_lasso(W, w, lam)
         return nu, {**info, "converged": False}
 
-    monkeypatch.setattr(pipeline, "lasso", stalled)
-    gt = make_random_instance(8, 2, 6, sigma_z=0.3, seed=21)
-    (runner, first), (_, second) = _explorers(gt)[:2]
-    caught = []
-    for params in (first, second):
-        with pytest.warns(RuntimeWarning, match="did not converge") as w:
-            runner(_oracle(gt, seed=3), gt.d, gt.k, gt.T, params)
-        caught.append([(str(r.message), r.category, r.filename, r.lineno)
-                       for r in w])
-    assert pipeline._first_stage.cache_info().hits == 1
-    assert caught[0] == caught[1] and len(caught[0]) == 1
-    # a filter on the raising module applies to the warning issued again,
-    # as it did to the first (the suite's filter makes it an error)
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "the Lasso", RuntimeWarning,
-                                r"amtrl\.pipeline\Z")
-        runner(_oracle(gt, seed=3), gt.d, gt.k, gt.T, second)
-    assert pipeline._first_stage.cache_info().hits == 2
+    pipeline.lasso = stalled
+gt = make_random_instance(8, 2, 6, sigma_z=0.3, seed=21)
+params = {"N_floor": 20, "n_target": 300, "S": 3, "L": 2.0, "beta_1": 120}
+for seed in range(4):
+    run_multistage(TaskOracle(gt, seed=seed), gt.d, gt.k, gt.T, params)
+"""
+
+
+@pytest.mark.parametrize("mode, message", [
+    ("capped_fit", "alternating fit stopped after 1 iterations"),
+    ("stalled_lasso", "the Lasso relevance estimate did not converge")])
+def test_default_filter_shows_a_warning_once(mode, message):
+    # under Python's "default" filter a warning shows once per place, so
+    # four 3-stage runs whose every stage warns print it once. That needs
+    # the modules' warning registries left intact and a text that does not
+    # vary from stage to stage
+    root = pathlib.Path(pipeline.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root), os.environ.get("PYTHONPATH")]))}
+    err = subprocess.run(
+        [sys.executable, "-W", "default", "-c", _FOUR_MULTISTAGE_RUNS, mode],
+        env=env, check=True, capture_output=True, text=True).stderr
+    shown = [line for line in err.splitlines() if "Warning:" in line]
+    assert len(shown) == 1 and message in shown[0], err
 
 
 def test_known_nu_reference_is_validated():
@@ -337,8 +431,8 @@ def test_warnings_of_every_stage_name_the_pipeline(monkeypatch):
         run_multistage(_oracle(gt, seed=3), gt.d, gt.k, gt.T, params)
     assert len(caught) == 3  # one per stage, from stage 0 and the others
     assert all(w.filename == pipeline.__file__ for w in caught)
-    # the stages after the first are issued again under the raising module,
-    # so a filter on it applies to them as to stage 0
+    # every stage warns from the raising module, so a filter on it applies
+    # to the stages after the first as to stage 0
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "the Lasso", RuntimeWarning,
                                 r"amtrl\.pipeline\Z")
