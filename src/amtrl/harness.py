@@ -5,16 +5,21 @@ list, a budget grid, and seed count; the sweep runner executes the grid
 serially in the calling thread, seed by seed (every strategy and budget
 of a seed before the next seed, so the runs of a seed reuse its target
 draw), and writes one CSV row per run, sorted by strategy, budget and
-seed, plus per-strategy summary and plot data. The verify section holds one
-function per core numerical property (water-filling optimality, the
-floor-free closed form, LP sparsity, the norm ceilings, Lasso/LP
-agreement, monotone and exact fitting); `amtrl verify` runs them on its own
-frozen draws and emits a machine-readable report, and the acceptance gate
-calls the same functions with its own seeds and tolerances.
+seed, plus per-strategy summary and plot data. A setting is checked by its
+owner before any work: the run settings by pipeline._params, which
+SweepConfig calls for each listed strategy, and the instance settings by
+the factory make_instance hands the spec to; this module checks only its
+own keys and turns their ValueError into ConfigError. The verify section
+holds one function per core numerical property (water-filling optimality,
+the floor-free closed form, LP sparsity, the norm ceilings, Lasso/LP
+agreement, monotone and exact fitting); `amtrl verify` runs them on its
+own frozen draws and emits a machine-readable report, and the acceptance
+gate calls the same functions with its own seeds and tolerances.
 """
 
 import csv
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -31,36 +36,31 @@ CSV_HEADER = ("strategy", "seed", "N_tot", "N_floor", "ER", "subspace_dist",
 SWEEP_STRATEGIES = ("L1", "L2", "passive", "known_nu_q1", "known_nu_q2",
                     "multistage")
 
-INSTANCE_KINDS = ("random", "almost_sparse", "aligned_worstcase")
+_FACTORIES = {"random": instance.make_random_instance,
+              "almost_sparse": instance.make_almost_sparse_instance,
+              "aligned_worstcase": instance.make_aligned_worstcase_instance}
+
+INSTANCE_KINDS = tuple(_FACTORIES)
 
 
 class ConfigError(ValueError):
     """Raised for malformed configs; maps to exit code 2."""
 
 
-def _integer(value, name):
-    """value as an int by instance.integer's rule; ConfigError otherwise."""
+def _checked(check, *args, **kwargs):
+    """check(*args, **kwargs), raising its ValueError as ConfigError."""
     try:
-        return instance.integer(value, name)
+        return check(*args, **kwargs)
     except ValueError as e:
         raise ConfigError(str(e)) from None
-
-
-def _finite(value, name):
-    """value as a finite float; ConfigError for bools, strings, NaN and
-    infinities, which would otherwise fail only in a sweep's first run."""
-    if (isinstance(value, (int, float, np.integer, np.floating))
-            and not isinstance(value, bool) and math.isfinite(value)):
-        return float(value)
-    raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
 class SweepConfig:
     """Declarative description of a sweep: instance, strategies, grid.
-    multistage takes S >= 1 (default 3), a finite L > 1 (default 2.0) and
-    beta_1 (default: a schedule summing to about each budget). A lambda
-    value, when given, is a finite number >= 0."""
+    multistage takes S (default 3), L (default 2.0) and beta_1 (default: a
+    schedule summing to about each budget). pipeline._params checks the run
+    settings, for every listed strategy, when the config is built."""
 
     instance: dict
     strategies: tuple
@@ -91,42 +91,29 @@ class SweepConfig:
             raise ConfigError("budgets must be non-empty")
         if any(b2 <= b1 for b1, b2 in zip(self.budgets, self.budgets[1:])):
             raise ConfigError("budgets must be strictly increasing")
-        for name in ("seeds", "N_floor", "n_target"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        if self.seeds < 1:
+        seeds = _checked(instance.integer, self.seeds, "seeds")
+        if seeds < 1:
             raise ConfigError("seeds must be >= 1")
-        if self.N_floor < 0:
-            raise ConfigError("N_floor must be >= 0")
-        explored = set(self.strategies) & {"L1", "L2", "multistage"}
-        if explored and self.N_floor < 1:
-            raise ConfigError(
-                f"N_floor must be >= 1 for {', '.join(sorted(explored))}: "
-                "they sample every task at the floor before estimating nu")
-        if self.n_target < 1:
-            raise ConfigError("n_target must be >= 1")
-        if self.lambda_policy not in ("lazy", "theory", "explicit"):
-            raise ConfigError("lambda_policy must be lazy, theory or explicit")
-        if self.lambda_policy == "explicit" and self.lambda_value is None:
-            raise ConfigError("lambda_policy 'explicit' needs a lambda value")
-        if (self.lambda_value is not None
-                and _finite(self.lambda_value, "lambda") < 0):
-            raise ConfigError(f"lambda must be >= 0, got "
-                              f"{self.lambda_value!r}")
+        object.__setattr__(self, "seeds", seeds)
         if not isinstance(self.instance, dict):
             raise ConfigError("instance must be a mapping")
+        base = {"n_target": self.n_target, "N_floor": self.N_floor,
+                "lambda_policy": self.lambda_policy,
+                "lambda": self.lambda_value}
+        for strategy in self.strategies:  # p's counts do not depend on it
+            p = _checked(pipeline._params, base, strategy)
+        object.__setattr__(self, "n_target", p["n_target"])
+        object.__setattr__(self, "N_floor", p["N_floor"])
         unknown = set(self.multistage) - {"S", "L", "beta_1"}
         if unknown:
             raise ConfigError(f"unknown multistage keys: {sorted(unknown)}; "
                               "choose from S, L, beta_1")
         ms = {"S": 3, "L": 2.0, **self.multistage}
-        for name in ("S", "beta_1"):
-            if name in ms:
-                ms[name] = _integer(ms[name], f"multistage {name}")
-        if ms["S"] < 1:
-            raise ConfigError(f"multistage S must be >= 1, got {ms['S']}")
-        ms["L"] = _finite(ms["L"], "multistage L")
-        if ms["L"] <= 1.0:
-            raise ConfigError(f"multistage L must be > 1, got {ms['L']!r}")
+        try:  # checked even when multistage is not listed
+            p = pipeline._params(ms, "multistage")
+        except ValueError as e:
+            raise ConfigError(f"multistage {e}") from None
+        ms = {key: p[key] for key in ms}
         object.__setattr__(self, "multistage", ms)
 
 
@@ -170,30 +157,13 @@ def make_instance(desc):
     if kind not in INSTANCE_KINDS:
         raise ConfigError(f"unknown instance kind {kind!r}; choose from "
                           f"{INSTANCE_KINDS}")
-    seed = _integer(spec.pop("seed", 0), "instance seed")
+    factory = _FACTORIES[kind]
     try:
-        dims = {name: _integer(spec.pop(name), f"instance {name}")
-                for name in ("d", "k", "T")}
-        if kind == "random":
-            gt = instance.make_random_instance(
-                **dims, sigma_z=_finite(spec.pop("sigma_z"), "sigma_z"),
-                sigma_min_floor=_finite(spec.pop("sigma_min_floor", 0.0),
-                                        "sigma_min_floor"),
-                seed=seed)
-        elif kind == "almost_sparse":
-            gt, _ = instance.make_almost_sparse_instance(
-                **dims, sigma_z=_finite(spec.pop("sigma_z"), "sigma_z"),
-                seed=seed, spectrum=spec.pop("spectrum", None))
-        else:
-            gt = instance.make_aligned_worstcase_instance(
-                **dims, c_w=_finite(spec.pop("c_w", 1.0), "c_w"),
-                seed=seed, sigma_z=_finite(spec.pop("sigma_z", 0.0),
-                                           "sigma_z"))
-    except KeyError as e:
-        raise ConfigError(f"instance spec is missing {e.args[0]!r}") from e
-    if spec:
-        raise ConfigError(f"unknown instance keys: {sorted(spec)}")
-    return gt
+        inspect.signature(factory).bind(**spec)
+    except TypeError as e:
+        raise ConfigError(f"instance spec: {e}") from None
+    gt = _checked(factory, **spec)
+    return gt[0] if kind == "almost_sparse" else gt
 
 
 def reference_nu(gt, q):

@@ -79,6 +79,15 @@ def integer(value, name):
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def finite(value, name):
+    """The real number called name as a float. Ints, floats and their numpy
+    kinds are taken; bools, strings, NaN and infinities raise ValueError."""
+    if (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool) and math.isfinite(value)):
+        return float(value)
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 def _uint32_words(n):
     """A non-negative integer as little-endian 32-bit words, as SeedSequence
     splits it (0 is one word)."""
@@ -257,12 +266,13 @@ class GroundTruth:
             raise ValueError(
                 f"B_star columns not orthonormal (max Gram deviation {gram_err:.3e})"
             )
-        if not (float(self.sigma_z) >= 0.0):
+        sigma_z = finite(self.sigma_z, "sigma_z")
+        if sigma_z < 0.0:
             raise ValueError("sigma_z must be >= 0")
         object.__setattr__(self, "B_star", B)
         object.__setattr__(self, "W_star", W)
         object.__setattr__(self, "w_target_star", w)
-        object.__setattr__(self, "sigma_z", float(self.sigma_z))
+        object.__setattr__(self, "sigma_z", sigma_z)
         if self.meta.get("diverse"):
             if self.sigma_min_w() <= 1e-12 * max(1.0, self.sigma_max_w()):
                 raise ValueError("instance flagged diverse but W_star is rank-deficient")
@@ -443,6 +453,8 @@ def make_random_instance(d, k, T, sigma_z, sigma_min_floor=0.0, seed=0):
     rescaled so sigma_min(W_star) >= sigma_min_floor, target a random unit
     mixture of the source columns (stored in meta["mixing_nu"]).
     """
+    d, k, T, seed = map(integer, (d, k, T, seed), "d k T seed".split())
+    sigma_min_floor = finite(sigma_min_floor, "sigma_min_floor")
     if not (1 <= k <= d and k <= T):
         raise ValueError(f"need 1 <= k <= d and k <= T, got d={d}, k={k}, T={T}")
     rng = _rng(seed, _GEN_KEY, 0)
@@ -461,10 +473,10 @@ def make_random_instance(d, k, T, sigma_z, sigma_min_floor=0.0, seed=0):
     w_target = W @ nu_mix
     meta = {
         "kind": "random",
-        "seed": int(seed),
+        "seed": seed,
         "diverse": True,
         "highdim_regime": bool(d > T >= k),
-        "sigma_min_floor": float(sigma_min_floor),
+        "sigma_min_floor": sigma_min_floor,
         "mixing_nu": nu_mix.tolist(),
     }
     return GroundTruth(d=d, k=k, T=T, B_star=B, W_star=W, w_target_star=w_target,
@@ -489,6 +501,7 @@ def make_almost_sparse_instance(d, k, T, sigma_z, seed=0, spectrum=None):
     W_star @ nu = w_target_star; L1-minimization finds a genuinely sparser
     one. reference_nu is stored in meta["reference_nu"].
     """
+    d, k, T, seed = map(integer, (d, k, T, seed), "d k T seed".split())
     if not (1 <= k <= d and k <= T and T >= 2):
         raise ValueError(f"need 1 <= k <= d, k <= T, T >= 2; got d={d}, k={k}, T={T}")
     nu_ref = almost_sparse_nu(T)
@@ -505,7 +518,7 @@ def make_almost_sparse_instance(d, k, T, sigma_z, seed=0, spectrum=None):
     w_target = W @ nu_ref
     meta = {
         "kind": "almost_sparse",
-        "seed": int(seed),
+        "seed": seed,
         "diverse": True,
         "highdim_regime": bool(d > T >= k),
         "reference_nu": nu_ref.tolist(),
@@ -515,7 +528,7 @@ def make_almost_sparse_instance(d, k, T, sigma_z, seed=0, spectrum=None):
     return gt, nu_ref
 
 
-def make_aligned_worstcase_instance(d, k, T, c_w, seed=0, sigma_z=0.0):
+def make_aligned_worstcase_instance(d, k, T, c_w=1.0, seed=0, sigma_z=0.0):
     """Adversarial instance for L2-driven sampling.
 
     The target direction is aligned with the dominant left singular vector of
@@ -523,9 +536,11 @@ def make_aligned_worstcase_instance(d, k, T, c_w, seed=0, sigma_z=0.0):
     L2-proportional allocation spreads budget uniformly over all T tasks.
     sigma_min(W_star) = c_w / (2 sqrt((k-1) T)) and ||w_target_star|| = c_w.
     """
+    d, k, T, seed = map(integer, (d, k, T, seed), "d k T seed".split())
     if not (2 <= k <= d and k <= T):
         raise ValueError(f"need 2 <= k <= d and k <= T, got d={d}, k={k}, T={T}")
-    if not c_w > 0:
+    c_w = finite(c_w, "c_w")
+    if c_w <= 0:
         raise ValueError("c_w must be > 0")
     rng = _rng(seed, _GEN_KEY, 2)
     B = _orthonormal_columns(rng, d, k)
@@ -540,8 +555,8 @@ def make_aligned_worstcase_instance(d, k, T, c_w, seed=0, sigma_z=0.0):
     w_target = c_w * U[:, 0]
     meta = {
         "kind": "aligned_worstcase",
-        "seed": int(seed),
-        "c_w": float(c_w),
+        "seed": seed,
+        "c_w": c_w,
         "diverse": True,
         "highdim_regime": bool(d > T >= k),
         "min_l2_direction": "all_ones",
@@ -575,7 +590,7 @@ def load_instance(path):
     with open(path) as fh:
         doc = json.load(fh)
     try:
-        d, k, T = int(doc["d"]), int(doc["k"]), int(doc["T"])
+        d, k, T = map(integer, (doc["d"], doc["k"], doc["T"]), "d k T".split())
         meta = dict(doc.get("meta", {}))
         covariance = meta.pop("covariance_kind", "identity")
         if covariance != "identity" or "sigma_diag" in meta:
@@ -586,7 +601,7 @@ def load_instance(path):
             B_star=np.asarray(doc["B_star"], dtype=float).reshape(d, k),
             W_star=np.asarray(doc["W_star"], dtype=float).reshape(k, T),
             w_target_star=np.asarray(doc["w_target_star"], dtype=float),
-            sigma_z=float(doc["sigma_z"]),
+            sigma_z=doc["sigma_z"],
             meta=meta,
         )
     except (KeyError, TypeError) as exc:

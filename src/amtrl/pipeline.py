@@ -36,7 +36,6 @@ whose exploration stage warned computes it again and warns in turn.
 """
 
 import functools
-import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -47,7 +46,7 @@ from .allocation import InfeasibleBudgetError, lpnq_allocation
 # not called here, but the benchmark's tracer wraps pipeline.allocate_fixed_nu
 # as well as pipeline.lpnq_allocation, through which the loop allocates
 from .allocation import allocate_fixed_nu  # noqa: F401
-from .instance import integer, sample_task
+from .instance import finite, integer, sample_task
 from .relevance import (LAZY_LAMBDA, lambda_rule, lasso, min_l2_solution,
                         support_size)
 from .trainer import (excess_risk, fit_source, fit_target_head,
@@ -141,7 +140,11 @@ class RunResult:
     params: dict = field(default_factory=dict)
 
 
-def _params(params):
+def _params(params, strategy):
+    """params over _DEFAULTS, checked for strategy before any work: the one
+    place a run setting is checked, which every runner calls first and
+    SweepConfig calls for each strategy it lists. Raises ValueError naming
+    the setting."""
     merged = dict(_DEFAULTS)
     if params:
         unknown = set(params) - set(_DEFAULTS) - {
@@ -152,6 +155,27 @@ def _params(params):
     for key in ("N_tot", "N_tot_phase2", "N_floor", "n_target", "S", "beta_1"):
         if key in merged:
             merged[key] = integer(merged[key], key)
+    # these sample every task at the floor before they estimate nu
+    floor = 1 if strategy in ("L1", "L2", "multistage") else 0
+    if merged.get("N_floor", floor) < floor:
+        raise ValueError(f"N_floor must be >= {floor} for {strategy}, got "
+                         f"{merged['N_floor']}")
+    for key in ("n_target", "S"):
+        if merged.get(key, 1) < 1:
+            raise ValueError(f"{key} must be >= 1, got {merged[key]}")
+    if "L" in merged:
+        L = merged["L"] = finite(merged["L"], "L (a budget growth L > 1)")
+        if L <= 1:
+            raise ValueError(f"L must be a budget growth L > 1, got {L}")
+    if merged["lambda_policy"] not in ("lazy", "theory", "explicit"):
+        raise ValueError(f"lambda_policy must be lazy, theory or explicit, "
+                         f"got {merged['lambda_policy']!r}")
+    if merged["lambda"] is not None:
+        merged["lambda"] = finite(merged["lambda"], "lambda")
+        if merged["lambda"] < 0:
+            raise ValueError(f"lambda must be >= 0, got {merged['lambda']}")
+    elif merged["lambda_policy"] == "explicit":
+        raise ValueError("lambda_policy 'explicit' needs a lambda value")
     return merged
 
 
@@ -178,24 +202,20 @@ def _stage_summary(model, gt):
 
 
 def lambda_for(p, W, w):
-    """The Lasso penalty for params p on the system W nu = w: lazy, explicit
-    or the theory rule."""
+    """The Lasso penalty for params p, as _params checked them, on the
+    system W nu = w: lazy, explicit or the theory rule."""
     policy = p["lambda_policy"]
     if policy == "lazy":
         return LAZY_LAMBDA
     if policy == "explicit":
-        if p["lambda"] is None:
-            raise ValueError("lambda_policy 'explicit' needs params['lambda']")
         return float(p["lambda"])
-    if policy == "theory":
-        sv = np.linalg.svd(W, compute_uv=False)
-        sigma = float(sv[-1])
-        C_W = float(np.max(np.linalg.norm(W, axis=0)))
-        R = float(np.linalg.norm(w))
-        if min(sigma, C_W, R) <= 0.0:
-            return LAZY_LAMBDA  # degenerate estimate; fall back
-        return lambda_rule(W.shape[0], R, C_W, sigma)
-    raise ValueError(f"unknown lambda_policy {policy!r}")
+    sv = np.linalg.svd(W, compute_uv=False)
+    sigma = float(sv[-1])
+    C_W = float(np.max(np.linalg.norm(W, axis=0)))
+    R = float(np.linalg.norm(w))
+    if min(sigma, C_W, R) <= 0.0:
+        return LAZY_LAMBDA  # degenerate estimate; fall back
+    return lambda_rule(W.shape[0], R, C_W, sigma)
 
 
 def _estimate_nu(model, p, estimator):
@@ -338,7 +358,7 @@ def run_known_nu(oracle, d, k, T, nu_ref, q, params=None):
     with exponent q (q=1 water-filling on |nu|, q=2 on squared weights).
     nu_ref must be a finite vector of T entries."""
     _check_dims(oracle, d, k, T)
-    p = {"q": q, **_params(params)}
+    p = {"q": q, **_params(params, "known_nu")}
     nu = np.asarray(nu_ref, dtype=float)
     if nu.shape != (T,) or not np.all(np.isfinite(nu)):
         raise ValueError(f"nu_ref must be a finite vector of shape ({T},), "
@@ -350,18 +370,16 @@ def run_known_nu(oracle, d, k, T, nu_ref, q, params=None):
 def run_passive(oracle, d, k, T, params=None):
     """Uniform allocation across all source tasks; no relevance estimate."""
     _check_dims(oracle, d, k, T)
-    p = _params(params)
+    p = _params(params, "passive")
     return _run_stages("passive", oracle, k, p, [_require(p, "N_tot")])
 
 
 def _two_phase(oracle, d, k, T, params, strategy, estimator, q):
     """Explore at the floor, estimate nu once, then water-fill the rest."""
     _check_dims(oracle, d, k, T)
-    p = _params(params)
+    p = _params(params, strategy)
     N_floor = _require(p, "N_floor")
     N_tot = _require(p, "N_tot_phase2")
-    if N_floor < 1:
-        raise ValueError("the exploration phase needs N_floor >= 1")
     if N_tot < T * N_floor:
         raise InfeasibleBudgetError(f"N_tot_phase2 = {N_tot} cannot cover "
                                     f"{T} floors of {N_floor}")
@@ -390,17 +408,11 @@ def run_multistage(oracle, d, k, T, params=None):
     passive run followed by one estimate.
     """
     _check_dims(oracle, d, k, T)
-    p = _params(params)
+    p = _params(params, "multistage")
     S = _require(p, "S")
-    L = float(_require(p, "L"))
+    L = _require(p, "L")
     beta_1 = _require(p, "beta_1")
     N_floor = _require(p, "N_floor")
-    if S < 1:
-        raise ValueError("need S >= 1 stages")
-    if not 1.0 < L < math.inf:
-        raise ValueError(f"need a finite budget growth L > 1, got L = {L!r}")
-    if N_floor < 1:
-        raise ValueError("the exploration stages need N_floor >= 1")
     if beta_1 < T * N_floor:
         raise InfeasibleBudgetError(f"beta_1 = {beta_1} cannot cover {T} "
                                     f"floors of {N_floor}")

@@ -107,7 +107,7 @@ def lasso(W, w, lam):
     """
     W = np.asarray(W, dtype=float)
     w = np.asarray(w, dtype=float)
-    if lam < 0:
+    if not lam >= 0:  # NaN too
         raise ValueError("lam must be >= 0")
     if W.ndim != 2 or w.shape != (W.shape[0],):
         raise ValueError("need W of shape (k, T) and w of shape (k,)")

@@ -93,6 +93,24 @@ def test_sweep_config_validation():
         SweepConfig(**{**good, "multistage": {"stages": 5, "growth": 3.0}})
 
 
+def test_sweep_config_and_runners_share_one_rule():
+    # SweepConfig asks pipeline._params, so a refused run setting reads the
+    # same from a config as from a runner
+    gt = instance.make_random_instance(4, 2, 3, sigma_z=0.1)
+    good = dict(instance={"kind": "random", "d": 4, "k": 2, "T": 3,
+                          "sigma_z": 0.1}, budgets=(100,), N_floor=10)
+    for over, params in (({"lambda_value": math.nan}, {"lambda": math.nan}),
+                         ({"lambda_policy": "huh"}, {"lambda_policy": "huh"}),
+                         ({"n_target": 0}, {"n_target": 0}),
+                         ({"N_floor": 0}, {"N_floor": 0})):
+        with pytest.raises(ConfigError) as from_config:
+            SweepConfig(**{**good, **over}, strategies=("L1",))
+        with pytest.raises(ValueError) as from_runner:
+            pipeline.run_l1_amtrl(pipeline.TaskOracle(gt), 4, 2, 3, {
+                "N_tot_phase2": 100, "N_floor": 10, **params})
+        assert str(from_config.value) == str(from_runner.value)
+
+
 def test_sweep_config_rejects_floorless_exploration():
     # L1, L2 and multistage sample every task at the floor before they
     # estimate nu, so a sweep listing one needs N_floor >= 1 up front

@@ -449,3 +449,67 @@ def test_seed_words_reject_what_seed_sequence_rejects():
         instance._seed_words(0, -1)
     with pytest.raises(ValueError):
         instance._seed_words(0, np.array([0, 2**32]))
+
+
+_FACTORY_CALLS = {
+    "random": lambda **kw: make_random_instance(
+        **{"d": 6, "k": 2, "T": 4, "sigma_z": 0.1, "seed": 3, **kw}),
+    "almost_sparse": lambda **kw: make_almost_sparse_instance(
+        **{"d": 6, "k": 2, "T": 4, "sigma_z": 0.1, "seed": 3, **kw})[0],
+    "aligned_worstcase": lambda **kw: make_aligned_worstcase_instance(
+        **{"d": 6, "k": 2, "T": 4, "c_w": 1.5, "seed": 3, **kw}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_FACTORY_CALLS))
+def test_factories_check_their_own_settings(kind):
+    # the factories, not their callers, own the rules for d, k, T, seed
+    # (instance.integer) and for the real parameters (instance.finite)
+    make = _FACTORY_CALLS[kind]
+    ref = make()
+    whole = make(d=6.0, T=4.0, seed=3.0)
+    assert (whole.d, whole.k, whole.T) == (6, 2, 4)
+    assert type(whole.d) is int and whole.meta["seed"] == 3
+    for name in ("B_star", "W_star", "w_target_star"):
+        assert getattr(whole, name).tobytes() == getattr(ref, name).tobytes()
+    refused = [("sigma_z", math.inf, "sigma_z must be a finite"),
+               ("seed", True, "seed must be an integer"),
+               ("d", 6.5, "d must be an integer")]
+    if kind == "random":
+        refused.append(("sigma_min_floor", math.nan,
+                        "sigma_min_floor must be a finite"))
+    if kind == "aligned_worstcase":
+        refused.append(("c_w", math.inf, "c_w must be a finite"))
+    for key, value, message in refused:
+        with pytest.raises(ValueError, match=message):
+            make(**{key: value})
+
+
+def test_ground_truth_sigma_z_is_a_finite_number():
+    B = np.linalg.qr(np.random.default_rng(0).standard_normal((5, 2)))[0]
+    W = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    w = np.array([0.5, 0.5])
+    for sigma_z in (math.inf, math.nan, "0.1", True):
+        with pytest.raises(ValueError, match="sigma_z must be a finite"):
+            GroundTruth(d=5, k=2, T=3, B_star=B, W_star=W,
+                        w_target_star=w, sigma_z=sigma_z)
+    gt = GroundTruth(d=5, k=2, T=3, B_star=B, W_star=W, w_target_star=w,
+                     sigma_z=np.float32(0.5))
+    assert type(gt.sigma_z) is float and gt.sigma_z == 0.5
+
+
+def test_load_instance_follows_the_instance_rules(tmp_path):
+    # a file's d, k, T follow the integer rule and its sigma_z must be a
+    # finite number, as for the factories (int() used to truncate d = 6.5)
+    gt = make_random_instance(6, 2, 4, sigma_z=0.1, seed=3)
+    path = tmp_path / "gt.json"
+    save_instance(gt, path)
+    doc = json.loads(path.read_text())
+    for key, value, message in (("d", 6.0, None), ("d", 6.5, "d must be"),
+                                ("sigma_z", "0.1", "sigma_z must be")):
+        path.write_text(json.dumps({**doc, key: value}))
+        if message is None:
+            assert load_instance(path).W_star.tobytes() == gt.W_star.tobytes()
+        else:
+            with pytest.raises(ValueError, match=message):
+                load_instance(path)

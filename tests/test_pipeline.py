@@ -729,3 +729,49 @@ def test_oracle_samples_equal_sample_task_in_any_order(seed, data):
         np.testing.assert_array_equal(got.rows()[0], X)
         np.testing.assert_array_equal(got.rows()[1], Y)
         np.testing.assert_array_equal(got.G, G)
+
+
+_RUNNERS = {
+    "passive": lambda o, p: run_passive(o, 8, 2, 5, {"N_tot": 400, **p}),
+    "known_nu": lambda o, p: run_known_nu(o, 8, 2, 5, np.ones(5), 1,
+                                          {"N_tot": 400, **p}),
+    "L1": lambda o, p: run_l1_amtrl(o, 8, 2, 5, {
+        "N_tot_phase2": 400, "N_floor": 10, **p}),
+    "L2": lambda o, p: run_l2_amtrl(o, 8, 2, 5, {
+        "N_tot_phase2": 400, "N_floor": 10, **p}),
+    "multistage": lambda o, p: run_multistage(o, 8, 2, 5, {
+        "S": 2, "L": 2.0, "beta_1": 100, "N_floor": 10, **p}),
+}
+
+_REFUSED = [
+    *({"lambda": lam} for lam in (float("nan"), float("inf"), -1.0, "abc")),
+    {"lambda_policy": "explicit"},
+    {"lambda_policy": "huh"},
+    {"n_target": 0},
+    {"N_floor": -1},
+    {"S": 0},
+    *({"L": L} for L in (1.0, float("nan"), float("inf"), True)),
+]
+
+
+@pytest.mark.parametrize("strategy, setting", [
+    (strategy, setting) for strategy in sorted(_RUNNERS)
+    for setting in _REFUSED + (
+        [{"N_floor": 0}] if strategy in ("L1", "L2", "multistage") else [])],
+    ids=repr)
+def test_refused_settings_raise_before_any_draw(strategy, setting,
+                                               monkeypatch):
+    # pipeline._params checks every run setting before the target draw and
+    # stage 0; each case used to cost 51 draws and a fit before it raised
+    calls = []
+    real = pipeline.sample_task
+    monkeypatch.setattr(pipeline, "sample_task",
+                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    gt = make_random_instance(8, 2, 5, sigma_z=0.2, seed=3)
+    oracle = _oracle(gt)
+    with pytest.raises(ValueError):
+        _RUNNERS[strategy](oracle, setting)
+    assert oracle.total_drawn == 0 and calls == []
+    # the same oracle then runs, with the setting left out
+    res = _RUNNERS[strategy](oracle, {})
+    assert calls and oracle.total_drawn == res.total_samples

@@ -91,6 +91,17 @@ def test_lasso_large_lambda_gives_zero():
     np.testing.assert_array_equal(nu, np.zeros(W.shape[1]))
 
 
+def test_lasso_penalty_is_a_number_at_least_zero():
+    # NaN fails "lam < 0" as well as "lam >= 0", so it must be refused by
+    # the second form; it used to return nu = 0 with a NaN KKT residual
+    W, w = _rand_system(1)
+    for lam in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="lam must be >= 0"):
+            lasso(W, w, lam)
+    nu, info = lasso(W, w, float("inf"))  # an infinite penalty gives 0
+    np.testing.assert_array_equal(nu, np.zeros(W.shape[1]))
+
+
 def test_lasso_scale_equivariance():
     W, w = _rand_system(2)
     lam = 0.3
