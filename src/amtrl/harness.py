@@ -4,8 +4,10 @@ A SweepConfig (usually loaded from JSON) names an instance, a strategy
 list, a budget grid, and seed count; the sweep runner executes the grid
 serially in the calling thread, seed by seed (every strategy and budget
 of a seed before the next seed, so the runs of a seed reuse its target
-draw), and writes one CSV row per run, sorted by strategy, budget and
-seed, plus per-strategy summary and plot data. A setting is checked by its
+draw), inside instance.shared_streams, so that a run reads what the run
+before it drew of each source stream instead of drawing it again, and
+writes one CSV row per run, sorted by strategy, budget and seed, plus
+per-strategy summary and plot data. A setting is checked by its
 owner before any work: the run settings by pipeline._params, which
 SweepConfig calls for each listed strategy, and the instance settings by
 the factory make_instance hands the spec to; this module checks only its
@@ -91,6 +93,8 @@ class SweepConfig:
             raise ConfigError("budgets must be non-empty")
         if any(b2 <= b1 for b1, b2 in zip(self.budgets, self.budgets[1:])):
             raise ConfigError("budgets must be strictly increasing")
+        if self.budgets[0] < 0:
+            raise ConfigError(f"budgets must be >= 0, got {self.budgets[0]}")
         seeds = _checked(instance.integer, self.seeds, "seeds")
         if seeds < 1:
             raise ConfigError("seeds must be >= 1")
@@ -271,11 +275,17 @@ def run_sweep(cfg, out_dir=None):
     # seed-major, so the runs sharing a seed's target set are consecutive
     # and all but the first take it from instance.sample_task's memo; a
     # seed's L1 (or L2) runs are consecutive too, and all but the first
-    # take their exploration stage from pipeline._first_stage's memo
-    rows = [run_single(gt, strategy, seed, budget, cfg)[0]
-            for seed in range(cfg.seeds)
-            for strategy in cfg.strategies
-            for budget in cfg.budgets]
+    # take their exploration stage from pipeline._first_stage's memo; and a
+    # run reads the normals of the source streams the run before it read
+    # from the stream store
+    rows = []
+    with instance.shared_streams() as streams:
+        for seed in range(cfg.seeds):
+            for strategy in cfg.strategies:
+                for budget in cfg.budgets:
+                    streams.next_run()
+                    rows.append(run_single(gt, strategy, seed, budget,
+                                           cfg)[0])
     rows.sort(key=lambda r: (r["strategy"], r["N_tot"], r["seed"]))
     write_rows_csv(os.path.join(out_dir, "runs.csv"), rows)
 

@@ -34,8 +34,24 @@ per seed), while repeated source draws are 0.7-0.9 %. One entry, not a
 larger cache: only the run just before can hand a run its target set, so
 a run repeated later in the process (another pass over the same seeds)
 draws it again, as it would with no memo.
+
+A draw of n samples reads the first n * (d + 1) standard normals of its
+stream: X is the first n * d of them, row by row, and the noise the next n.
+Inside shared_streams (harness.run_sweep opens it around a sweep) a stream
+store keeps, per stream, the normals drawn so far and the generator
+positioned after them, so a later run of the same seed slices a shorter
+request out of them and draws only the missing tail of a longer one;
+Generator.standard_normal is one sequential stream, so every draw is bit
+for bit what a fresh draw gives. The runs of a sweep seed read the same
+streams at different lengths (budgets, allocations), which is where this
+is shared. The store keeps only the streams the previous run read: each
+run's start (next_run) drops the others, so it holds at most the streams of
+two consecutive runs, 8 * n * (d + 1) bytes each. Outside the store a draw
+reads its normals afresh.
 """
 
+import contextlib
+import contextvars
 import dataclasses
 import functools
 import json
@@ -378,14 +394,70 @@ class TaskDataset:
                                   self.yty + other.yty)
 
 
+def _stream(gt, task_index, seed, draw):
+    """The generator of one task's sampling stream at (seed, draw)."""
+    return _generator(_sample_seed_table(seed, gt.T, draw)[task_index])
+
+
+class _StreamStore:
+    """The normals drawn so far from sampling streams, keyed by (gt's
+    identity, task, seed, draw), each with the generator positioned after
+    them (see the module docstring). Held buffers are read-only."""
+
+    def __init__(self):
+        self.streams = {}  # key: (normals, generator after them)
+        self.used = set()  # keys read since the last next_run
+
+    def normals(self, key, count):
+        """The first count normals of stream key."""
+        self.used.add(key)
+        z, rng = self.streams.get(key, (None, None))
+        if z is None:
+            rng = _stream(*key)
+            z = rng.standard_normal(count)
+        elif count > z.size:
+            z = np.concatenate([z, rng.standard_normal(count - z.size)])
+        else:
+            return z[:count]
+        z.setflags(write=False)
+        self.streams[key] = (z, rng)
+        return z
+
+    def next_run(self):
+        """Start a run: drop every stream the run before it did not read."""
+        self.streams = {key: entry for key, entry in self.streams.items()
+                        if key in self.used}
+        self.used = set()
+
+
+# the store of the shared_streams block in progress, None outside one
+_store = contextvars.ContextVar("amtrl_stream_store", default=None)
+
+
+@contextlib.contextmanager
+def shared_streams():
+    """A block whose draws share one _StreamStore, which it yields; the
+    store is emptied and closed when the block ends or raises."""
+    store = _StreamStore()
+    token = _store.set(store)
+    try:
+        yield store
+    finally:
+        _store.reset(token)
+        store.streams.clear()
+
+
 def _draw_rows(gt, task_index, n, seed, draw):
     """The rows (X, Y) of n samples of one task from its stream at (seed,
-    draw)."""
+    draw): the stream's first n * d normals as X, row by row, and the next n
+    as the noise."""
     theta = gt.regression_vector(task_index)  # validates task_index
-    table = _sample_seed_table(int(seed), gt.T, int(draw))
-    rng = _generator(table[task_index])
-    X = rng.standard_normal((n, gt.d))
-    Y = X @ theta + gt.sigma_z * rng.standard_normal(n)
+    key, count = (gt, task_index, int(seed), int(draw)), n * (gt.d + 1)
+    store = _store.get()
+    z = (_stream(*key).standard_normal(count) if store is None
+         else store.normals(key, count))
+    X = z[:n * gt.d].reshape(n, gt.d)
+    Y = X @ theta + gt.sigma_z * z[n * gt.d:]
     return X, Y
 
 
@@ -415,8 +487,10 @@ def sample_task(gt, task_index, n, seed, draw=0):
     by (gt's identity, n, seed, draw): a call repeating the previous target
     draw returns the read-only dataset that call formed, equal bit for bit
     to a fresh draw. It covers the target alone because the runs of one
-    seed share their target set, and little else repeats (see the module
-    docstring). Source draws are always drawn afresh.
+    seed share their target set. Inside shared_streams every task's draw
+    reads its normals from the stream store, which serves the prefixes the
+    runs of a sweep seed share (see the module docstring); outside it they
+    are drawn afresh.
     """
     n, draw = integer(n, "n"), integer(draw, "draw")
     if n < 0:

@@ -163,6 +163,9 @@ def _params(params, strategy):
     for key in ("n_target", "S"):
         if merged.get(key, 1) < 1:
             raise ValueError(f"{key} must be >= 1, got {merged[key]}")
+    for key in ("N_tot", "N_tot_phase2", "beta_1"):
+        if merged.get(key, 0) < 0:
+            raise ValueError(f"{key} must be >= 0, got {merged[key]}")
     if "L" in merged:
         L = merged["L"] = finite(merged["L"], "L (a budget growth L > 1)")
         if L <= 1:
@@ -183,6 +186,16 @@ def _require(p, key):
     if key not in p:
         raise ValueError(f"params must set {key!r} for this strategy")
     return p[key]
+
+
+def _budget(p, key, T):
+    """p[key], a budget that must cover T floors of N_floor: raises
+    InfeasibleBudgetError, before any draw, when it cannot."""
+    budget, N_floor = _require(p, key), p.get("N_floor", 0)
+    if budget < T * N_floor:
+        raise InfeasibleBudgetError(f"{key} = {budget} cannot cover {T} "
+                                    f"floors of {N_floor}")
+    return budget
 
 
 def _check_dims(oracle, d, k, T):
@@ -363,15 +376,15 @@ def run_known_nu(oracle, d, k, T, nu_ref, q, params=None):
     if nu.shape != (T,) or not np.all(np.isfinite(nu)):
         raise ValueError(f"nu_ref must be a finite vector of shape ({T},), "
                          f"got {nu_ref!r}")
-    return _run_stages("known_nu", oracle, k, p, [_require(p, "N_tot")], q,
-                       nu=nu)
+    return _run_stages("known_nu", oracle, k, p, [_budget(p, "N_tot", T)],
+                       q, nu=nu)
 
 
 def run_passive(oracle, d, k, T, params=None):
     """Uniform allocation across all source tasks; no relevance estimate."""
     _check_dims(oracle, d, k, T)
     p = _params(params, "passive")
-    return _run_stages("passive", oracle, k, p, [_require(p, "N_tot")])
+    return _run_stages("passive", oracle, k, p, [_budget(p, "N_tot", T)])
 
 
 def _two_phase(oracle, d, k, T, params, strategy, estimator, q):
@@ -379,10 +392,7 @@ def _two_phase(oracle, d, k, T, params, strategy, estimator, q):
     _check_dims(oracle, d, k, T)
     p = _params(params, strategy)
     N_floor = _require(p, "N_floor")
-    N_tot = _require(p, "N_tot_phase2")
-    if N_tot < T * N_floor:
-        raise InfeasibleBudgetError(f"N_tot_phase2 = {N_tot} cannot cover "
-                                    f"{T} floors of {N_floor}")
+    N_tot = _budget(p, "N_tot_phase2", T)
     return _run_stages(strategy, oracle, k, p, [T * N_floor, N_tot], q,
                        estimator=estimator, estimates=1)
 
@@ -411,11 +421,8 @@ def run_multistage(oracle, d, k, T, params=None):
     p = _params(params, "multistage")
     S = _require(p, "S")
     L = _require(p, "L")
-    beta_1 = _require(p, "beta_1")
-    N_floor = _require(p, "N_floor")
-    if beta_1 < T * N_floor:
-        raise InfeasibleBudgetError(f"beta_1 = {beta_1} cannot cover {T} "
-                                    f"floors of {N_floor}")
+    _require(p, "N_floor")
+    beta_1 = _budget(p, "beta_1", T)
     budgets = [int(round(beta_1 * L ** i)) for i in range(S)]
     return _run_stages("multistage", oracle, k, p, budgets,
                        estimator="lasso", estimates=S)

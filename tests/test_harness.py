@@ -1,5 +1,6 @@
 """Sweep orchestration, CSV output, verification suite, CLI."""
 
+import collections
 import json
 import math
 
@@ -316,6 +317,147 @@ def test_sweep_infeasible_budget_rows_are_recorded(tmp_path):
     assert by_budget[400]["status"] == "ok"
     # summaries skip non-ok rows
     assert all(s["N_tot"] != 40 for s in summary)
+
+
+def test_sweep_refuses_uncoverable_budgets_before_any_draw(tmp_path,
+                                                         monkeypatch):
+    # every strategy's row at a budget below T x N_floor is infeasible, and
+    # the run draws nothing, not even the target set
+    draws, runs, real = {}, [], harness.run_single
+
+    def spy_run(gt, strategy, seed, N_tot, cfg):
+        runs.append((strategy, N_tot))
+        return real(gt, strategy, seed, N_tot, cfg)
+
+    def spy_sample(*args, **kwargs):
+        draws[runs[-1]] = draws.get(runs[-1], 0) + 1
+        return instance.sample_task(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_single", spy_run)
+    monkeypatch.setattr(pipeline, "sample_task", spy_sample)
+    cfg = _small_cfg(tmp_path, strategies=harness.SWEEP_STRATEGIES,
+                     budgets=(40, 600), N_floor=20, seeds=1)
+    rows, _ = run_sweep(cfg)
+    status = {(r["strategy"], r["N_tot"]): r["status"] for r in rows}
+    for strategy in cfg.strategies:
+        assert status[strategy, 40] == "infeasible"
+        assert (strategy, 40) not in draws
+        assert draws[strategy, 600] > 0
+
+
+def test_sweep_config_refuses_negative_budgets(tmp_path, monkeypatch):
+    good = dict(instance={"kind": "random", "d": 4, "k": 2, "T": 3,
+                          "sigma_z": 0.1},
+                strategies=("passive",), budgets=(0, 100))
+    assert SweepConfig(**good).budgets == (0, 100)
+    with pytest.raises(ConfigError, match="budgets must be >= 0, got -5"):
+        SweepConfig(**{**good, "budgets": (-5, 200)})
+    # refused at config time: the command exits 2 before any run
+    monkeypatch.setattr(harness, "run_single", None)
+    out = tmp_path / "out"
+    assert amtrl.cli.main(["sweep", "--config",
+                           _write_cfg(tmp_path, budgets=[-5, 200]),
+                           "--out", str(out)]) == 2
+    assert not (out / "runs.csv").exists()
+
+
+class _CountingGenerator(np.random.Generator):
+    """A sampling stream's generator that adds the normals it draws to
+    drawn[key], key being the stream's (task, seed, draw)."""
+
+    def standard_normal(self, size=None, *args, **kwargs):
+        z = super().standard_normal(size, *args, **kwargs)
+        self.drawn[self.key] += z.size
+        return z
+
+
+def _spy_streams(monkeypatch):
+    """Spies on a sweep's sampling streams. Returns (drawn, requests,
+    held): the normals each stream's generator drew; per run, the
+    (stream, normals) requests its draws made, in order; and per run, the
+    store and the streams it held when the run started."""
+    drawn, requests, held = collections.Counter(), [], []
+    keys = {}  # a stream's seed words: its (task, seed, draw)
+    real_rows, real_run = instance._draw_rows, harness.run_single
+
+    def draw_rows(gt, task, n, seed, draw):
+        key = (task, int(seed), int(draw))
+        words = instance._sample_seed_table(key[1], gt.T, key[2])[task]
+        keys[words.tobytes()] = key
+        requests[-1].append((key, n * (gt.d + 1)))
+        return real_rows(gt, task, n, seed, draw)
+
+    def generator(words):
+        rng = _CountingGenerator(np.random.PCG64(instance._SeedWords(words)))
+        rng.drawn, rng.key = drawn, keys[words.tobytes()]
+        return rng
+
+    def run_single(*args):
+        store = instance._store.get()
+        held.append((store, {key[1:] for key in store.streams}))
+        requests.append([])
+        return real_run(*args)
+
+    monkeypatch.setattr(instance, "_draw_rows", draw_rows)
+    monkeypatch.setattr(instance, "_generator", generator)
+    monkeypatch.setattr(harness, "run_single", run_single)
+    return drawn, requests, held
+
+
+def test_sweep_draws_each_stream_once_under_the_retention_rule(
+        tmp_path, monkeypatch):
+    cfg = _small_cfg(tmp_path, strategies=harness.SWEEP_STRATEGIES,
+                     budgets=(200, 400, 600), N_floor=10, seeds=2)
+    drawn, requests, held = _spy_streams(monkeypatch)
+    run_sweep(cfg)
+    assert len(requests) == len(cfg.strategies) * len(cfg.budgets) * 2
+    # the rule: a run starts with the streams the run before it read, and
+    # draws only what exceeds the normals held of a stream
+    expected, kept, before = collections.Counter(), {}, set()
+    for i, run in enumerate(requests):
+        assert held[i][1] == before
+        kept = {key: kept[key] for key in before}
+        for key, count in run:
+            expected[key] += max(0, count - kept.get(key, 0))
+            kept[key] = max(kept.get(key, 0), count)
+        before = {key for key, _ in run}
+    assert drawn == expected
+    # shared prefixes are drawn once: fewer normals than the runs read
+    assert sum(drawn.values()) < 0.8 * sum(
+        count for run in requests for _, count in run)
+    # the store is closed and empty once the sweep returns
+    store = held[0][0]
+    assert all(s is store for s, _ in held)
+    assert instance._store.get() is None and store.streams == {}
+
+
+def test_sweep_drops_the_stream_store_when_a_run_raises(tmp_path,
+                                                        monkeypatch):
+    stores, real = [], harness.run_single
+
+    def failing(gt, strategy, seed, N_tot, cfg):
+        stores.append(instance._store.get())
+        row = real(gt, strategy, seed, N_tot, cfg)
+        if len(stores) == 3:
+            raise RuntimeError("run failed")
+        return row
+
+    monkeypatch.setattr(harness, "run_single", failing)
+    with pytest.raises(RuntimeError, match="run failed"):
+        run_sweep(_small_cfg(tmp_path))
+    assert instance._store.get() is None
+    assert stores[0] is not None and all(s is stores[0] for s in stores)
+    assert stores[0].streams == {}
+    # a run outside a sweep draws its normals afresh, with no store open
+    cfg, seen, real_rows = _small_cfg(tmp_path), [], instance._draw_rows
+
+    def draw_rows(*args):
+        seen.append(instance._store.get())
+        return real_rows(*args)
+
+    monkeypatch.setattr(instance, "_draw_rows", draw_rows)
+    run_single(make_instance(cfg.instance), "passive", 0, 200, cfg)
+    assert seen and all(store is None for store in seen)
 
 
 def test_summarize():

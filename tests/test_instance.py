@@ -513,3 +513,56 @@ def test_load_instance_follows_the_instance_rules(tmp_path):
         else:
             with pytest.raises(ValueError, match=message):
                 load_instance(path)
+
+
+_STORE_GT = make_random_instance(4, 2, 3, sigma_z=0.3, seed=5)
+
+# one step inside the stream store: a draw (task, draw, n, seed, merge it
+# into the latest dataset of that task and seed), or None, a run's start
+_STORE_STEPS = st.one_of(
+    st.none(),
+    st.tuples(st.integers(0, _STORE_GT.T), st.integers(0, 2),
+              st.one_of(st.just(0), st.integers(1, 40)), st.integers(0, 1),
+              st.booleans()))
+
+
+def _facts(ds):
+    """n, the statistics and the rows of a dataset, as bytes."""
+    X, Y = ds.rows()
+    return (ds.n, ds.G.tobytes(), ds.H.tobytes(), float.hex(ds.yty),
+            X.tobytes(), Y.tobytes())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_STORE_STEPS, max_size=25))
+def test_stream_store_is_invisible_in_outputs(steps):
+    # slicing and extending the held normals, at any n (0 included), on the
+    # target task as on the sources, and across merges and run starts, gives
+    # each dataset exactly what a fresh draw outside the store gives
+    gt = _STORE_GT
+    instance._target_draw.cache_clear()
+    made = []  # (parts, facts) per dataset formed inside the store
+    with instance.shared_streams() as store:
+        latest = {}
+        for step in steps:
+            if step is None:
+                store.next_run()
+                continue
+            task, draw, n, seed, merge = step
+            ds = sample_task(gt, task, n, seed=seed, draw=draw)
+            parts = ((task, seed, draw, n),)
+            if merge and (task, seed) in latest:
+                before, before_parts = latest[task, seed]
+                ds, parts = before.merge(ds), before_parts + parts
+            latest[task, seed] = ds, parts
+            made.append((parts, _facts(ds)))
+            assert all(not z.flags.writeable
+                       for z, _ in store.streams.values())
+    assert instance._store.get() is None and store.streams == {}
+    for parts, facts in made:
+        fresh = None
+        for task, seed, draw, n in parts:
+            instance._target_draw.cache_clear()
+            part = sample_task(gt, task, n, seed=seed, draw=draw)
+            fresh = part if fresh is None else fresh.merge(part)
+        assert _facts(fresh) == facts

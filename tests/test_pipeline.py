@@ -643,6 +643,47 @@ def test_infeasible_budgets_raise():
                        {"S": 2, "L": 2.0, "beta_1": 39, "N_floor": 10})
 
 
+_BUDGET_RUNS = {
+    "passive": lambda o, p: run_passive(o, 8, 2, 5, p),
+    "known_nu": lambda o, p: run_known_nu(o, 8, 2, 5, np.ones(5), 1, p),
+    "L1": lambda o, p: run_l1_amtrl(o, 8, 2, 5, p),
+    "L2": lambda o, p: run_l2_amtrl(o, 8, 2, 5, p),
+    "multistage": lambda o, p: run_multistage(o, 8, 2, 5,
+                                              {"S": 2, "L": 2.0, **p}),
+}
+
+
+@pytest.mark.parametrize("runner, params, error", [
+    ("passive", {"N_tot": -3}, "N_tot must be >= 0"),
+    ("known_nu", {"N_tot": -3}, "N_tot must be >= 0"),
+    ("L1", {"N_tot_phase2": -3, "N_floor": 1}, "N_tot_phase2 must be >= 0"),
+    ("L2", {"N_tot_phase2": -3, "N_floor": 1}, "N_tot_phase2 must be >= 0"),
+    ("multistage", {"beta_1": -3, "N_floor": 1}, "beta_1 must be >= 0"),
+    ("passive", {"N_tot": 40, "N_floor": 10}, InfeasibleBudgetError),
+    ("known_nu", {"N_tot": 40, "N_floor": 10}, InfeasibleBudgetError),
+    ("L1", {"N_tot_phase2": 40, "N_floor": 10}, InfeasibleBudgetError),
+    ("L2", {"N_tot_phase2": 40, "N_floor": 10}, InfeasibleBudgetError),
+    ("multistage", {"beta_1": 40, "N_floor": 10}, InfeasibleBudgetError),
+], ids=[f"{runner}-{kind}" for kind in ("negative", "uncoverable")
+        for runner in _BUDGET_RUNS])
+def test_budgets_are_refused_before_any_draw(runner, params, error,
+                                             monkeypatch):
+    # a negative budget, or one below T x N_floor, is refused before the
+    # target draw, the same way by every runner
+    calls = []
+    monkeypatch.setattr(pipeline, "sample_task",
+                        lambda *args, **kwargs: calls.append(args))
+    gt = make_random_instance(8, 2, 5, sigma_z=0.1, seed=0)
+    oracle = _oracle(gt)
+    if isinstance(error, str):
+        with pytest.raises(ValueError, match=error):
+            _BUDGET_RUNS[runner](oracle, params)
+    else:
+        with pytest.raises(error, match="cannot cover 5 floors of 10"):
+            _BUDGET_RUNS[runner](oracle, params)
+    assert oracle.total_drawn == 0 and calls == []
+
+
 def test_lambda_policies():
     gt = make_random_instance(8, 2, 5, sigma_z=0.2, seed=4)
     base = {"N_tot_phase2": 800, "N_floor": 30, "n_target": 300}
