@@ -83,11 +83,15 @@ def continuous_allocation(nu, N_tot, N_floor):
         raise ValueError("nu is identically zero")
     a = a / amax
     F = float(N_floor)
-    pos = a > 0.0
     if F == 0.0:
         c = float(N_tot) / float(a.sum())
         return c * a, c / amax
-    u = F / a[pos]  # activation points: c'a_t crosses the floor at c' = u_t
+    # activation points: c'a_t crosses the floor at c' = u_t; a zero weight,
+    # or one so small that F / a_t overflows, never leaves the floor
+    with np.errstate(divide="ignore", over="ignore"):
+        u = F / a
+    pos = np.isfinite(u)
+    u = u[pos]
     order = np.argsort(u, kind="stable")
     lo = u[order]
     hi = np.append(lo[1:], math.inf)
@@ -108,29 +112,20 @@ def _round_largest_remainder(x, N_tot, N_floor):
     """Integerize a continuous allocation, preserving the exact budget and
     the floors. Remainder units go first to tasks whose positive share
     rounded down to zero, then by largest remainder; ties broken toward the
-    lower task index."""
+    lower task index. x sums to N_tot and is at least the integer floor, so
+    floor(x) keeps the floors and leaves a deficit of 0..T units."""
     T = x.size
     x = np.maximum(x, float(N_floor))
     base = np.maximum(np.floor(x).astype(int), N_floor)
     rem = x - base
     deficit = int(N_tot - base.sum())
-    if deficit > 0:
-        bump, extra = divmod(deficit, T)
-        base += bump
-        starved = (x > 0.0) & (base == 0)
-        order = np.lexsort((np.arange(T), -rem, ~starved))
-        base[order[:extra]] += 1
-    elif deficit < 0:
-        order = np.lexsort((np.arange(T), rem))
-        i = 0
-        while deficit < 0:
-            t = order[i % T]
-            if base[t] > N_floor:
-                base[t] -= 1
-                deficit += 1
-            i += 1
-            if i > 4 * T * (abs(deficit) + 1):
-                raise RuntimeError("rounding failed to restore the budget")
+    if deficit < 0:
+        raise RuntimeError(f"rounding overshot the budget by {-deficit}")
+    bump, extra = divmod(deficit, T)
+    base += bump
+    starved = (x > 0.0) & (base == 0)
+    order = np.lexsort((np.arange(T), -rem, ~starved))
+    base[order[:extra]] += 1
     return base
 
 

@@ -248,7 +248,8 @@ class GroundTruth:
     """Immutable instance description.
 
     B_star is d x k with orthonormal columns, W_star is k x T,
-    w_target_star is the target head in the k-dimensional latent space.
+    w_target_star is the target head in the k-dimensional latent space;
+    all three must be finite.
     """
 
     d: int
@@ -277,8 +278,11 @@ class GroundTruth:
             raise ValueError(f"W_star must be {(k, T)}, got {W.shape}")
         if w.shape != (k,):
             raise ValueError(f"w_target_star must be {(k,)}, got {w.shape}")
+        for name, a in (("B_star", B), ("W_star", W), ("w_target_star", w)):
+            if not np.all(np.isfinite(a)):
+                raise ValueError(f"{name} must be finite")
         gram_err = np.max(np.abs(B.T @ B - np.eye(k)))
-        if gram_err > _ORTHO_TOL:
+        if not gram_err <= _ORTHO_TOL:
             raise ValueError(
                 f"B_star columns not orthonormal (max Gram deviation {gram_err:.3e})"
             )
@@ -315,8 +319,8 @@ class TaskDataset:
     once, the arrays read-only.
 
     A dataset built from a caller's X (n x d) and Y (length n) keeps
-    read-only copies of them; n is X's row count, and seed and draw are
-    None. One that sample_task drew keeps no rows: it records the (draw, n)
+    read-only copies of them; n is X's row count, seed and draw are None,
+    and a non-finite entry raises ValueError. One that sample_task drew keeps no rows: it records the (draw, n)
     parts it was drawn at seed, and rows(), X and Y draw them again, bit
     for bit, on every call; its draw is that of its last part. merge()
     appends another draw of the same task by adding statistics.
@@ -338,6 +342,8 @@ class TaskDataset:
         X, Y = _readonly(X), _readonly(Y)
         if X.ndim != 2 or Y.ndim != 1 or X.shape[0] != Y.shape[0]:
             raise ValueError(f"inconsistent shapes X{X.shape}, Y{Y.shape}")
+        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
+            raise ValueError("X and Y must be finite")
         self._fill(task_index=task_index, n=X.shape[0], d=X.shape[1],
                    seed=None, draw=None, G=X.T @ X, H=X.T @ Y,
                    yty=float(Y @ Y), _gt=None, _parts=None, _rows=(X, Y))
@@ -586,8 +592,10 @@ def make_almost_sparse_instance(d, k, T, sigma_z, seed=0, spectrum=None):
     if spectrum is None:
         spectrum = np.linspace(2.0, 1.0, k)
     spectrum = np.asarray(spectrum, dtype=float)
-    if spectrum.shape != (k,) or np.any(spectrum <= 0):
-        raise ValueError("spectrum must be k positive singular values")
+    if spectrum.shape != (k,) or not np.all(np.isfinite(spectrum)
+                                            & (spectrum > 0)):
+        raise ValueError(f"spectrum must be k finite, positive singular "
+                         f"values, got {spectrum.tolist()}")
     W = (U * spectrum) @ V.T
     w_target = W @ nu_ref
     meta = {

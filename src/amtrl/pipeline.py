@@ -369,15 +369,17 @@ def _run_stages(strategy, oracle, k, p, budgets, q=1, nu=None,
 def run_known_nu(oracle, d, k, T, nu_ref, q, params=None):
     """Oracle strategy: allocate straight from a reference relevance vector
     with exponent q (q=1 water-filling on |nu|, q=2 on squared weights).
-    nu_ref must be a finite vector of T entries."""
+    nu_ref must be a finite vector of T entries and q a finite number > 0."""
     _check_dims(oracle, d, k, T)
-    p = {"q": q, **_params(params, "known_nu")}
+    p = {"q": finite(q, "q"), **_params(params, "known_nu")}
+    if p["q"] <= 0:
+        raise ValueError(f"q must be > 0, got {q!r}")
     nu = np.asarray(nu_ref, dtype=float)
     if nu.shape != (T,) or not np.all(np.isfinite(nu)):
         raise ValueError(f"nu_ref must be a finite vector of shape ({T},), "
                          f"got {nu_ref!r}")
     return _run_stages("known_nu", oracle, k, p, [_budget(p, "N_tot", T)],
-                       q, nu=nu)
+                       p["q"], nu=nu)
 
 
 def run_passive(oracle, d, k, T, params=None):

@@ -18,27 +18,30 @@ H_t = X_t^T Y_t and yty (T,) with yty_t = Y_t^T Y_t, each dataset's own
 statistics, formed once when it was drawn (TaskDataset). Each half-step and
 the loss are then a few array contractions over that stack: the B-step's
 normal matrix is one matmul of the (T, k^2) weights u_t w_t w_t^T with the
-(T, d^2) Gram stack, and the W-step is one batched solve of the k x k
-systems B^T G_t B w_t = B^T H_t. Heads of tasks with 0 < n_t < k, where that
-system is singular, are minimum-norm least-squares solutions against X_t B.
-Since every head solves its system, the loss at the W-step's heads is
-sum_t u_t (yty_t - w_t . B^T H_t). Only those heads and the residual form of
-the loss near the noiseless floor read rows, and a fit fetches each task's
-rows (TaskDataset.rows) at most once.
+(T, d^2) Gram stack, and the W-step solves all T k x k systems
+B^T G_t B w_t = B^T H_t in one batched LU call. One rule picks each head:
+n_t = 0 keeps a zero head; 0 < n_t < k, where the system is singular, and a
+system LU finds exactly singular take the minimum-norm least-squares
+solution against X_t B; every other head is the LU head. Since every head
+solves its system, the loss at the W-step's heads is
+sum_t u_t (yty_t - w_t . B^T H_t). Only the least-squares heads and the
+residual form of the loss near the noiseless floor read rows, and a fit
+fetches each task's rows (TaskDataset.rows) at most once.
 
-The loop's linear algebra calls LAPACK directly through handles fetched once
-(scipy.linalg.get_lapack_funcs): the B-step is a Cholesky solve
-(dpotrf/dpotrs) guarded by dpocon's reciprocal condition estimate, and the
-re-orthonormalization is dgeqrf/dorgqr. These are the routines
-scipy.linalg.solve(assume_a="pos") and np.linalg.qr run, minus their
-per-call wrapper cost. The fit's result depends on the arithmetic only in
+The loop's linear algebra calls LAPACK without per-call wrappers: the
+W-step through np.linalg.solve's own gufunc (dgesv per system), the B-step
+and the re-orthonormalization through handles fetched once
+(scipy.linalg.get_lapack_funcs), a Cholesky solve (dpotrf/dpotrs) guarded
+by dpocon's reciprocal condition estimate and dgeqrf/dorgqr. These are the
+routines np.linalg.solve, scipy.linalg.solve(assume_a="pos") and
+np.linalg.qr run. The fit's result depends on the arithmetic only in
 rounding: the Cholesky solve reads the triangle that needs no transposing
 copy, and the loss is formed as above.
 
 The loop ends on a W-step, so W_hat holds the heads for B_hat: column t
-equals head_for(B_hat, datasets[t]) bit for bit, since the W-step picks
-each task's solve by that task alone. Callers take the source heads from
-W_hat instead of solving them again.
+equals head_for(B_hat, datasets[t]) bit for bit, since the rule reads each
+task alone. Callers take the source heads from W_hat instead of solving
+them again.
 """
 
 import dataclasses
@@ -63,6 +66,8 @@ _EPS = np.finfo(float).eps
 
 _potrf, _potrs, _pocon, _lange, _geqrf, _orgqr = scipy.linalg.get_lapack_funcs(
     ("potrf", "potrs", "pocon", "lange", "geqrf", "orgqr"), dtype=np.float64)
+# np.linalg.solve's gufunc for a stack of one-column systems (dgesv per item)
+_solve1 = np.linalg._umath_linalg.solve1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -92,39 +97,30 @@ def _stack_stats(datasets):
 
 
 def _w_step(counts, H, G, B, rows):
-    """Exact heads for a fixed B. Returns W (k x T) and the projected
+    """Exact heads for a fixed B. Returns W (k x T, C-ordered: the loss and
+    the B-step round differently on a transposed view) and the projected
     right-hand sides m_t = B^T H_t (T, k) of the systems M_t w_t = m_t,
     M_t = B^T G_t B, that every head solves.
 
-    Tasks with n_t >= k solve M_t w_t = m_t by LU, in one batched solve;
-    n_t = 0 keeps a zero head. For 0 < n_t < k, M_t is singular and squaring
-    X_t B blurs its rank, so those heads are the minimum-norm least-squares
-    solutions against X_t B itself, and so is the head of any task whose
-    M_t LU finds exactly singular; rows(t) gives those tasks' (X_t, Y_t).
-    The rule is applied task by task, so each head equals what head_for
-    gives on that task alone."""
-    k = B.shape[1]
+    All T systems go to LAPACK's dgesv in one batched call, under
+    np.linalg.solve's error state minus its raising handler, so a system LU
+    finds exactly singular gives a NaN head instead of failing the batch.
+    One rule then picks each head: n_t = 0 keeps a zero head; 0 < n_t < k,
+    where M_t is singular and squaring X_t B blurs its rank, and a NaN head
+    take the minimum-norm least-squares solution against X_t B itself,
+    from rows(t) = (X_t, Y_t); every other head is the LU head. The rule
+    reads each task alone, so each head equals what head_for gives on that
+    task."""
     M = B.T @ (G @ B)
     m = (B.T @ H[..., None])[..., 0]
-    full = counts >= k
-    try:
-        if full.all():
-            # every task solves, as in the pipelines' fits: skipping the
-            # mask copies measurably speeds up L1 runs. C order, as below:
-            # the loss and B-step round differently on a transposed view
-            W = np.linalg.solve(M, m[..., None])[..., 0]
-            return np.ascontiguousarray(W.T), m
-        W = np.zeros((k, counts.size))
-        W[:, full] = np.linalg.solve(M[full], m[full][..., None])[..., 0].T
-    except np.linalg.LinAlgError:
-        # some M_t is exactly singular: find it by solving task by task
-        W = np.zeros((k, counts.size))
-        for t in np.flatnonzero(full):
-            try:
-                W[:, t] = np.linalg.solve(M[t], m[t])
-            except np.linalg.LinAlgError:
-                full[t] = False
-    for t in np.flatnonzero((counts > 0) & ~full):
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore",
+                     under="ignore"):
+        W = np.ascontiguousarray(_solve1(M, m, signature="dd->d").T)
+    off_lu = (counts < B.shape[1]) | np.isnan(W).any(axis=0)
+    for t in off_lu.nonzero()[0]:
+        if counts[t] == 0:
+            W[:, t] = 0.0
+            continue
         X, Y = rows(t)
         W[:, t] = np.linalg.lstsq(X @ B, Y, rcond=None)[0]
     return W, m
@@ -291,7 +287,7 @@ def head_for(B_hat, dataset):
     by LU, so its error grows with cond(X B_hat)^2, and when
     X B_hat is rank-deficient it is a least-squares solution but in general
     not the minimum-norm one; only a system LU finds exactly singular takes
-    lstsq(X B_hat, Y)."""
+    lstsq(X B_hat, Y). Raises ValueError for n = 0."""
     if dataset.n == 0:
         raise ValueError("cannot fit a head on zero samples")
     W, _ = _w_step(np.array([dataset.n]), dataset.H[None], dataset.G[None],

@@ -89,6 +89,34 @@ def test_continuous_matches_projected_gradient_oracle():
             rtol=1e-7)
 
 
+@st.composite
+def _extreme_budget_problems(draw):
+    """(nu, N_tot, N_floor): 1..80 tasks, |nu| spread over 600 decades with
+    zeros and both signs, floors 0..49 and up to 1e12 units above them."""
+    T = draw(st.integers(1, 80))
+    exponents = draw(st.lists(st.none() | st.floats(-300, 300),
+                              min_size=T, max_size=T))
+    assume(any(e is not None for e in exponents))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=T,
+                          max_size=T))
+    nu = np.array([0.0 if e is None else s * 10.0 ** e
+                   for e, s in zip(exponents, signs)])
+    N_floor = draw(st.integers(0, 49))
+    return nu, T * N_floor + draw(st.integers(0, 10 ** 12)), N_floor
+
+
+@settings(max_examples=300, deadline=None)
+@given(_extreme_budget_problems())
+def test_floored_water_filling_leaves_a_deficit_of_zero_to_T(problem):
+    # the rounding only adds units: floor(x) never overshoots the budget
+    # and falls short of it by at most one unit per task
+    nu, N, F = problem
+    x, _ = continuous_allocation(nu, N, F)
+    deficit = N - int(np.floor(x).astype(int).sum())
+    assert 0 <= deficit <= nu.size
+    assert allocate_fixed_nu(nu, N, F).n.sum() == N
+
+
 @settings(max_examples=300, deadline=None)
 @given(_budget_problems())
 def test_rounding_budget_floors_and_proximity(problem):

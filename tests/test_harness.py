@@ -179,6 +179,9 @@ def test_make_instance_kinds_and_file(tmp_path):
                        "sigma_z": 0.2, "sigam_min_floor": 5.0})
     with pytest.raises(ConfigError, match="'kind', 'seed'"):
         make_instance({"file": path, "kind": "random", "seed": 3})
+    with pytest.raises(ConfigError, match="spectrum must be k finite"):
+        make_instance({"kind": "almost_sparse", "d": 5, "k": 2, "T": 6,
+                       "sigma_z": 0.2, "spectrum": [float("nan"), 1.0]})
 
 
 def test_make_instance_numbers_are_checked():

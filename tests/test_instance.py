@@ -251,6 +251,38 @@ def test_ground_truth_validation():
                     w_target_star=w, sigma_z=0.1, meta={"diverse": True})
 
 
+def test_non_finite_instance_and_dataset_inputs_are_refused(tmp_path):
+    # NaN passed the orthonormality test (NaN > tol is False), json.load
+    # reads NaN tokens, and a NaN spectrum or dataset entry failed only
+    # later, in scipy or in the fit's SVD
+    B = np.linalg.qr(np.random.default_rng(0).standard_normal((5, 2)))[0]
+    arrays = {"B_star": B, "W_star": np.ones((2, 3)),
+              "w_target_star": np.ones(2)}
+    for name, a in arrays.items():
+        bad = a.copy()
+        bad.flat[-1] = np.nan
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            GroundTruth(d=5, k=2, T=3, sigma_z=0.1, **{**arrays, name: bad})
+    gt = make_random_instance(6, 2, 4, sigma_z=0.1, seed=3)
+    path = tmp_path / "gt.json"
+    save_instance(gt, path)
+    doc = json.loads(path.read_text())
+    doc["meta"].pop("diverse", None)
+    doc["W_star"][0] = math.nan
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="W_star must be finite"):
+        load_instance(path)
+    for spectrum in ([math.nan, 1.0, 1.0], [math.inf, 1.0, 1.0],
+                     [1.0, 0.0, 1.0]):
+        with pytest.raises(ValueError, match="spectrum must be k finite"):
+            make_almost_sparse_instance(8, 3, 10, sigma_z=0.1,
+                                        spectrum=spectrum)
+    for X, Y in ((np.full((4, 3), np.nan), np.ones(4)),
+                 (np.ones((4, 3)), np.array([1.0, np.inf, 1.0, 1.0]))):
+        with pytest.raises(ValueError, match="X and Y must be finite"):
+            TaskDataset(task_index=0, X=X, Y=Y)
+
+
 def test_ground_truth_compares_by_identity():
     # array fields make field-wise equality ambiguous; like TaskDataset, an
     # instance is equal only to itself and can key a dict

@@ -399,6 +399,18 @@ def test_known_nu_reference_is_validated():
         assert oracle.total_drawn == 0
 
 
+@pytest.mark.parametrize("q", [-1, 0, np.nan, np.inf, True, "1"])
+def test_known_nu_exponent_is_checked_before_any_draw(q):
+    # -1 and "1" used to fail in the allocation after the target draw, and
+    # NaN, inf and True ran to the end
+    gt = make_random_instance(8, 2, 4, sigma_z=0.2, seed=3)
+    oracle = _oracle(gt)
+    with pytest.raises(ValueError, match="^q must be"):
+        run_known_nu(oracle, gt.d, gt.k, gt.T, np.ones(gt.T), q,
+                     {"N_tot": 400, "n_target": 50})
+    assert oracle.total_drawn == 0
+
+
 def test_passive_and_known_nu_runs_keep_the_shared_stage():
     # they never take stage 0 from the memo, so they do not evict the entry
     # that the runs of the same seed around them share
