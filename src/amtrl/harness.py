@@ -19,6 +19,7 @@ own frozen draws and emits a machine-readable report, and the acceptance
 gate calls the same functions with its own seeds and tolerances.
 """
 
+import contextlib
 import csv
 import dataclasses
 import inspect
@@ -61,16 +62,16 @@ def _checked(check, *args, **kwargs):
 class SweepConfig:
     """Declarative description of a sweep: instance, strategies, grid.
     multistage takes S (default 3), L (default 2.0) and beta_1 (default: a
-    schedule summing to about each budget). pipeline._params checks the run
-    settings, for every listed strategy, when the config is built."""
+    schedule summing to about each budget); lambda_value is the config's
+    "lambda". pipeline._params checks the run settings, for every listed
+    strategy, when the config is built."""
 
     instance: dict
     strategies: tuple
     budgets: tuple
     N_floor: int = 0
     seeds: int = 1
-    lambda_policy: str = "lazy"
-    lambda_value: float = None
+    lambda_value: str | float = "lazy"
     n_target: int = 500
     multistage: dict = field(default_factory=dict)
     out_dir: str = "."
@@ -89,6 +90,9 @@ class SweepConfig:
             if s not in SWEEP_STRATEGIES:
                 raise ConfigError(f"unknown strategy {s!r}; choose from "
                                   f"{SWEEP_STRATEGIES}")
+        if len(set(self.strategies)) < len(self.strategies):
+            raise ConfigError(f"strategies are listed more than once: "
+                              f"{list(self.strategies)}")
         if not self.budgets:
             raise ConfigError("budgets must be non-empty")
         if any(b2 <= b1 for b1, b2 in zip(self.budgets, self.budgets[1:])):
@@ -102,12 +106,14 @@ class SweepConfig:
         if not isinstance(self.instance, dict):
             raise ConfigError("instance must be a mapping")
         base = {"n_target": self.n_target, "N_floor": self.N_floor,
-                "lambda_policy": self.lambda_policy,
                 "lambda": self.lambda_value}
-        for strategy in self.strategies:  # p's counts do not depend on it
-            p = _checked(pipeline._params, base, strategy)
+        for strategy in self.strategies:  # p's values do not depend on it
+            p = _checked(pipeline._params, base,
+                         "known_nu" if strategy.startswith("known_nu")
+                         else strategy)
         object.__setattr__(self, "n_target", p["n_target"])
         object.__setattr__(self, "N_floor", p["N_floor"])
+        object.__setattr__(self, "lambda_value", p["lambda"])
         unknown = set(self.multistage) - {"S", "L", "beta_1"}
         if unknown:
             raise ConfigError(f"unknown multistage keys: {sorted(unknown)}; "
@@ -193,33 +199,26 @@ def _multistage_beta1(N_tot, S, L):
 
 def run_single(gt, strategy, seed, N_tot, cfg):
     """One strategy run; returns (row dict, RunResult or None)."""
-    base = {"n_target": cfg.n_target, "lambda_policy": cfg.lambda_policy,
-            "lambda": cfg.lambda_value}
-    oracle = pipeline.TaskOracle(gt, seed=seed)
-    d, k, T = gt.d, gt.k, gt.T
+    p = {"n_target": cfg.n_target, "lambda": cfg.lambda_value,
+         "N_floor": cfg.N_floor}
+    args = (pipeline.TaskOracle(gt, seed=seed), gt.d, gt.k, gt.T)
     t0 = time.perf_counter()
     try:
-        if strategy == "L1":
-            res = pipeline.run_l1_amtrl(oracle, d, k, T, {
-                **base, "N_floor": cfg.N_floor, "N_tot_phase2": N_tot})
-        elif strategy == "L2":
-            res = pipeline.run_l2_amtrl(oracle, d, k, T, {
-                **base, "N_floor": cfg.N_floor, "N_tot_phase2": N_tot})
+        if strategy in ("L1", "L2"):
+            run = (pipeline.run_l1_amtrl if strategy == "L1"
+                   else pipeline.run_l2_amtrl)
+            res = run(*args, {**p, "N_tot_phase2": N_tot})
         elif strategy == "passive":
-            res = pipeline.run_passive(oracle, d, k, T, {
-                **base, "N_tot": N_tot, "N_floor": cfg.N_floor})
+            res = pipeline.run_passive(*args, {**p, "N_tot": N_tot})
         elif strategy in ("known_nu_q1", "known_nu_q2"):
             q = 1 if strategy.endswith("q1") else 2
-            res = pipeline.run_known_nu(oracle, d, k, T, reference_nu(gt, q),
-                                        q, {**base, "N_tot": N_tot,
-                                            "N_floor": cfg.N_floor})
+            res = pipeline.run_known_nu(*args, reference_nu(gt, q), q,
+                                        {**p, "N_tot": N_tot})
         elif strategy == "multistage":
-            S, L = cfg.multistage["S"], cfg.multistage["L"]
-            beta_1 = cfg.multistage.get("beta_1",
-                                        _multistage_beta1(N_tot, S, L))
-            res = pipeline.run_multistage(oracle, d, k, T, {
-                **base, "S": S, "L": L, "beta_1": beta_1,
-                "N_floor": cfg.N_floor})
+            ms = cfg.multistage
+            res = pipeline.run_multistage(*args, {
+                **p, "beta_1": _multistage_beta1(N_tot, ms["S"], ms["L"]),
+                **ms})
         else:
             raise ConfigError(f"unknown strategy {strategy!r}")
     except allocation.InfeasibleBudgetError:
@@ -238,18 +237,13 @@ def run_single(gt, strategy, seed, N_tot, cfg):
     return row, res
 
 
-def _format_cell(v):
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def write_rows_csv(path, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for row in rows:
-            writer.writerow([_format_cell(row[c]) for c in CSV_HEADER])
+            writer.writerow([repr(v) if isinstance(v, float) else str(v)
+                             for v in (row[c] for c in CSV_HEADER)])
 
 
 def write_summary_csv(path, summary):
@@ -338,28 +332,30 @@ def cmd_gen(cfg, out_dir=None):
 
 def cmd_run(cfg, out_dir=None):
     """Single run: first strategy, first budget, seed 0; writes run.json and
-    run.csv. Returns (row, path)."""
+    run.csv. Returns (row, path of run.json), or (row, None) for an
+    infeasible run, which removes any run.json an earlier run left."""
     out_dir = out_dir or cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
     gt = make_instance(cfg.instance)
     row, res = run_single(gt, cfg.strategies[0], 0, cfg.budgets[0], cfg)
     path = os.path.join(out_dir, "run.json")
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(path)  # so that no earlier run's record stays
     if res is not None:
         with open(path, "w") as fh:
             fh.write(json.dumps(dataclasses.asdict(res), indent=2,
                                 default=json_default))
     write_rows_csv(os.path.join(out_dir, "run.csv"), [row])
-    return row, path
+    return row, None if res is None else path
 
 
 def cmd_nu_solve(cfg, out_dir=None):
     """Solve the configured instance's relevance vectors three ways; the
-    Lasso uses the penalty the pipelines would choose under the config's
-    lambda policy."""
+    Lasso uses the penalty pipeline.lambda_for gives for the config's
+    "lambda" on the true heads, which the report's "lambda" holds."""
     gt = make_instance(cfg.instance)
     W, w = gt.W_star, gt.w_target_star
-    lam = pipeline.lambda_for({"lambda_policy": cfg.lambda_policy,
-                               "lambda": cfg.lambda_value}, W, w)
+    lam = pipeline.lambda_for(cfg.lambda_value, W, w)
     nu_lp = relevance.l1_oracle_lp(W, w)
     nu_l2 = relevance.min_l2_solution(W, w)
     nu_lasso = relevance.lasso(W, w, lam)[0]

@@ -97,11 +97,23 @@ def integer(value, name):
 
 def finite(value, name):
     """The real number called name as a float. Ints, floats and their numpy
-    kinds are taken; bools, strings, NaN and infinities raise ValueError."""
+    kinds are taken; bools, strings, NaN, infinities and ints too large for
+    a float raise ValueError."""
     if (isinstance(value, (int, float, np.integer, np.floating))
-            and not isinstance(value, bool) and math.isfinite(value)):
-        return float(value)
+            and not isinstance(value, bool)):
+        with contextlib.suppress(OverflowError):  # an int too large
+            if math.isfinite(value):
+                return float(value)
     raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def finite_vector(value, n, name):
+    """The vector called name as a float array of n finite entries."""
+    v = np.asarray(value, dtype=float)
+    if v.shape != (n,) or not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} must be a finite vector of shape ({n},), "
+                         f"got {value!r}")
+    return v
 
 
 def _uint32_words(n):
@@ -249,7 +261,7 @@ class GroundTruth:
 
     B_star is d x k with orthonormal columns, W_star is k x T,
     w_target_star is the target head in the k-dimensional latent space;
-    all three must be finite.
+    all three must be finite, as must a meta["reference_nu"] of T entries.
     """
 
     d: int
@@ -281,6 +293,8 @@ class GroundTruth:
         for name, a in (("B_star", B), ("W_star", W), ("w_target_star", w)):
             if not np.all(np.isfinite(a)):
                 raise ValueError(f"{name} must be finite")
+        if self.meta.get("reference_nu") is not None:
+            finite_vector(self.meta["reference_nu"], T, "reference_nu")
         gram_err = np.max(np.abs(B.T @ B - np.eye(k)))
         if not gram_err <= _ORTHO_TOL:
             raise ValueError(

@@ -46,7 +46,7 @@ from .allocation import InfeasibleBudgetError, lpnq_allocation
 # not called here, but the benchmark's tracer wraps pipeline.allocate_fixed_nu
 # as well as pipeline.lpnq_allocation, through which the loop allocates
 from .allocation import allocate_fixed_nu  # noqa: F401
-from .instance import finite, integer, sample_task
+from .instance import finite, finite_vector, integer, sample_task
 from .relevance import (LAZY_LAMBDA, lambda_rule, lasso, min_l2_solution,
                         support_size)
 from .trainer import (excess_risk, fit_source, fit_target_head,
@@ -55,11 +55,14 @@ from .trainer import (excess_risk, fit_source, fit_target_head,
 # as pipeline.fit_target_head, through which the loop solves the target head
 from .trainer import head_for  # noqa: F401
 
-_DEFAULTS = {
-    "n_target": 500,
-    "lambda_policy": "lazy",
-    "lambda": None,
-}
+# every run takes these, as a sweep hands all its runs the same values; the
+# Lasso penalty "lambda" is a rule, "lazy" or "theory", or a number >= 0
+_DEFAULTS = {"n_target": 500, "lambda": "lazy"}
+# the other settings each strategy reads, the only others its runner takes
+_SETTINGS = {"passive": ("N_tot", "N_floor"), "known_nu": ("N_tot", "N_floor"),
+             "L1": ("N_tot_phase2", "N_floor"),
+             "L2": ("N_tot_phase2", "N_floor"),
+             "multistage": ("S", "L", "beta_1", "N_floor")}
 
 
 class TaskOracle:
@@ -143,14 +146,15 @@ class RunResult:
 def _params(params, strategy):
     """params over _DEFAULTS, checked for strategy before any work: the one
     place a run setting is checked, which every runner calls first and
-    SweepConfig calls for each strategy it lists. Raises ValueError naming
+    SweepConfig calls for each strategy it lists. A key outside _DEFAULTS
+    and the strategy's row of _SETTINGS is refused. Raises ValueError naming
     the setting."""
     merged = dict(_DEFAULTS)
     if params:
-        unknown = set(params) - set(_DEFAULTS) - {
-            "N_floor", "N_tot", "N_tot_phase2", "S", "L", "beta_1"}
+        unknown = set(params) - set(_DEFAULTS) - set(_SETTINGS[strategy])
         if unknown:
-            raise ValueError(f"unknown params: {sorted(unknown)}")
+            raise ValueError(f"unknown params for {strategy}: "
+                             f"{sorted(unknown)}")
         merged.update(params)
     for key in ("N_tot", "N_tot_phase2", "N_floor", "n_target", "S", "beta_1"):
         if key in merged:
@@ -170,15 +174,12 @@ def _params(params, strategy):
         L = merged["L"] = finite(merged["L"], "L (a budget growth L > 1)")
         if L <= 1:
             raise ValueError(f"L must be a budget growth L > 1, got {L}")
-    if merged["lambda_policy"] not in ("lazy", "theory", "explicit"):
-        raise ValueError(f"lambda_policy must be lazy, theory or explicit, "
-                         f"got {merged['lambda_policy']!r}")
-    if merged["lambda"] is not None:
-        merged["lambda"] = finite(merged["lambda"], "lambda")
-        if merged["lambda"] < 0:
-            raise ValueError(f"lambda must be >= 0, got {merged['lambda']}")
-    elif merged["lambda_policy"] == "explicit":
-        raise ValueError("lambda_policy 'explicit' needs a lambda value")
+    lam = merged["lambda"]
+    if not (isinstance(lam, str) and lam in ("lazy", "theory")):
+        lam = merged["lambda"] = finite(
+            lam, "lambda (a rule, \"lazy\" or \"theory\", or a number)")
+        if lam < 0:
+            raise ValueError(f"lambda must be >= 0, got {lam}")
     return merged
 
 
@@ -205,25 +206,14 @@ def _check_dims(oracle, d, k, T):
                          f" got (d={d}, k={k}, T={T})")
 
 
-def _stage_summary(model, gt):
-    return {
-        "loss": float(model.train_loss_history[-1]),
-        "iterations": int(model.iterations),
-        "converged": bool(model.converged),
-        "subspace_distance": float(subspace_distance(model.B_hat, gt.B_star)),
-    }
-
-
-def lambda_for(p, W, w):
-    """The Lasso penalty for params p, as _params checked them, on the
-    system W nu = w: lazy, explicit or the theory rule."""
-    policy = p["lambda_policy"]
-    if policy == "lazy":
+def lambda_for(lam, W, w):
+    """The Lasso penalty on the system W nu = w for the lambda setting lam:
+    LAZY_LAMBDA, the theory rule (LAZY_LAMBDA when degenerate) or lam."""
+    if lam == "lazy":
         return LAZY_LAMBDA
-    if policy == "explicit":
-        return float(p["lambda"])
-    sv = np.linalg.svd(W, compute_uv=False)
-    sigma = float(sv[-1])
+    if lam != "theory":
+        return lam
+    sigma = float(np.linalg.svd(W, compute_uv=False)[-1])
     C_W = float(np.max(np.linalg.norm(W, axis=0)))
     R = float(np.linalg.norm(w))
     if min(sigma, C_W, R) <= 0.0:
@@ -231,7 +221,7 @@ def lambda_for(p, W, w):
     return lambda_rule(W.shape[0], R, C_W, sigma)
 
 
-def _estimate_nu(model, p, estimator):
+def _estimate_nu(model, lam, estimator):
     """Relevance estimate from the fitted representation: the source heads
     are the fit's own W_hat, exact for B_hat, and the target head is the
     model's w_target_hat, fitted on the same B_hat. Returns (nu, record):
@@ -248,8 +238,7 @@ def _estimate_nu(model, p, estimator):
                           RuntimeWarning, stacklevel=3)
             return (np.linalg.lstsq(W_hat, w_hat, rcond=None)[0],
                     {"fallback": "lstsq"})
-    lam = lambda_for(p, W_hat, w_hat)
-    nu, info = lasso(W_hat, w_hat, lam)
+    nu, info = lasso(W_hat, w_hat, lambda_for(lam, W_hat, w_hat))
     record = {"steps": int(info["sweeps"]),
               "kkt_residual": info["kkt_residual"],
               "converged": bool(info["converged"])}
@@ -263,7 +252,7 @@ def _estimate_nu(model, p, estimator):
 
 
 def _stage(gt, seed, k, stage, nu, q, budget, N_floor, held, init_B,
-           target_ds, estimator, lambda_policy, lam):
+           target_ds, estimator, lam):
     """One stage (see the module docstring), a pure function of its
     arguments: water-fill budget on |nu|^q with floor N_floor, draw each
     task's increment over its dataset in held at draw index stage (held
@@ -290,9 +279,12 @@ def _stage(gt, seed, k, stage, nu, q, budget, N_floor, held, init_B,
         datasets = tuple(datasets)
     model = fit_target_head(fit_source(datasets, k, init_B=init_B),
                             target_ds)
-    summary = _stage_summary(model, gt)
-    estimate = None if estimator is None else _estimate_nu(
-        model, {"lambda_policy": lambda_policy, "lambda": lam}, estimator)
+    summary = {"loss": float(model.train_loss_history[-1]),
+               "iterations": int(model.iterations),
+               "converged": bool(model.converged),
+               "subspace_distance": float(subspace_distance(model.B_hat,
+                                                            gt.B_star))}
+    estimate = estimator and _estimate_nu(model, lam, estimator)
     for a in (model.B_hat, model.W_hat, model.w_target_hat):
         a.setflags(write=False)
     if estimate is not None:
@@ -317,7 +309,8 @@ def _run_stages(strategy, oracle, k, p, budgets, q=1, nu=None,
     stage's model is the run's. nu None starts from all ones, outside the
     record; a given nu is the run's reference and heads nu_history. The
     reported N_tot is the number of source samples drawn: a task never
-    gives samples back when a later stage allots it fewer.
+    gives samples back when a later stage allots it fewer. The run records
+    p, less the Lasso penalty when no stage reads it.
     """
     t0 = time.perf_counter()
     gt = oracle.gt
@@ -325,7 +318,6 @@ def _run_stages(strategy, oracle, k, p, budgets, q=1, nu=None,
     nu_history = [] if nu is None else [nu]
     # a tuple, so that stage 0 can key _first_stage's memo
     nu = (1.0,) * gt.T if nu is None else tuple(nu.tolist())
-    lam = p["lambda"] if p["lambda_policy"] == "explicit" else None
     target_ds = oracle.sample(gt.T, p["n_target"], draw=0)
     datasets, model = None, None
     allocations, summaries = [], []
@@ -335,7 +327,7 @@ def _run_stages(strategy, oracle, k, p, budgets, q=1, nu=None,
         alloc, datasets, model, summary, estimate, draws = stage_fn(
             gt, oracle.seed, k, stage, nu, q, budget, N_floor, datasets,
             None if model is None else model.B_hat, target_ds, est,
-            p["lambda_policy"], lam)
+            p["lambda"])
         nu_hat, record = estimate or (None, None)
         # keep only a stage that raised no warning (a fallback record has no
         # "converged"), so that no run takes a stage without its warnings
@@ -363,7 +355,9 @@ def _run_stages(strategy, oracle, k, p, budgets, q=1, nu=None,
         nu_l1_norm=float(np.abs(last).sum()), support_size=support_size(last),
         total_samples=N_tot + p["n_target"],
         target_samples=p["n_target"],
-        wall_ms=(time.perf_counter() - t0) * 1e3, params=dict(p))
+        wall_ms=(time.perf_counter() - t0) * 1e3,
+        params={key: v for key, v in p.items()
+                if key != "lambda" or estimator == "lasso"})
 
 
 def run_known_nu(oracle, d, k, T, nu_ref, q, params=None):
@@ -374,12 +368,8 @@ def run_known_nu(oracle, d, k, T, nu_ref, q, params=None):
     p = {"q": finite(q, "q"), **_params(params, "known_nu")}
     if p["q"] <= 0:
         raise ValueError(f"q must be > 0, got {q!r}")
-    nu = np.asarray(nu_ref, dtype=float)
-    if nu.shape != (T,) or not np.all(np.isfinite(nu)):
-        raise ValueError(f"nu_ref must be a finite vector of shape ({T},), "
-                         f"got {nu_ref!r}")
     return _run_stages("known_nu", oracle, k, p, [_budget(p, "N_tot", T)],
-                       p["q"], nu=nu)
+                       p["q"], nu=finite_vector(nu_ref, T, "nu_ref"))
 
 
 def run_passive(oracle, d, k, T, params=None):

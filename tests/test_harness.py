@@ -80,14 +80,16 @@ def test_sweep_config_validation():
                        ("L", math.inf), ("L", "2"), ("L", True)):
         with pytest.raises(ConfigError, match=f"multistage {key}"):
             SweepConfig(**good, multistage={key: value})
-    # a lambda value is a finite penalty >= 0, whatever the policy
-    for value in ("abc", -1.0, math.nan, math.inf, True):
-        for policy in ("explicit", "lazy"):
-            with pytest.raises(ConfigError, match="lambda"):
-                SweepConfig(**good, lambda_policy=policy, lambda_value=value)
-    SweepConfig(**good, lambda_policy="explicit", lambda_value=0)
-    with pytest.raises(ConfigError):
-        SweepConfig(**{**good, "lambda_policy": "explicit"})
+    # lambda is a rule, "lazy" (the default) or "theory", or a finite
+    # penalty >= 0, kept as a float; the old policy names are no rule
+    for value in ("abc", "explicit", -1.0, math.nan, math.inf, True, None):
+        with pytest.raises(ConfigError, match="lambda"):
+            SweepConfig(**good, lambda_value=value)
+    assert SweepConfig(**good).lambda_value == "lazy"
+    for value, kept in (("theory", "theory"), (0, 0.0), (np.int64(2), 2.0),
+                        (0.3, 0.3)):
+        lam = SweepConfig(**good, lambda_value=value).lambda_value
+        assert lam == kept and type(lam) is type(kept)
     with pytest.raises(ConfigError):
         SweepConfig(**{**good, "instance": "nope"})
     with pytest.raises(ConfigError, match="unknown multistage keys"):
@@ -101,7 +103,7 @@ def test_sweep_config_and_runners_share_one_rule():
     good = dict(instance={"kind": "random", "d": 4, "k": 2, "T": 3,
                           "sigma_z": 0.1}, budgets=(100,), N_floor=10)
     for over, params in (({"lambda_value": math.nan}, {"lambda": math.nan}),
-                         ({"lambda_policy": "huh"}, {"lambda_policy": "huh"}),
+                         ({"lambda_value": "huh"}, {"lambda": "huh"}),
                          ({"n_target": 0}, {"n_target": 0}),
                          ({"N_floor": 0}, {"N_floor": 0})):
         with pytest.raises(ConfigError) as from_config:
@@ -125,6 +127,22 @@ def test_sweep_config_rejects_floorless_exploration():
     SweepConfig(**good, strategies=("passive", "known_nu_q1", "known_nu_q2"))
 
 
+@pytest.mark.parametrize("strategies", [
+    ("passive", "passive"), ("L1", "passive", "L1"),
+    ("known_nu_q1", "known_nu_q2", "known_nu_q1")], ids="-".join)
+def test_sweep_config_refuses_a_strategy_listed_twice(strategies):
+    # each listing ran the strategy's grid again, so summary.csv took every
+    # run twice: iqr_ER read 0.01645 for passive listed twice at 3 seeds,
+    # against 0.01097 for the same runs listed once
+    good = dict(instance={"kind": "random", "d": 4, "k": 2, "T": 3,
+                          "sigma_z": 0.1}, budgets=(100,), N_floor=1)
+    with pytest.raises(ConfigError, match="more than once"):
+        SweepConfig(**good, strategies=strategies)
+    with pytest.raises(ConfigError, match="more than once"):
+        config_from_dict({**good, "strategies": list(strategies)})
+    SweepConfig(**good, strategies=tuple(dict.fromkeys(strategies)))
+
+
 def test_sweep_budgets_must_be_integers():
     raw = {"instance": {"kind": "random", "d": 4, "k": 2, "T": 3,
                         "sigma_z": 0.1},
@@ -143,11 +161,11 @@ def test_sweep_budgets_must_be_integers():
 def test_config_from_dict():
     raw = {"instance": {"kind": "random", "d": 4, "k": 2, "T": 3,
                         "sigma_z": 0.1},
-           "strategies": ["passive"], "budgets": [100],
-           "lambda_policy": "explicit", "lambda": 0.5}
+           "strategies": ["passive"], "budgets": [100], "lambda": 0.5}
     cfg = config_from_dict(raw)
     assert cfg.lambda_value == 0.5
-    for key in ("bogus", "snapshot_average"):
+    # lambda_policy is gone: "lambda" names the rule or the value
+    for key in ("bogus", "snapshot_average", "lambda_policy"):
         with pytest.raises(ConfigError, match="unknown config keys"):
             config_from_dict({**raw, key: 1})
     with pytest.raises(ConfigError):
@@ -306,6 +324,27 @@ def test_sweep_explores_once_per_seed(tmp_path, monkeypatch):
     rows, _ = run_sweep(cfg)
     assert all(r["status"] == "ok" for r in rows)
     assert len(fits) == cfg.seeds * (1 + len(cfg.budgets))
+
+
+def test_sweep_refuses_a_file_with_a_nan_reference_nu_before_any_run(
+        tmp_path, monkeypatch):
+    # the passive runs listed first used to run before the known-nu run
+    # raised, and no runs.csv was written
+    gt, _ = instance.make_almost_sparse_instance(6, 2, 8, sigma_z=0.3,
+                                                 seed=1)
+    path = tmp_path / "gt.json"
+    instance.save_instance(gt, path)
+    doc = json.loads(path.read_text())
+    doc["meta"]["reference_nu"][0] = math.nan
+    path.write_text(json.dumps(doc))
+    calls = []
+    monkeypatch.setattr(harness, "run_single",
+                        lambda *args: calls.append(args))
+    cfg = _small_cfg(tmp_path, instance={"file": str(path)},
+                     strategies=("passive", "known_nu_q1"))
+    with pytest.raises(ValueError, match="reference_nu must be a finite"):
+        run_sweep(cfg)
+    assert calls == [] and not (tmp_path / "runs.csv").exists()
 
 
 def test_sweep_infeasible_budget_rows_are_recorded(tmp_path):
@@ -495,20 +534,59 @@ def test_cmd_run_and_nu_solve(tmp_path):
     assert (tmp_path / "nu.json").exists()
 
 
-def test_nu_solve_follows_lambda_policy(tmp_path):
-    # the Lasso in nu.json uses the penalty the pipelines would choose
-    cfg = _small_cfg(tmp_path, instance={
-        "kind": "almost_sparse", "d": 8, "k": 5, "T": 50, "sigma_z": 0.5,
-        "seed": 0}, lambda_policy="theory")
-    report = cmd_nu_solve(cfg)
-    gt = make_instance(cfg.instance)
+def test_infeasible_run_leaves_no_earlier_run_json(tmp_path):
+    # a feasible run, then an infeasible one into the same directory: the
+    # first run's run.json used to stay, holding N_tot 400
+    out = str(tmp_path)
+    row, path = cmd_run(_small_cfg(tmp_path, strategies=("passive",),
+                                   budgets=(400,), N_floor=10), out)
+    assert row["status"] == "ok" and path == str(tmp_path / "run.json")
+    assert json.loads((tmp_path / "run.json").read_text())["N_tot"] == 400
+    row, path = cmd_run(_small_cfg(tmp_path, strategies=("passive",),
+                                   budgets=(39,), N_floor=10), out)
+    assert row["status"] == "infeasible" and path is None
+    assert not (tmp_path / "run.json").exists()
+    assert read_rows_csv(tmp_path / "run.csv")[0]["status"] == "infeasible"
+    # and again, with no run.json left to remove
+    assert cmd_run(_small_cfg(tmp_path, strategies=("passive",),
+                              budgets=(39,), N_floor=10), out)[1] is None
+
+
+@pytest.mark.parametrize("strategy, recorded", [
+    ("L1", {"n_target", "lambda", "N_floor", "N_tot_phase2"}),
+    ("multistage", {"n_target", "lambda", "N_floor", "S", "L", "beta_1"}),
+    ("L2", {"n_target", "N_floor", "N_tot_phase2"}),
+    ("passive", {"n_target", "N_floor", "N_tot"}),
+    ("known_nu_q1", {"n_target", "N_floor", "N_tot", "q"})])
+def test_run_json_records_only_the_settings_the_run_read(tmp_path, strategy,
+                                                         recorded):
+    # a Lasso run records the lambda it used (lambda 0.3 once ran at the
+    # lazy 1e-10 and recorded 0.3); a run without a Lasso records none
+    cfg = _small_cfg(tmp_path, strategies=(strategy,), budgets=(400,),
+                     N_floor=10, lambda_value=0.3)
+    assert cmd_run(cfg)[0]["status"] == "ok"
+    params = json.loads((tmp_path / "run.json").read_text())["params"]
+    assert set(params) == recorded
+    assert params.get("lambda", 0.3) == 0.3
+
+
+def test_nu_solve_follows_the_lambda_setting(tmp_path):
+    # the Lasso in nu.json uses the penalty the pipelines would choose; a
+    # config's number is the penalty it reports (lambda 0.3 once reported
+    # the lazy 1e-10)
+    inst = {"kind": "almost_sparse", "d": 8, "k": 5, "T": 50,
+            "sigma_z": 0.5, "seed": 0}
+    gt = make_instance(inst)
     W, w = gt.W_star, gt.w_target_star
-    lam = pipeline.lambda_for({"lambda_policy": "theory", "lambda": None},
-                              W, w)
-    assert lam != relevance.LAZY_LAMBDA
-    assert report["lambda"] == lam
-    np.testing.assert_array_equal(report["nu_lasso"],
-                                  relevance.lasso(W, w, lam)[0])
+    theory = pipeline.lambda_for("theory", W, w)
+    assert theory not in (relevance.LAZY_LAMBDA, "theory")
+    for setting, lam in (("theory", theory), (0.3, 0.3),
+                         ("lazy", relevance.LAZY_LAMBDA)):
+        report = cmd_nu_solve(_small_cfg(tmp_path, instance=inst,
+                                         lambda_value=setting))
+        assert report["lambda"] == lam
+        np.testing.assert_array_equal(report["nu_lasso"],
+                                      relevance.lasso(W, w, lam)[0])
 
 
 # property names and default tolerances, in report order
@@ -578,12 +656,14 @@ def test_cli_exit_codes(tmp_path, capsys):
                                         budgets=[500]),
         "--out", str(floorless)]) == 2
     assert not (floorless / "runs.csv").exists()
-    # so does a multistage growth or a lambda no run could use
+    # so does a multistage growth or a lambda no run could use, and the
+    # lambda_policy setting, which is gone
     for name, over in (("growth.json", {"strategies": ["multistage"],
                                          "N_floor": 1,
                                          "multistage": {"L": 1.0}}),
-                       ("lambda.json", {"lambda_policy": "explicit",
-                                        "lambda": -1})):
+                       ("lambda.json", {"lambda": -1}),
+                       ("policy.json", {"lambda_policy": "explicit",
+                                        "lambda": 0.3})):
         bad_dir = tmp_path / name
         assert amtrl.cli.main(["sweep", "--config",
                                _write_cfg(tmp_path, name=name, **over),

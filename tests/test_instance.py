@@ -547,6 +547,34 @@ def test_load_instance_follows_the_instance_rules(tmp_path):
                 load_instance(path)
 
 
+@pytest.mark.parametrize("entry, length", [(math.nan, 8), (math.inf, 8),
+                                           (None, 8), (0.5, 7), (0.5, 9)],
+                         ids=["nan", "inf", "null", "short", "long"])
+def test_reference_nu_is_a_finite_vector_of_T_entries(tmp_path, entry,
+                                                      length):
+    # load_instance took a NaN in meta["reference_nu"], which a sweep then
+    # met only at its first known-nu run; it follows run_known_nu's rule
+    gt, _ = make_almost_sparse_instance(6, 2, 8, sigma_z=0.3, seed=1)
+    path = tmp_path / "gt.json"
+    save_instance(gt, path)
+    doc = json.loads(path.read_text())
+    ref = (list(doc["meta"]["reference_nu"]) + [0.5])[:length]
+    ref[0] = entry
+    path.write_text(json.dumps({**doc, "meta": {**doc["meta"],
+                                                "reference_nu": ref}}))
+    with pytest.raises(ValueError, match=r"reference_nu must be a finite "
+                       r"vector of shape \(8,\)"):
+        load_instance(path)
+    with pytest.raises(ValueError, match="reference_nu must be a finite"):
+        GroundTruth(d=6, k=2, T=8, B_star=gt.B_star, W_star=gt.W_star,
+                    w_target_star=gt.w_target_star, sigma_z=0.3,
+                    meta={"reference_nu": ref})
+    # a file without one, or with a null one, has none to check
+    del doc["meta"]["reference_nu"]
+    path.write_text(json.dumps(doc))
+    assert "reference_nu" not in load_instance(path).meta
+
+
 _STORE_GT = make_random_instance(4, 2, 3, sigma_z=0.3, seed=5)
 
 # one step inside the stream store: a draw (task, draw, n, seed, merge it

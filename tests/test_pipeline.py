@@ -3,6 +3,7 @@
 import functools
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -10,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amtrl import (
@@ -246,7 +247,7 @@ def test_shared_exploration_is_accounted_and_guarded():
     # the shared stage's arrays are read-only; the run's nu is its own
     _, datasets, model, _, (nu, _), _ = pipeline._first_stage(
         gt, 3, gt.k, 0, (1.0,) * gt.T, 1, gt.T * 20, 20, None, None,
-        instance._target_draw(gt, 300, 3, 0), "lasso", "lazy", None)
+        instance._target_draw(gt, 300, 3, 0), "lasso", "lazy")
     assert pipeline._first_stage.cache_info().hits == 2
     assert not (model.B_hat.flags.writeable or nu.flags.writeable
                 or datasets[0].G.flags.writeable)
@@ -258,7 +259,7 @@ def test_shared_exploration_misses_on_any_other_input():
     gt = make_random_instance(8, 2, 6, sigma_z=0.3, seed=21)
     twin = make_random_instance(8, 2, 6, sigma_z=0.3, seed=21)
     base = {"N_tot_phase2": 800, "N_floor": 20, "n_target": 300}
-    lam = {**base, "lambda_policy": "explicit", "lambda": 1e-3}
+    lam = {**base, "lambda": 1e-3}
     # (first run's params, second run, its instance, seed and params)
     variants = [
         (base, run_l1_amtrl, gt, 4, base),  # another seed
@@ -266,7 +267,7 @@ def test_shared_exploration_misses_on_any_other_input():
         (base, run_l1_amtrl, gt, 3, {**base, "N_floor": 21}),
         (base, run_l1_amtrl, gt, 3, {**base, "n_target": 301}),
         (base, run_l2_amtrl, gt, 3, base),  # another estimator
-        (base, run_l1_amtrl, gt, 3, lam),  # another lambda policy
+        (base, run_l1_amtrl, gt, 3, lam),  # another lambda
         (lam, run_l1_amtrl, gt, 3, {**lam, "lambda": 2e-3}),
     ]
     for before, runner, inst, seed, params in variants:
@@ -697,20 +698,53 @@ def test_budgets_are_refused_before_any_draw(runner, params, error,
 
 
 def test_lambda_policies():
+    # one setting names the Lasso penalty: a rule, "lazy" or "theory", or a
+    # number; the run records the one it used
     gt = make_random_instance(8, 2, 5, sigma_z=0.2, seed=4)
     base = {"N_tot_phase2": 800, "N_floor": 30, "n_target": 300}
-    with pytest.raises(ValueError):
-        run_l1_amtrl(_oracle(gt), gt.d, gt.k, gt.T,
-                     {**base, "lambda_policy": "explicit"})
-    res = run_l1_amtrl(_oracle(gt), gt.d, gt.k, gt.T,
-                       {**base, "lambda_policy": "explicit", "lambda": 1e-6})
-    assert res.status == "ok"
-    res = run_l1_amtrl(_oracle(gt), gt.d, gt.k, gt.T,
-                       {**base, "lambda_policy": "theory"})
-    assert res.status == "ok"
-    with pytest.raises(ValueError):
-        run_l1_amtrl(_oracle(gt), gt.d, gt.k, gt.T,
-                     {**base, "lambda_policy": "huh"})
+    for lam in ("lazy", "theory", 1e-6, 0):
+        res = run_l1_amtrl(_oracle(gt), gt.d, gt.k, gt.T,
+                           {**base, "lambda": lam})
+        assert res.status == "ok" and res.params["lambda"] == lam
+    assert run_l1_amtrl(_oracle(gt), gt.d, gt.k, gt.T,
+                        base).params["lambda"] == "lazy"
+    # the old spellings: a policy with no value, an unknown policy, and
+    # lambda_policy itself, which is refused as a setting no run reads
+    for lam in ("explicit", "huh", None):
+        with pytest.raises(ValueError, match="lambda"):
+            run_l1_amtrl(_oracle(gt), gt.d, gt.k, gt.T,
+                         {**base, "lambda": lam})
+    for policy in ("explicit", "theory", "lazy", "huh"):
+        with pytest.raises(ValueError, match=r"unknown params for L1: "
+                           r"\['lambda_policy'\]"):
+            run_l1_amtrl(_oracle(gt), gt.d, gt.k, gt.T,
+                         {**base, "lambda_policy": policy, "lambda": 1e-6})
+
+
+# (extra params, ER, ||nu||_1, phase-2 allocation) of an L1 run at the
+# parent of the change that made "lambda" the one penalty setting, where
+# these runs were spelled {"lambda_policy": "explicit", "lambda": 0.3},
+# {"lambda_policy": "theory"} and {"lambda_policy": "lazy"}
+_LAMBDA_REFERENCE = [
+    ({"lambda": 0.3}, 0.0008231279303006177, 0.9454103959561384,
+     [980] + [20] * 11),
+    ({"lambda": "theory"}, 0.00038621321140212085, 1.2191596639870241,
+     [843, 20, 157] + [20] * 9),
+    ({}, 0.0004072122129031989, 1.2335732168974525,
+     [840, 20, 160] + [20] * 9),
+]
+
+
+@pytest.mark.parametrize("extra, er, nu_l1, alloc", _LAMBDA_REFERENCE,
+                         ids=["explicit", "theory", "lazy"])
+def test_lambda_spellings_give_the_old_runs_bit_for_bit(extra, er, nu_l1,
+                                                        alloc):
+    gt, _ = instance.make_almost_sparse_instance(8, 3, 12, sigma_z=0.3,
+                                                 seed=5)
+    res = run_l1_amtrl(_oracle(gt, seed=3), gt.d, gt.k, gt.T, {
+        "N_tot_phase2": 1200, "N_floor": 20, "n_target": 300, **extra})
+    assert (res.excess_risk, res.nu_l1_norm) == (er, nu_l1)
+    assert res.allocations[1].n.tolist() == alloc
 
 
 def test_relevance_diagnostics_are_recorded_per_stage():
@@ -798,8 +832,12 @@ _RUNNERS = {
 
 _REFUSED = [
     *({"lambda": lam} for lam in (float("nan"), float("inf"), -1.0, "abc")),
+    # lambda_policy is refused as a key no run reads, and the values it
+    # refused are refused as values of lambda
     {"lambda_policy": "explicit"},
     {"lambda_policy": "huh"},
+    *({"lambda": lam} for lam in ("huh", "explicit", None, True,
+                                  float("-inf"))),
     {"n_target": 0},
     {"N_floor": -1},
     {"S": 0},
@@ -828,3 +866,67 @@ def test_refused_settings_raise_before_any_draw(strategy, setting,
     # the same oracle then runs, with the setting left out
     res = _RUNNERS[strategy](oracle, {})
     assert calls and oracle.total_drawn == res.total_samples
+
+
+# the settings each strategy reads besides n_target and lambda, which every
+# run takes because a sweep hands all its runs the same values
+_OWN_SETTINGS = {
+    "passive": {"N_tot", "N_floor"}, "known_nu": {"N_tot", "N_floor"},
+    "L1": {"N_tot_phase2", "N_floor"}, "L2": {"N_tot_phase2", "N_floor"},
+    "multistage": {"S", "L", "beta_1", "N_floor"}}
+
+
+@functools.cache
+def _runner_instance():
+    return make_random_instance(8, 2, 5, sigma_z=0.2, seed=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_runner_refuses_the_settings_of_other_strategies(data):
+    # a run would ignore another strategy's budget or schedule (passive
+    # took S, L, beta_1 and N_tot_phase2, L1 took N_tot); any such key is
+    # refused by name, whatever its value, before the target draw
+    strategy = data.draw(st.sampled_from(sorted(_OWN_SETTINGS)))
+    foreign = set().union(*_OWN_SETTINGS.values()) - _OWN_SETTINGS[strategy]
+    keys = data.draw(st.sets(st.sampled_from(sorted(foreign)), min_size=1))
+    setting = {key: data.draw(st.integers(0, 10**6), label=key)
+               for key in keys}
+    oracle = _oracle(_runner_instance())
+    with pytest.raises(ValueError, match=re.escape(
+            f"unknown params for {strategy}: {sorted(keys)}")):
+        _RUNNERS[strategy](oracle, setting)
+    assert oracle.total_drawn == 0
+
+
+_LAMBDAS = st.one_of(
+    st.sampled_from(["lazy", "theory", "explicit", "Lazy", "theory ", ""]),
+    st.text(max_size=6), st.floats(), st.integers(), st.booleans(),
+    st.none(), st.floats().map(np.float64), st.integers(-2**63, 2**63 - 1
+                                                        ).map(np.int64),
+    st.lists(st.floats(0, 1), max_size=2))
+
+
+@settings(max_examples=400, deadline=None)
+@given(lam=_LAMBDAS)
+@example(lam=10**400)  # math.isfinite raised OverflowError on it
+@example(lam=-10**400)
+def test_lambda_is_a_rule_or_a_finite_penalty(lam):
+    # accepted exactly when it is "lazy", "theory" or a finite number >= 0
+    # (an int beyond a float's range is not one); a number is kept as a
+    # float, and a refused value raises before any draw
+    number = (isinstance(lam, (int, float, np.integer))
+              and not isinstance(lam, bool))
+    if isinstance(lam, str):
+        accepted = lam in ("lazy", "theory")
+    else:
+        accepted = number and 0 <= lam <= sys.float_info.max
+    oracle = _oracle(_runner_instance())
+    if accepted:
+        got = pipeline._params({"lambda": lam}, "L1")["lambda"]
+        assert got == lam if isinstance(lam, str) else (
+            type(got) is float and got == float(lam))
+    else:
+        with pytest.raises(ValueError, match="lambda"):
+            _RUNNERS["passive"](oracle, {"lambda": lam})
+        assert oracle.total_drawn == 0
