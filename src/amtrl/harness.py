@@ -62,7 +62,8 @@ def _checked(check, *args, **kwargs):
 class SweepConfig:
     """Declarative description of a sweep: instance, strategies, grid.
     multistage takes S (default 3), L (default 2.0) and beta_1 (default: a
-    schedule summing to about each budget); lambda_value is the config's
+    schedule summing to about each budget; a set beta_1 runs one schedule,
+    so it takes a single budget); lambda_value is the config's
     "lambda". pipeline._params checks the run settings, for every listed
     strategy, when the config is built."""
 
@@ -124,6 +125,12 @@ class SweepConfig:
         except ValueError as e:
             raise ConfigError(f"multistage {e}") from None
         ms = {key: p[key] for key in ms}
+        if ("multistage" in self.strategies and "beta_1" in ms
+                and len(self.budgets) > 1):
+            raise ConfigError(
+                "multistage beta_1 fixes the whole schedule, so every budget "
+                "would repeat the same multistage runs; give one budget, got "
+                f"{list(self.budgets)}")
         object.__setattr__(self, "multistage", ms)
 
 

@@ -58,7 +58,6 @@ import json
 import math
 
 import numpy as np
-import scipy.linalg
 from numpy.random.bit_generator import ISeedSequence
 
 # spawn-key namespaces so generator draws never collide with sampling draws
@@ -312,18 +311,28 @@ class GroundTruth:
                 raise ValueError("instance flagged diverse but W_star is rank-deficient")
 
     def sigma_min_w(self):
-        return float(scipy.linalg.svdvals(self.W_star)[-1])
+        return float(np.linalg.svd(self.W_star, compute_uv=False)[-1])
 
     def sigma_max_w(self):
-        return float(scipy.linalg.svdvals(self.W_star)[0])
+        return float(np.linalg.svd(self.W_star, compute_uv=False)[0])
+
+    @functools.cached_property
+    def _thetas(self):
+        """Every task's regression vector, read-only, formed at the first
+        draw: each draw reads one."""
+        thetas = ([self.B_star @ self.W_star[:, t] for t in range(self.T)]
+                  + [self.B_star @ self.w_target_star])
+        for theta in thetas:
+            theta.setflags(write=False)
+        return tuple(thetas)
 
     def regression_vector(self, task_index):
-        """Full d-dimensional regression vector of a task (target = index T)."""
-        if task_index == self.T:
-            return self.B_star @ self.w_target_star
-        if 0 <= task_index < self.T:
-            return self.B_star @ self.W_star[:, task_index]
-        raise IndexError(f"task_index {task_index} outside 0..{self.T}")
+        """Full d-dimensional regression vector of a task (target = index
+        T), read-only: B_star @ W_star[:, task_index], or
+        B_star @ w_target_star."""
+        if not 0 <= task_index <= self.T:
+            raise IndexError(f"task_index {task_index} outside 0..{self.T}")
+        return self._thetas[task_index]
 
 
 @dataclasses.dataclass(frozen=True, init=False, eq=False)
@@ -555,7 +564,7 @@ def make_random_instance(d, k, T, sigma_z, sigma_min_floor=0.0, seed=0):
     B = _orthonormal_columns(rng, d, k)
     for _ in range(50):
         W = rng.standard_normal((k, T))
-        svals = scipy.linalg.svdvals(W)
+        svals = np.linalg.svd(W, compute_uv=False)
         if svals[-1] > 1e-12 * max(1.0, svals[0]):
             break
     else:

@@ -12,7 +12,6 @@ import dataclasses
 import math
 
 import numpy as np
-import scipy.linalg
 
 from . import simplex
 
@@ -36,9 +35,9 @@ def support_size(nu):
 
 def _check_diverse(W):
     W = np.asarray(W, dtype=float)
-    if W.ndim != 2:
-        raise ValueError("W must be a k x T matrix")
-    svals = scipy.linalg.svdvals(W)
+    if W.ndim != 2 or not np.all(np.isfinite(W)):
+        raise ValueError("W must be a finite k x T matrix")
+    svals = np.linalg.svd(W, compute_uv=False)
     if svals.size == 0 or svals[-1] <= _RANK_RTOL * max(1.0, svals[0]):
         raise ValueError(
             "source heads are not diverse: W is rank-deficient, so the "
@@ -247,7 +246,7 @@ def norm_bound_check(W, w):
     W = _check_diverse(W)
     w = np.asarray(w, dtype=float)
     k = W.shape[0]
-    sigma_min = float(scipy.linalg.svdvals(W)[-1])
+    sigma_min = float(np.linalg.svd(W, compute_uv=False)[-1])
     nu1 = l1_oracle_lp(W, w)
     nu2 = min_l2_solution(W, w)
     rtol = 1e-9

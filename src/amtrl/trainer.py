@@ -28,15 +28,17 @@ sum_t u_t (yty_t - w_t . B^T H_t). Only the least-squares heads and the
 residual form of the loss near the noiseless floor read rows, and a fit
 fetches each task's rows (TaskDataset.rows) at most once.
 
-The loop's linear algebra calls LAPACK without per-call wrappers: the
-W-step through np.linalg.solve's own gufunc (dgesv per system), the B-step
-and the re-orthonormalization through handles fetched once
-(scipy.linalg.get_lapack_funcs), a Cholesky solve (dpotrf/dpotrs) guarded
-by dpocon's reciprocal condition estimate and dgeqrf/dorgqr. These are the
-routines np.linalg.solve, scipy.linalg.solve(assume_a="pos") and
-np.linalg.qr run. The fit's result depends on the arithmetic only in
-rounding: the Cholesky solve reads the triangle that needs no transposing
-copy, and the loss is formed as above.
+The loop's linear algebra calls LAPACK through numpy's own gufuncs
+(np.linalg._umath_linalg), without np.linalg's per-call checks, so the
+library needs numpy alone: the W-step, the B-step and the spectral
+initialization through np.linalg.solve's (dgesv), the re-orthonormalization
+through np.linalg.qr's (dgeqrf/dorgqr), subspace_distance through
+np.linalg.svd's (dgesdd). The B-step's normal matrix is positive
+semidefinite, and its LU solve carries three fixed probe right-hand sides
+that give a reciprocal condition estimate; a system whose estimate is below
+machine epsilon takes the minimum-norm least-squares solution instead (see
+_solve_pos). The fit's result depends on the arithmetic only in rounding:
+the loss is formed as above.
 
 The loop ends on a W-step, so W_hat holds the heads for B_hat: column t
 equals head_for(B_hat, datasets[t]) bit for bit, since the rule reads each
@@ -49,7 +51,6 @@ import functools
 import warnings
 
 import numpy as np
-import scipy.linalg
 
 from .instance import _rng
 
@@ -64,10 +65,14 @@ _MAX_ITERS = 500
 _FRAME_TOL = 1e-6
 _EPS = np.finfo(float).eps
 
-_potrf, _potrs, _pocon, _lange, _geqrf, _orgqr = scipy.linalg.get_lapack_funcs(
-    ("potrf", "potrs", "pocon", "lange", "geqrf", "orgqr"), dtype=np.float64)
-# np.linalg.solve's gufunc for a stack of one-column systems (dgesv per item)
-_solve1 = np.linalg._umath_linalg.solve1
+# np.linalg's gufuncs, under their numpy >= 2.0 names: solve for a stack of
+# one-column systems and for several right-hand sides (dgesv per item), the
+# two halves of the reduced QR factorization (dgeqrf, dorgqr) and the
+# singular values (dgesdd)
+_la = np.linalg._umath_linalg
+_solve1, _solve = _la.solve1, _la.solve
+_qr_r_raw, _qr_reduced = _la.qr_r_raw, _la.qr_reduced
+_svdvals = _la.svd
 
 
 @dataclasses.dataclass(frozen=True)
@@ -144,40 +149,78 @@ def _loss_residual(u, rows, B, W):
     return total
 
 
+@functools.cache
+def _probes(n):
+    """The fixed right-hand sides of _solve_pos's condition estimate, as the
+    rows of a read-only 3 x n array, each scaled to a largest entry of 1:
+    Higham's alternating ramp (-1)^i (1 + i / (n - 1)), the last test
+    vector of LAPACK's norm estimator (dlacn2), and two fixed-seed Gaussian
+    vectors."""
+    i = np.arange(n)
+    V = np.vstack([np.where(i % 2, -1.0, 1.0) * (1.0 + i / max(n - 1, 1)),
+                   _rng(n).standard_normal((2, n))])
+    V /= np.abs(V).max(axis=1, keepdims=True)
+    V.setflags(write=False)
+    return V
+
+
 def _solve_pos(A, b):
-    """Solve A x = b for symmetric positive definite A by Cholesky
-    (dpotrf/dpotrs), reading the upper triangle of A's F-ordered view A.T:
-    for a C-ordered A that is the memory LAPACK takes as it is, so f2py
-    makes no transposing copy, and it leaves A unmodified. Raises
-    LinAlgError when the factorization fails or dpocon's reciprocal
-    condition estimate is below machine epsilon, where the solution would
-    be noise."""
-    F = A.T
-    c, info = _potrf(F, clean=0)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dpotrf returned info {info}")
-    rcond, _ = _pocon(c, _lange("1", F))
+    """Solve A x = b for symmetric positive semidefinite A by LU with
+    partial pivoting (dgesv), in one call with A y = v for each probe v
+    (_probes). It factors A.T, the same matrix for a symmetric A: that is
+    A's F-ordered view, the layout LAPACK takes, so the call copies a
+    C-ordered A row by row instead of by a transposing gather. Since
+    ||v||_inf = 1, max |y| is a lower bound on
+    ||A^-1||_inf, which it misses by a large factor only when every probe
+    lies near the span of A's large eigenvectors; and
+    ||A||_inf <= n max_i A_ii, since no entry of a positive semidefinite A
+    exceeds its largest diagonal entry. So 1 / (n max_i A_ii max |y|)
+    estimates the reciprocal condition number, as LAPACK's dpocon would
+    from a Cholesky factor. Raises LinAlgError when LU meets an exactly
+    zero pivot or the estimate is below machine epsilon, where the solution
+    would be noise."""
+    n = b.shape[0]
+    # the right-hand sides as rows, which the solutions overwrite
+    X = np.concatenate((b[None], _probes(n)))
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore",
+                     under="ignore"):
+        _solve(A.T, X.T, out=X.T, signature="dd->d")
+        # a zero pivot leaves X NaN, and NaN fails the comparison
+        rcond = 1.0 / (n * A.diagonal().max() * np.abs(X[1:]).max())
     if not rcond >= _EPS:
-        raise np.linalg.LinAlgError(f"reciprocal condition {rcond:.3e} is "
-                                    "below machine epsilon")
-    return _potrs(c, b)[0]
+        raise np.linalg.LinAlgError(f"reciprocal condition estimate "
+                                    f"{rcond:.3e} is below machine epsilon")
+    return X[0]
 
 
 def _orthonormalize(A):
     """Q of the thin QR factorization of A (d x k, d >= k) by
-    dgeqrf/dorgqr, C-ordered as np.linalg.qr returns it."""
-    qr, tau, _, _ = _geqrf(A)
-    return np.ascontiguousarray(_orgqr(qr, tau, overwrite_a=1)[0])
+    dgeqrf/dorgqr, C-ordered: np.linalg.qr(A)[0] without its checks. The
+    first gufunc leaves R and the reflectors in its input, a copy of A."""
+    a = np.array(A, dtype=float)
+    return _qr_reduced(a, _qr_r_raw(a, signature="d->d"), signature="dd->d")
 
 
-def _b_step(u, H, G, W):
+def _b_step_work(d, k):
+    """The arrays _b_step forms its normal matrix in: the (k^2, d^2)
+    product and the (d k, d k) matrix."""
+    return np.empty((k * k, d * d)), np.empty((d * k, d * k))
+
+
+def _b_step(u, H, G, W, work=None):
+    """vec(B) solving the B-step's normal equations, as a d x k array,
+    formed in work (_b_step_work; fresh arrays when None). fit_source
+    passes one work pair to all its steps: allocating these arrays on
+    every step can page-fault on every step, where the allocator returns
+    the freed heap top to the system each time."""
     T, d = H.shape
     k = W.shape[0]
+    C, M = _b_step_work(d, k) if work is None else work
     # sum_t u_t kron(w_t w_t^T, G_t): entry [a, b, i, j] of the (k^2, d^2)
     # product lands at [a*d + i, b*d + j]
     P = (W.T * u[:, None])[:, :, None] * W.T[:, None, :]
-    M = (P.reshape(T, k * k).T @ G.reshape(T, d * d)).reshape(
-        k, k, d, d).transpose(0, 2, 1, 3).reshape(d * k, d * k)
+    np.matmul(P.reshape(T, k * k).T, G.reshape(T, d * d), out=C)
+    M.reshape(k, d, k, d)[...] = C.reshape(k, k, d, d).transpose(0, 2, 1, 3)
     # sum_t u_t H_t w_t^T, as vec(B)
     rhs = ((H.T * u) @ W.T).ravel(order="F")
     try:
@@ -195,8 +238,11 @@ def _spectral_init(u, H, G, k):
     d = G.shape[1]
     active = u != 0.0
     M = np.zeros((d, u.size))
-    ridged = G[active] + _INIT_RIDGE * np.eye(d)
-    M[:, active] = np.linalg.solve(ridged, H[active][..., None])[..., 0].T
+    ridged = G[active]
+    ridged[:, np.arange(d), np.arange(d)] += _INIT_RIDGE
+    # an exactly singular system raises FloatingPointError
+    with np.errstate(invalid="raise"):
+        M[:, active] = _solve1(ridged, H[active], signature="dd->d").T
     U, s, _ = np.linalg.svd(M, full_matrices=False)
     rank = int(np.sum(s > 1e-12 * max(1.0, s[0] if s.size else 0.0)))
     avail = min(rank, k)
@@ -262,9 +308,10 @@ def fit_source(datasets, k, init_B=None):
         return W
 
     W = heads_and_loss(B)
+    work = _b_step_work(d, k)
     converged = False
     for _ in range(_MAX_ITERS):
-        B = _orthonormalize(_b_step(u, H, G, W))
+        B = _orthonormalize(_b_step(u, H, G, W, work))
         W = heads_and_loss(B)
         prev, cur = history[-2], history[-1]
         if prev - cur <= _TOL * max(abs(prev), 1e-300):
@@ -317,13 +364,14 @@ def subspace_distance(B1, B2):
     ||B2 - B1 (B1^T B2)||_2. Read off the residual, identical frames give
     round-off of order eps, where sqrt(1 - cos^2) from the smallest cosine
     would give sqrt(eps) for a cosine one ulp below 1. Raises ValueError
-    when either frame's B^T B is more than 1e-6 from the identity."""
+    when either frame's B^T B is more than 1e-6 from the identity or not
+    finite."""
     B1 = np.asarray(B1, dtype=float)
     B2 = np.asarray(B2, dtype=float)
     if B1.shape != B2.shape or B1.ndim != 2:
         raise ValueError(f"shape mismatch {B1.shape} vs {B2.shape}")
     for name, B in (("first", B1), ("second", B2)):
         err = np.max(np.abs(B.T @ B - np.eye(B.shape[1])))
-        if err > _FRAME_TOL:
+        if not err <= _FRAME_TOL:
             raise ValueError(f"{name} argument is not orthonormal (deviation {err:.3e})")
-    return float(scipy.linalg.svdvals(B2 - B1 @ (B1.T @ B2))[0])
+    return float(_svdvals(B2 - B1 @ (B1.T @ B2), signature="d->d")[0])

@@ -143,6 +143,33 @@ def test_sweep_config_refuses_a_strategy_listed_twice(strategies):
     SweepConfig(**good, strategies=tuple(dict.fromkeys(strategies)))
 
 
+def test_sweep_config_refuses_beta_1_beside_several_budgets(tmp_path,
+                                                           monkeypatch):
+    # run_single runs a set beta_1's schedule whatever the budget, so each
+    # budget repeated the same multistage runs: budgets [600, 1200] at 3
+    # seeds wrote 6 rows all at N_tot 430, and summary.csv's iqr_ER counted
+    # each run twice
+    good = dict(instance={"kind": "random", "d": 6, "k": 2, "T": 4,
+                          "sigma_z": 0.3}, N_floor=10,
+                strategies=("passive", "multistage"),
+                multistage={"beta_1": 200})
+    with pytest.raises(ConfigError, match="beta_1"):
+        SweepConfig(**good, budgets=(600, 1200))
+    with pytest.raises(ConfigError, match="beta_1"):
+        config_from_dict({**good, "budgets": [600, 1200]})
+    # one budget, multistage not listed, or the default schedule: taken
+    SweepConfig(**good, budgets=(600,))
+    SweepConfig(**{**good, "strategies": ("passive",)}, budgets=(600, 1200))
+    SweepConfig(**{**good, "multistage": {"S": 2}}, budgets=(600, 1200))
+    # refused at config time: the command exits 2 before any run
+    monkeypatch.setattr(harness, "run_single", None)
+    out = tmp_path / "out"
+    assert amtrl.cli.main(["sweep", "--config", _write_cfg(
+        tmp_path, strategies=["multistage"], budgets=[600, 1200],
+        N_floor=10, multistage={"beta_1": 200}), "--out", str(out)]) == 2
+    assert not (out / "runs.csv").exists()
+
+
 def test_sweep_budgets_must_be_integers():
     raw = {"instance": {"kind": "random", "d": 4, "k": 2, "T": 3,
                         "sigma_z": 0.1},

@@ -50,6 +50,12 @@ def test_min_l2_rejects_rank_deficient():
         min_l2_solution(W, np.ones(3))
     with pytest.raises(ValueError):
         l1_oracle_lp(W, np.ones(3))
+    # a non-finite W is refused before its singular values are taken
+    for bad in (np.nan, np.inf):
+        W = _rand_system(0)[0].copy()
+        W[0, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            min_l2_solution(W, np.ones(W.shape[0]))
 
 
 def test_l1_oracle_feasible_sparse_and_optimal():
