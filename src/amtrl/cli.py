@@ -27,7 +27,9 @@ def _build_parser():
             ("nu-solve", "solve an instance's relevance vectors")):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--out", default=None, help="output directory")
+        # nu-solve writes nu.json only when given a directory
+        p.add_argument("--out", default=None if name == "nu-solve" else ".",
+                       help="output directory")
 
     v = sub.add_parser("verify", help="run the numerical property suite")
     v.add_argument("--level", choices=("fast", "full"), default="fast")

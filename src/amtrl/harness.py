@@ -58,13 +58,18 @@ def _checked(check, *args, **kwargs):
         raise ConfigError(str(e)) from None
 
 
+# a run setting the config leaves to pipeline._DEFAULTS
+_OMITTED = object()
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Declarative description of a sweep: instance, strategies, grid.
     multistage takes S (default 3), L (default 2.0) and beta_1 (default: a
     schedule summing to about each budget; a set beta_1 runs one schedule,
     so it takes a single budget); lambda_value is the config's
-    "lambda". pipeline._params checks the run settings, for every listed
+    "lambda". An omitted n_target or lambda takes pipeline._DEFAULTS'
+    value. pipeline._params checks the run settings, for every listed
     strategy, when the config is built."""
 
     instance: dict
@@ -72,10 +77,9 @@ class SweepConfig:
     budgets: tuple
     N_floor: int = 0
     seeds: int = 1
-    lambda_value: str | float = "lazy"
-    n_target: int = 500
+    lambda_value: str | float = _OMITTED
+    n_target: int = _OMITTED
     multistage: dict = field(default_factory=dict)
-    out_dir: str = "."
 
     def __post_init__(self):
         object.__setattr__(self, "strategies", tuple(self.strategies))
@@ -106,8 +110,9 @@ class SweepConfig:
         object.__setattr__(self, "seeds", seeds)
         if not isinstance(self.instance, dict):
             raise ConfigError("instance must be a mapping")
-        base = {"n_target": self.n_target, "N_floor": self.N_floor,
-                "lambda": self.lambda_value}
+        given = {"n_target": self.n_target, "N_floor": self.N_floor,
+                 "lambda": self.lambda_value}
+        base = {key: v for key, v in given.items() if v is not _OMITTED}
         for strategy in self.strategies:  # p's values do not depend on it
             p = _checked(pipeline._params, base,
                          "known_nu" if strategy.startswith("known_nu")
@@ -267,10 +272,11 @@ def read_rows_csv(path):
         return list(csv.DictReader(fh))
 
 
-def run_sweep(cfg, out_dir=None):
+def run_sweep(cfg, out_dir="."):
     """Execute strategies x budgets x seeds; write runs.csv, summary.csv and
-    per-strategy plot data; returns (rows, summary rows)."""
-    out_dir = out_dir or cfg.out_dir
+    per-strategy plot data to out_dir; returns (rows, summary rows). A plot
+    file leaves out the points a log-log plot cannot show: N_tot or
+    median_ER not above 0."""
     os.makedirs(out_dir, exist_ok=True)
     gt = make_instance(cfg.instance)
     # seed-major, so the runs sharing a seed's target set are consecutive
@@ -294,7 +300,8 @@ def run_sweep(cfg, out_dir=None):
     write_summary_csv(os.path.join(out_dir, "summary.csv"), summary)
     for strategy in cfg.strategies:
         pts = [(s["N_tot"], s["median_ER"]) for s in summary
-               if s["strategy"] == strategy and s["median_ER"] > 0]
+               if s["strategy"] == strategy and s["N_tot"] > 0
+               and s["median_ER"] > 0]
         with open(os.path.join(out_dir, f"plot_{strategy}.dat"), "w") as fh:
             fh.write("# log10_N_tot log10_median_ER\n")
             for n, er in pts:
@@ -327,9 +334,9 @@ def json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def cmd_gen(cfg, out_dir=None):
-    """Write the configured instance to instance.json; returns its path."""
-    out_dir = out_dir or cfg.out_dir
+def cmd_gen(cfg, out_dir="."):
+    """Write the configured instance to out_dir/instance.json; returns its
+    path."""
     os.makedirs(out_dir, exist_ok=True)
     gt = make_instance(cfg.instance)
     path = os.path.join(out_dir, "instance.json")
@@ -337,11 +344,10 @@ def cmd_gen(cfg, out_dir=None):
     return path
 
 
-def cmd_run(cfg, out_dir=None):
+def cmd_run(cfg, out_dir="."):
     """Single run: first strategy, first budget, seed 0; writes run.json and
-    run.csv. Returns (row, path of run.json), or (row, None) for an
-    infeasible run, which removes any run.json an earlier run left."""
-    out_dir = out_dir or cfg.out_dir
+    run.csv to out_dir. Returns (row, path of run.json), or (row, None) for
+    an infeasible run, which removes any run.json an earlier run left."""
     os.makedirs(out_dir, exist_ok=True)
     gt = make_instance(cfg.instance)
     row, res = run_single(gt, cfg.strategies[0], 0, cfg.budgets[0], cfg)

@@ -11,10 +11,10 @@ Every random stream is numpy's PCG64 seeded as
 default_rng(SeedSequence(entropy=seed, spawn_key=key)) would seed it. A
 lone stream (_rng: instance generators, the fit's padding directions) is
 built by exactly that call. Sampling streams come in batches: their seed
-words come from _seed_words, a vectorized replica of SeedSequence's
-hashing that derives the words of many spawn keys in one numpy pass, so
-sample_task derives those of all T + 1 tasks of a draw at once, on the
-draw's first sample, instead of paying a SeedSequence per task.
+words come from _seed_words, which runs SeedSequence's own loops once
+for a batch of spawn keys, its words arrays over the keys, so sample_task
+derives those of all T + 1 tasks of a draw at once, on the draw's first
+sample, instead of paying a SeedSequence per task.
 
 A drawn task is kept as the statistics the fit reads (TaskDataset: n, d,
 X^T X, X^T Y, Y^T Y), formed once from the rows, which are then dropped:
@@ -69,8 +69,8 @@ _ORTHO_TOL = 1e-10
 # SeedSequence's pool size and hashing constants
 _POOL = 4
 _MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_INIT_A, _MULT_A = np.uint32(0x43B0D7E5), np.uint32(0x931E8875)
+_INIT_B, _MULT_B = np.uint32(0x8B51F9DD), np.uint32(0x58F38DED)
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _SHIFT = np.uint32(16)
 
@@ -128,49 +128,6 @@ def _uint32_words(n):
     return words
 
 
-def _constants(init, mult, count):
-    out = [init]
-    for _ in range(count - 1):
-        out.append(out[-1] * mult & _MASK32)
-    return np.array(out, dtype=np.uint32)[:, None]
-
-
-@functools.cache
-def _hash_schedule(n_words):
-    """The hash constants SeedSequence steps through while it mixes n_words
-    entropy words into its pool, as (xor, multiplier) column pairs, one pair
-    per vectorized stage of _seed_words, and the pair of columns for its 8
-    output words."""
-    a = _constants(_INIT_A, _MULT_A,
-                   _POOL * _POOL + _POOL * max(n_words - _POOL, 0) + 1)
-    stages = [(a[:_POOL], a[1:_POOL + 1])]
-    j = _POOL
-    for src in range(_POOL):
-        # src mixes into the other pool words in turn; its own row gets
-        # constants too, and _seed_words keeps that row as it was
-        xor, mul = np.zeros((_POOL, 1), np.uint32), np.zeros((_POOL, 1), np.uint32)
-        dst = [i for i in range(_POOL) if i != src]
-        xor[dst], mul[dst] = a[j:j + _POOL - 1], a[j + 1:j + _POOL]
-        stages.append((xor, mul))
-        j += _POOL - 1
-    while j + _POOL < a.shape[0]:
-        stages.append((a[j:j + _POOL], a[j + 1:j + _POOL + 1]))
-        j += _POOL
-    b = _constants(_INIT_B, _MULT_B, 2 * _POOL + 1)
-    stages.append((b[:-1], b[1:]))
-    for pair in stages:
-        for column in pair:
-            column.setflags(write=False)  # cached: every call shares them
-    return stages[:-1], stages[-1]
-
-
-def _hashmix(v, xor, mul):
-    v = v ^ xor
-    v *= mul
-    v ^= v >> _SHIFT
-    return v
-
-
 def _seed_words(seed, *key):
     """PCG64 seed words of the streams SeedSequence(entropy=seed,
     spawn_key=key) seeds, for a batch of keys in one pass.
@@ -179,43 +136,50 @@ def _seed_words(seed, *key):
     then row i of the result belongs to the key that takes element i of each
     array entry and the other entries as they are. Returns a C-ordered
     (rows, 4) uint64 array; row i equals SeedSequence(entropy=seed,
-    spawn_key=key_i).generate_state(4, np.uint64). The arithmetic is
-    SeedSequence's own, in uint32 with wraparound, vectorized over the
-    keys and over the pool words each mixing step updates independently."""
-    rows = _uint32_words(seed)
-    if key and len(rows) < _POOL:
+    spawn_key=key_i).generate_state(4, np.uint64). The loops are
+    SeedSequence's own (mix_entropy, then generate_state), in uint32 with
+    C's wraparound; a word is a scalar until an array entry is mixed in,
+    and from then on an array over the keys."""
+    entropy = _uint32_words(seed)
+    if key and len(entropy) < _POOL:
         # a spawned SeedSequence pads its run entropy to the pool size
-        rows += [0] * (_POOL - len(rows))
-    n = 1
+        entropy += [0] * (_POOL - len(entropy))
     for entry in key:
         if isinstance(entry, np.ndarray):
             if entry.size and not (0 <= entry.min() and entry.max() <= _MASK32):
                 raise ValueError("array spawn-key entries must lie in "
                                  "[0, 2**32)")
-            n = entry.size
-            rows.append(entry)
+            entropy.append(entry.astype(np.uint32))
         else:
-            rows.extend(_uint32_words(entry))
-    E = np.zeros((max(len(rows), _POOL), n), np.uint32)
-    for i, row in enumerate(rows):
-        E[i] = row
-    stages, (xor_b, mul_b) = _hash_schedule(len(rows))
-    pool = _hashmix(E[:_POOL], *stages[0])
-    for src in range(_POOL):
-        h = _hashmix(pool[src], *stages[1 + src])
-        keep = pool[src].copy()
-        pool *= _MIX_L
-        pool -= _MIX_R * h
-        pool ^= pool >> _SHIFT
-        pool[src] = keep
-    for i, (xor, mul) in zip(range(_POOL, len(rows)), stages[1 + _POOL:]):
-        pool *= _MIX_L
-        pool -= _MIX_R * _hashmix(E[i], xor, mul)
-        pool ^= pool >> _SHIFT
-    # generate_state(4, uint64): 8 uint32 words cycling over the pool,
-    # joined in little-endian pairs
-    state = _hashmix(np.concatenate([pool, pool]), xor_b, mul_b)
-    return np.ascontiguousarray(state.T).view("<u8").astype(np.uint64)
+            entropy.extend(_uint32_words(entry))
+    # mix_entropy hashes 0 for the pool words the entropy does not fill
+    entropy += [0] * (_POOL - len(entropy))
+    with np.errstate(over="ignore"):
+        mixer, const = [], _INIT_A
+        for i in range(_POOL):
+            v = entropy[i] ^ const
+            const *= _MULT_A
+            v = v * const
+            mixer.append(v ^ v >> _SHIFT)
+        # mix every pool word into every other one, then each remaining
+        # entropy word into every pool word
+        for i_src in range(len(entropy)):
+            for i_dst in range(_POOL):
+                if i_src != i_dst:
+                    h = (mixer if i_src < _POOL else entropy)[i_src] ^ const
+                    const *= _MULT_A
+                    h = h * const
+                    m = _MIX_L * mixer[i_dst] - _MIX_R * (h ^ h >> _SHIFT)
+                    mixer[i_dst] = m ^ m >> _SHIFT
+        # generate_state(4, uint64): 8 uint32 words cycling over the pool,
+        # joined in little-endian pairs
+        state, const = [], _INIT_B
+        for i_dst in range(2 * _POOL):
+            v = mixer[i_dst % _POOL] ^ const
+            const *= _MULT_B
+            v = v * const
+            state.append(v ^ v >> _SHIFT)
+    return np.column_stack(state).view("<u8").astype(np.uint64)
 
 
 class _SeedWords(ISeedSequence):

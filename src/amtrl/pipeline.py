@@ -36,6 +36,7 @@ whose exploration stage warned computes it again and warns in turn.
 """
 
 import functools
+import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -174,6 +175,18 @@ def _params(params, strategy):
         L = merged["L"] = finite(merged["L"], "L (a budget growth L > 1)")
         if L <= 1:
             raise ValueError(f"L must be a budget growth L > 1, got {L}")
+    if "S" in merged and "L" in merged:
+        # the schedule's budgets beta_1 * L^i, i < S, and the sum L^S
+        # that a sweep's default beta_1 divides by must be finite floats
+        S, L = merged["S"], merged["L"]
+        if not _finite_product(L, S):
+            raise ValueError(f"S and L give a schedule too large for a "
+                             f"float: L ** S overflows at S = {S}, L = {L}")
+        if "beta_1" in merged and not _finite_product(L, S - 1,
+                                                      merged["beta_1"]):
+            raise ValueError(f"beta_1 gives a schedule too large for a "
+                             f"float: beta_1 * L ** (S - 1) overflows at "
+                             f"beta_1 = {merged['beta_1']}, S = {S}, L = {L}")
     lam = merged["lambda"]
     if not (isinstance(lam, str) and lam in ("lazy", "theory")):
         lam = merged["lambda"] = finite(
@@ -181,6 +194,14 @@ def _params(params, strategy):
         if lam < 0:
             raise ValueError(f"lambda must be >= 0, got {lam}")
     return merged
+
+
+def _finite_product(L, power, factor=1):
+    """Whether factor * L ** power is a finite float."""
+    try:
+        return math.isfinite(factor * L ** power)
+    except OverflowError:
+        return False
 
 
 def _require(p, key):
@@ -363,13 +384,19 @@ def _run_stages(strategy, oracle, k, p, budgets, q=1, nu=None,
 def run_known_nu(oracle, d, k, T, nu_ref, q, params=None):
     """Oracle strategy: allocate straight from a reference relevance vector
     with exponent q (q=1 water-filling on |nu|, q=2 on squared weights).
-    nu_ref must be a finite vector of T entries and q a finite number > 0."""
+    nu_ref must be a finite vector of T entries, q a finite number > 0 and
+    |nu_ref|^q finite, all checked before any draw."""
     _check_dims(oracle, d, k, T)
     p = {"q": finite(q, "q"), **_params(params, "known_nu")}
     if p["q"] <= 0:
         raise ValueError(f"q must be > 0, got {q!r}")
+    nu = finite_vector(nu_ref, T, "nu_ref")
+    with np.errstate(over="ignore"):
+        if not np.all(np.isfinite(np.abs(nu) ** p["q"])):
+            raise ValueError(f"|nu_ref|^q must be finite, got q = {q!r} "
+                             f"and nu_ref = {nu_ref!r}")
     return _run_stages("known_nu", oracle, k, p, [_budget(p, "N_tot", T)],
-                       p["q"], nu=finite_vector(nu_ref, T, "nu_ref"))
+                       p["q"], nu=nu)
 
 
 def run_passive(oracle, d, k, T, params=None):

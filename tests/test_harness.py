@@ -3,6 +3,7 @@
 import collections
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from amtrl.harness import (
 )
 
 
-def _small_cfg(tmp_path, **over):
+def _small_cfg(**over):
     base = dict(
         instance={"kind": "random", "d": 6, "k": 2, "T": 4,
                   "sigma_z": 0.1, "seed": 0},
@@ -37,7 +38,6 @@ def _small_cfg(tmp_path, **over):
         budgets=(200, 400),
         seeds=3,
         n_target=200,
-        out_dir=str(tmp_path),
     )
     base.update(over)
     return SweepConfig(**base)
@@ -209,7 +209,7 @@ def test_make_instance_kinds_and_file(tmp_path):
     gt3 = make_instance({"kind": "aligned_worstcase", "d": 5, "k": 2,
                          "T": 6, "c_w": 1.5})
     assert gt3.meta["kind"] == "aligned_worstcase"
-    cfg = _small_cfg(tmp_path)
+    cfg = _small_cfg()
     path = cmd_gen(cfg, out_dir=str(tmp_path))
     gt4 = make_instance({"file": path})
     np.testing.assert_array_equal(gt4.W_star,
@@ -269,8 +269,8 @@ def test_reference_nu_sources():
 
 
 def test_sweep_row_counts_and_files(tmp_path):
-    cfg = _small_cfg(tmp_path)
-    rows, summary = run_sweep(cfg)
+    cfg = _small_cfg()
+    rows, summary = run_sweep(cfg, str(tmp_path))
     assert len(rows) == 2 * 2 * 3  # strategies x budgets x seeds
     assert len(summary) == 2 * 2
     on_disk = read_rows_csv(tmp_path / "runs.csv")
@@ -290,8 +290,8 @@ def _rows_without_wall(path):
 
 def test_sweep_deterministic_across_reruns(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
-    run_sweep(_small_cfg(d1), out_dir=str(d1))
-    run_sweep(_small_cfg(d2), out_dir=str(d2))
+    run_sweep(_small_cfg(), out_dir=str(d1))
+    run_sweep(_small_cfg(), out_dir=str(d2))
     assert _rows_without_wall(d1 / "runs.csv") == \
         _rows_without_wall(d2 / "runs.csv")
     assert (d1 / "summary.csv").read_bytes() == \
@@ -300,8 +300,7 @@ def test_sweep_deterministic_across_reruns(tmp_path):
 
 def test_sweep_runs_seed_by_seed_with_strategy_major_outputs(tmp_path,
                                                             monkeypatch):
-    cfg = _small_cfg(tmp_path, strategies=("passive", "L2", "known_nu_q1"),
-                     N_floor=10)
+    cfg = _small_cfg(strategies=("passive", "L2", "known_nu_q1"), N_floor=10)
     # the strategy-major loop, each run drawing its target set afresh
     gt = make_instance(cfg.instance)
     rows = []
@@ -346,9 +345,8 @@ def test_sweep_explores_once_per_seed(tmp_path, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "fit_source", spy)
-    cfg = _small_cfg(tmp_path, strategies=("L1",), budgets=(200, 300, 400),
-                     N_floor=10)
-    rows, _ = run_sweep(cfg)
+    cfg = _small_cfg(strategies=("L1",), budgets=(200, 300, 400), N_floor=10)
+    rows, _ = run_sweep(cfg, str(tmp_path))
     assert all(r["status"] == "ok" for r in rows)
     assert len(fits) == cfg.seeds * (1 + len(cfg.budgets))
 
@@ -367,19 +365,19 @@ def test_sweep_refuses_a_file_with_a_nan_reference_nu_before_any_run(
     calls = []
     monkeypatch.setattr(harness, "run_single",
                         lambda *args: calls.append(args))
-    cfg = _small_cfg(tmp_path, instance={"file": str(path)},
+    cfg = _small_cfg(instance={"file": str(path)},
                      strategies=("passive", "known_nu_q1"))
     with pytest.raises(ValueError, match="reference_nu must be a finite"):
-        run_sweep(cfg)
+        run_sweep(cfg, str(tmp_path))
     assert calls == [] and not (tmp_path / "runs.csv").exists()
 
 
 def test_sweep_infeasible_budget_rows_are_recorded(tmp_path):
     # first budget cannot cover T x N_floor; the row must say so instead of
     # aborting the sweep
-    cfg = _small_cfg(tmp_path, strategies=("passive",), budgets=(40, 400),
-                     N_floor=20, seeds=1)
-    rows, summary = run_sweep(cfg)
+    cfg = _small_cfg(strategies=("passive",), budgets=(40, 400), N_floor=20,
+                     seeds=1)
+    rows, summary = run_sweep(cfg, str(tmp_path))
     by_budget = {int(r["N_tot"]): r for r in rows}
     assert by_budget[40]["status"] == "infeasible"
     assert by_budget[40]["ER"] == 0.0
@@ -404,9 +402,9 @@ def test_sweep_refuses_uncoverable_budgets_before_any_draw(tmp_path,
 
     monkeypatch.setattr(harness, "run_single", spy_run)
     monkeypatch.setattr(pipeline, "sample_task", spy_sample)
-    cfg = _small_cfg(tmp_path, strategies=harness.SWEEP_STRATEGIES,
-                     budgets=(40, 600), N_floor=20, seeds=1)
-    rows, _ = run_sweep(cfg)
+    cfg = _small_cfg(strategies=harness.SWEEP_STRATEGIES, budgets=(40, 600),
+                     N_floor=20, seeds=1)
+    rows, _ = run_sweep(cfg, str(tmp_path))
     status = {(r["strategy"], r["N_tot"]): r["status"] for r in rows}
     for strategy in cfg.strategies:
         assert status[strategy, 40] == "infeasible"
@@ -428,6 +426,72 @@ def test_sweep_config_refuses_negative_budgets(tmp_path, monkeypatch):
                            _write_cfg(tmp_path, budgets=[-5, 200]),
                            "--out", str(out)]) == 2
     assert not (out / "runs.csv").exists()
+
+
+def test_sweep_at_a_zero_budget_plots_the_positive_budgets(tmp_path, capsys):
+    # a passive run at N_tot 0 is an ok row, and the plot loop took
+    # log10(0): exit 2, "math domain error", after runs.csv was written
+    out = tmp_path / "out"
+    assert amtrl.cli.main(["sweep", "--config", _write_cfg(
+        tmp_path, strategies=["passive"], budgets=[0, 100]),
+        "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = read_rows_csv(out / "runs.csv")
+    assert sorted({(r["N_tot"], r["status"]) for r in rows}) == \
+        [("0", "ok"), ("100", "ok")]
+    points = (out / "plot_passive.dat").read_text().splitlines()
+    assert points[0].startswith("#") and len(points) == 2
+    assert float(points[1].split()[0]) == 2.0  # log10(100)
+
+
+def test_sweep_refuses_a_schedule_too_large_for_a_float(tmp_path, capsys):
+    # the default schedule's L ** S raised OverflowError: a traceback and
+    # exit 1 instead of a config error
+    with pytest.raises(ConfigError, match="multistage S and L give"):
+        SweepConfig(instance={"kind": "random", "d": 6, "k": 2, "T": 4,
+                              "sigma_z": 0.1}, strategies=("multistage",),
+                    budgets=(600,), N_floor=1, multistage={"L": 1e200})
+    out = tmp_path / "out"
+    assert amtrl.cli.main(["sweep", "--config", _write_cfg(
+        tmp_path, strategies=["multistage"], budgets=[600], N_floor=1,
+        multistage={"L": 1e200}), "--out", str(out)]) == 2
+    assert "too large for a float" in capsys.readouterr().err
+    assert not (out / "runs.csv").exists()
+
+
+def test_omitted_run_settings_take_the_pipeline_defaults(monkeypatch):
+    # SweepConfig kept its own copies of n_target and lambda, so a sweep
+    # never read pipeline._DEFAULTS
+    monkeypatch.setitem(pipeline._DEFAULTS, "n_target", 123)
+    monkeypatch.setitem(pipeline._DEFAULTS, "lambda", "theory")
+    raw = {"instance": {"kind": "random", "d": 4, "k": 2, "T": 3,
+                        "sigma_z": 0.1},
+           "strategies": ["passive"], "budgets": [100]}
+    cfg = config_from_dict(raw)
+    assert (cfg.n_target, cfg.lambda_value) == (123, "theory")
+    cfg = config_from_dict({**raw, "n_target": 50, "lambda": 0.3})
+    assert (cfg.n_target, cfg.lambda_value) == (50, 0.3)
+
+
+def test_out_is_the_one_spelling_of_the_output_directory(tmp_path,
+                                                         monkeypatch):
+    # the config key out_dir was honoured by gen, run and sweep but not by
+    # nu-solve; --out is the one spelling, and the key is refused
+    with pytest.raises(ConfigError, match="unknown config keys"):
+        config_from_dict({"instance": {}, "strategies": ["passive"],
+                          "budgets": [100], "out_dir": "cfg_out"})
+    monkeypatch.chdir(tmp_path)
+    cfg_path = _write_cfg(tmp_path, out_dir="cfg_out")
+    for command in ("gen", "run", "sweep", "nu-solve"):
+        assert amtrl.cli.main([command, "--config", cfg_path]) == 2
+    assert not (tmp_path / "cfg_out").exists()
+    # without --out, gen, run and sweep write to the working directory
+    cfg_path = _write_cfg(tmp_path)
+    for command in ("gen", "run", "sweep"):
+        assert amtrl.cli.main([command, "--config", cfg_path]) == 0
+    assert {"instance.json", "run.json", "run.csv", "runs.csv",
+            "summary.csv", "plot_known_nu_q1.dat"} <= set(
+                os.listdir(tmp_path))
 
 
 class _CountingGenerator(np.random.Generator):
@@ -475,10 +539,10 @@ def _spy_streams(monkeypatch):
 
 def test_sweep_draws_each_stream_once_under_the_retention_rule(
         tmp_path, monkeypatch):
-    cfg = _small_cfg(tmp_path, strategies=harness.SWEEP_STRATEGIES,
+    cfg = _small_cfg(strategies=harness.SWEEP_STRATEGIES,
                      budgets=(200, 400, 600), N_floor=10, seeds=2)
     drawn, requests, held = _spy_streams(monkeypatch)
-    run_sweep(cfg)
+    run_sweep(cfg, str(tmp_path))
     assert len(requests) == len(cfg.strategies) * len(cfg.budgets) * 2
     # the rule: a run starts with the streams the run before it read, and
     # draws only what exceeds the normals held of a stream
@@ -513,12 +577,12 @@ def test_sweep_drops_the_stream_store_when_a_run_raises(tmp_path,
 
     monkeypatch.setattr(harness, "run_single", failing)
     with pytest.raises(RuntimeError, match="run failed"):
-        run_sweep(_small_cfg(tmp_path))
+        run_sweep(_small_cfg(), str(tmp_path))
     assert instance._store.get() is None
     assert stores[0] is not None and all(s is stores[0] for s in stores)
     assert stores[0].streams == {}
     # a run outside a sweep draws its normals afresh, with no store open
-    cfg, seen, real_rows = _small_cfg(tmp_path), [], instance._draw_rows
+    cfg, seen, real_rows = _small_cfg(), [], instance._draw_rows
 
     def draw_rows(*args):
         seen.append(instance._store.get())
@@ -543,14 +607,14 @@ def test_summarize():
 
 
 def test_cmd_run_and_nu_solve(tmp_path):
-    cfg = _small_cfg(tmp_path, strategies=("known_nu_q1",), budgets=(300,))
+    cfg = _small_cfg(strategies=("known_nu_q1",), budgets=(300,))
     row, path = cmd_run(cfg, out_dir=str(tmp_path))
     assert row["status"] == "ok"
     doc = json.loads((tmp_path / "run.json").read_text())
     assert doc["strategy"] == "known_nu"
     assert len(read_rows_csv(tmp_path / "run.csv")) == 1
     multi = tmp_path / "multi"
-    cmd_run(_small_cfg(multi, strategies=("multistage",), budgets=(700,),
+    cmd_run(_small_cfg(strategies=("multistage",), budgets=(700,),
                        N_floor=10), out_dir=str(multi))
     assert json.loads((multi / "run.json").read_text())["strategy"] == \
         "multistage"
@@ -565,18 +629,18 @@ def test_infeasible_run_leaves_no_earlier_run_json(tmp_path):
     # a feasible run, then an infeasible one into the same directory: the
     # first run's run.json used to stay, holding N_tot 400
     out = str(tmp_path)
-    row, path = cmd_run(_small_cfg(tmp_path, strategies=("passive",),
-                                   budgets=(400,), N_floor=10), out)
+    row, path = cmd_run(_small_cfg(strategies=("passive",), budgets=(400,),
+                                   N_floor=10), out)
     assert row["status"] == "ok" and path == str(tmp_path / "run.json")
     assert json.loads((tmp_path / "run.json").read_text())["N_tot"] == 400
-    row, path = cmd_run(_small_cfg(tmp_path, strategies=("passive",),
-                                   budgets=(39,), N_floor=10), out)
+    row, path = cmd_run(_small_cfg(strategies=("passive",), budgets=(39,),
+                                   N_floor=10), out)
     assert row["status"] == "infeasible" and path is None
     assert not (tmp_path / "run.json").exists()
     assert read_rows_csv(tmp_path / "run.csv")[0]["status"] == "infeasible"
     # and again, with no run.json left to remove
-    assert cmd_run(_small_cfg(tmp_path, strategies=("passive",),
-                              budgets=(39,), N_floor=10), out)[1] is None
+    assert cmd_run(_small_cfg(strategies=("passive",), budgets=(39,),
+                              N_floor=10), out)[1] is None
 
 
 @pytest.mark.parametrize("strategy, recorded", [
@@ -589,15 +653,15 @@ def test_run_json_records_only_the_settings_the_run_read(tmp_path, strategy,
                                                          recorded):
     # a Lasso run records the lambda it used (lambda 0.3 once ran at the
     # lazy 1e-10 and recorded 0.3); a run without a Lasso records none
-    cfg = _small_cfg(tmp_path, strategies=(strategy,), budgets=(400,),
-                     N_floor=10, lambda_value=0.3)
-    assert cmd_run(cfg)[0]["status"] == "ok"
+    cfg = _small_cfg(strategies=(strategy,), budgets=(400,), N_floor=10,
+                     lambda_value=0.3)
+    assert cmd_run(cfg, str(tmp_path))[0]["status"] == "ok"
     params = json.loads((tmp_path / "run.json").read_text())["params"]
     assert set(params) == recorded
     assert params.get("lambda", 0.3) == 0.3
 
 
-def test_nu_solve_follows_the_lambda_setting(tmp_path):
+def test_nu_solve_follows_the_lambda_setting():
     # the Lasso in nu.json uses the penalty the pipelines would choose; a
     # config's number is the penalty it reports (lambda 0.3 once reported
     # the lazy 1e-10)
@@ -609,7 +673,7 @@ def test_nu_solve_follows_the_lambda_setting(tmp_path):
     assert theory not in (relevance.LAZY_LAMBDA, "theory")
     for setting, lam in (("theory", theory), (0.3, 0.3),
                          ("lazy", relevance.LAZY_LAMBDA)):
-        report = cmd_nu_solve(_small_cfg(tmp_path, instance=inst,
+        report = cmd_nu_solve(_small_cfg(instance=inst,
                                          lambda_value=setting))
         assert report["lambda"] == lam
         np.testing.assert_array_equal(report["nu_lasso"],

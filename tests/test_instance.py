@@ -453,13 +453,15 @@ def test_seed_table_matches_seed_sequence(seed, T, draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2**200 - 1),
+@given(seed=st.integers(0, 2**2048 - 1),
        key=st.lists(st.integers(0, 2**70), max_size=4),
-       column=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=6),
+       column=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
        at=st.integers(0, 4))
 def test_seed_words_match_seed_sequence_for_any_key(seed, key, column, at):
-    # scalar keys of any length (including none, where SeedSequence does not
-    # pad the run entropy) and one array entry anywhere in the key
+    # seeds of up to 64 words, far more entropy than the pool holds, scalar
+    # keys of any length (including none, where SeedSequence does not pad
+    # the run entropy) and one array entry, of one element or more,
+    # anywhere in the key
     np.testing.assert_array_equal(
         instance._seed_words(seed, *key)[0],
         _seed_sequence(seed, tuple(key)).generate_state(4, np.uint64))

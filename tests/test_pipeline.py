@@ -412,6 +412,41 @@ def test_known_nu_exponent_is_checked_before_any_draw(q):
     assert oracle.total_drawn == 0
 
 
+def test_known_nu_weights_that_overflow_are_refused_before_any_draw():
+    # |nu_ref|^q overflowed to inf in the allocation, after the target
+    # draw: 50 samples drawn, and numpy warned of an overflow in power
+    gt = make_random_instance(6, 2, 4, sigma_z=0.1, seed=0)
+    oracle = _oracle(gt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"\|nu_ref\|\^q must be finite"):
+            run_known_nu(oracle, 6, 2, 4, [1e200, 1, 1, 1], 2,
+                         {"N_tot": 100, "n_target": 50})
+    assert oracle.total_drawn == 0
+    # the same weights at q = 1 are finite, and run
+    assert run_known_nu(oracle, 6, 2, 4, [1e200, 1, 1, 1], 1,
+                        {"N_tot": 100, "n_target": 50}).status == "ok"
+
+
+@pytest.mark.parametrize("params, setting", [
+    ({"S": 3, "L": 1e200, "beta_1": 40}, "S and L"),
+    ({"S": 2000, "L": 2.0, "beta_1": 40}, "S and L"),
+    ({"S": 10**400, "L": 2.0, "beta_1": 40}, "S and L"),
+    ({"S": 2, "L": 1e150, "beta_1": 10**200}, "beta_1"),
+    ({"S": 2, "L": 2.0, "beta_1": 10**400}, "beta_1"),
+], ids=["L", "S", "huge-S", "beta_1", "huge-beta_1"])
+def test_a_schedule_too_large_for_a_float_is_refused(params, setting):
+    # L ** i raised OverflowError after the target draw, and a sweep's
+    # default schedule raised it from L ** S
+    gt = make_random_instance(6, 2, 4, sigma_z=0.1, seed=0)
+    oracle = _oracle(gt)
+    with pytest.raises(ValueError, match=f"^{setting} gives? a schedule "
+                                         "too large for a float"):
+        run_multistage(oracle, 6, 2, 4,
+                       {**params, "N_floor": 1, "n_target": 50})
+    assert oracle.total_drawn == 0
+
+
 def test_passive_and_known_nu_runs_keep_the_shared_stage():
     # they never take stage 0 from the memo, so they do not evict the entry
     # that the runs of the same seed around them share
