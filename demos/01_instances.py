@@ -1,7 +1,8 @@
 """Tour of the synthetic instance factories.
 
-Builds one instance of each kind, prints the geometry that matters for
-sampling decisions, and round-trips one through JSON.
+Builds one instance of each kind (random, almost_sparse), prints the
+geometry that matters for sampling decisions, and round-trips one through
+JSON.
 """
 
 import tempfile
@@ -10,10 +11,8 @@ import numpy as np
 
 from amtrl import (
     load_instance,
-    make_aligned_worstcase_instance,
     make_almost_sparse_instance,
     make_random_instance,
-    min_l2_solution,
     sample_task,
     save_instance,
 )
@@ -29,21 +28,14 @@ def main():
     ds = sample_task(gt, 0, 5, seed=0)
     print(f"  task 0 sample: X {ds.X.shape}, Y {ds.Y.shape}")
 
-    gt2, nu_ref = make_almost_sparse_instance(d=20, k=4, T=12, sigma_z=0.5,
-                                              seed=0)
+    _, nu_ref = make_almost_sparse_instance(d=20, k=4, T=12, sigma_z=0.5,
+                                            seed=0)
     print("\nalmost-1-sparse instance:")
     print(f"  reference nu: dominant entry {nu_ref[0]:.4f}, "
           f"others {nu_ref[1]:.4f}")
     print(f"  ||nu_ref||_1 = {np.abs(nu_ref).sum():.4f}, "
           f"||nu_ref||_2 = {np.linalg.norm(nu_ref):.4f}")
 
-    gt3 = make_aligned_worstcase_instance(d=20, k=4, T=12, c_w=2.0, seed=0)
-    nu2 = min_l2_solution(gt3.W_star, gt3.w_target_star)
-    print("\naligned worst case for squared-weight sampling:")
-    print(f"  ||w*|| = {np.linalg.norm(gt3.w_target_star):.3f}, "
-          f"sigma_min(W*) = {gt3.sigma_min_w():.4f}")
-    print(f"  min-L2 mixture spread: max/min = {nu2.max() / nu2.min():.4f} "
-          "(uniform by construction)")
 
     with tempfile.NamedTemporaryFile(suffix=".json") as fh:
         save_instance(gt, fh.name)

@@ -11,10 +11,8 @@ from .allocation import (Allocation, CostFunction, InfeasibleBudgetError,
                          cost_aware_allocate, eval_cost, linear_cost,
                          lpnq_allocation, nu_tilde_objective, saltus_cost)
 from .instance import (GroundTruth, TaskDataset, almost_sparse_nu,
-                       load_instance,
-                       make_aligned_worstcase_instance,
-                       make_almost_sparse_instance, make_random_instance,
-                       sample_task, save_instance)
+                       load_instance, make_almost_sparse_instance,
+                       make_random_instance, sample_task, save_instance)
 from .pipeline import (RunResult, TaskOracle, run_known_nu, run_l1_amtrl,
                        run_l2_amtrl, run_multistage, run_passive)
 from .relevance import (LAZY_LAMBDA, kkt_residual, l1_oracle_lp, lambda_rule,
@@ -33,8 +31,7 @@ __all__ = [
     "eval_cost", "excess_risk", "fit_source", "fit_target_head", "head_for",
     "kkt_residual", "l1_oracle_lp", "lambda_rule", "lasso", "linear_cost",
     "load_instance", "lpnq_allocation",
-    "make_aligned_worstcase_instance", "make_almost_sparse_instance",
-    "make_random_instance", "min_l2_solution", "norm_bound_check",
+    "make_almost_sparse_instance", "make_random_instance", "min_l2_solution", "norm_bound_check",
     "nu_tilde_objective", "run_known_nu",
     "run_l1_amtrl", "run_l2_amtrl", "run_multistage", "run_passive",
     "saltus_cost", "sample_task", "save_instance",

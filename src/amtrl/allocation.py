@@ -15,7 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .instance import integer
 from .relevance import dead_banded
+
+# the largest count an Allocation's int64 counts hold
+MAX_COUNT = int(np.iinfo(np.int64).max)
 
 
 class InfeasibleBudgetError(ValueError):
@@ -49,6 +53,16 @@ class Allocation:
             c = np.asarray(self.continuous, dtype=float)
             c.setflags(write=False)
             object.__setattr__(self, "continuous", c)
+
+
+def int64_count(value, name):
+    """The count called name by instance.integer's rule, refused with
+    ValueError when it is above MAX_COUNT."""
+    value = integer(value, name)
+    if value > MAX_COUNT:
+        raise ValueError(f"{name} must be at most {MAX_COUNT}, the largest "
+                         f"int64 count, got {value}")
+    return value
 
 
 def _check_budget(T, N_tot, N_floor):
@@ -137,8 +151,10 @@ def allocate_fixed_nu(nu, N_tot, N_floor):
     budget exact and every task at or above the floor; a nonzero-nu task
     whose count rounds down to zero gets a spare unit first. nu = 0
     degenerates to a uniform allocation with a warning; a non-finite entry
-    raises ValueError.
+    raises ValueError. N_tot and N_floor are counts (int64_count).
     """
+    N_tot, N_floor = int64_count(N_tot, "N_tot"), int64_count(N_floor,
+                                                               "N_floor")
     nu = np.asarray(nu, dtype=float)
     T = nu.size
     _check_budget(T, N_tot, N_floor)
@@ -154,7 +170,7 @@ def allocate_fixed_nu(nu, N_tot, N_floor):
     else:
         x, c_prime = continuous_allocation(nu, N_tot, N_floor)
     n = _round_largest_remainder(x, N_tot, N_floor)
-    return Allocation(n=n, N_tot=int(N_tot), N_floor=int(N_floor),
+    return Allocation(n=n, N_tot=N_tot, N_floor=N_floor,
                       c_prime=float(c_prime), continuous=x)
 
 

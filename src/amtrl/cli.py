@@ -34,23 +34,7 @@ def _build_parser():
     v = sub.add_parser("verify", help="run the numerical property suite")
     v.add_argument("--level", choices=("fast", "full"), default="fast")
     v.add_argument("--out", default=None, help="directory for verify.json")
-    v.add_argument("--tolerance", action="append", default=[],
-                   metavar="NAME=VALUE",
-                   help="override one property tolerance (repeatable)")
     return parser
-
-
-def _parse_tolerances(pairs):
-    out = {}
-    for pair in pairs:
-        name, sep, value = pair.partition("=")
-        if not sep:
-            raise ConfigError(f"--tolerance expects NAME=VALUE, got {pair!r}")
-        try:
-            out[name] = float(value)
-        except ValueError:
-            raise ConfigError(f"tolerance value {value!r} is not a number")
-    return out
 
 
 def main(argv=None):
@@ -58,9 +42,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":
-            report, code = cmd_verify(args.level,
-                                      _parse_tolerances(args.tolerance),
-                                      out_dir=args.out)
+            report, code = cmd_verify(args.level, out_dir=args.out)
             json.dump(report, sys.stdout, indent=2, default=json_default)
             sys.stdout.write("\n")
             if code != 0:

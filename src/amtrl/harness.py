@@ -1,22 +1,25 @@
 """Batch experiment front-end: configs, sweeps, CSV output, verification.
 
-A SweepConfig (usually loaded from JSON) names an instance, a strategy
-list, a budget grid, and seed count; the sweep runner executes the grid
-serially in the calling thread, seed by seed (every strategy and budget
-of a seed before the next seed, so the runs of a seed reuse its target
-draw), inside instance.shared_streams, so that a run reads what the run
-before it drew of each source stream instead of drawing it again, and
-writes one CSV row per run, sorted by strategy, budget and seed, plus
-per-strategy summary and plot data. A setting is checked by its
-owner before any work: the run settings by pipeline._params, which
-SweepConfig calls for each listed strategy, and the instance settings by
-the factory make_instance hands the spec to; this module checks only its
-own keys and turns their ValueError into ConfigError. The verify section
-holds one function per core numerical property (water-filling optimality,
-the floor-free closed form, LP sparsity, the norm ceilings, Lasso/LP
-agreement, monotone and exact fitting); `amtrl verify` runs them on its
-own frozen draws and emits a machine-readable report, and the acceptance
-gate calls the same functions with its own seeds and tolerances.
+A SweepConfig (usually loaded from JSON) names an instance (a "random"
+or "almost_sparse" factory spec, or a saved instance {"file": path} of
+any kind), a strategy list, a budget grid, and seed count; the sweep
+runner executes the grid serially in the calling thread, seed by seed
+(every strategy and budget of a seed before the next seed, so the runs
+of a seed reuse its target draw), inside instance.shared_streams, so
+that a run reads what the run before it drew of each source stream
+instead of drawing it again, and writes one CSV row per run, sorted by
+strategy, budget and seed, plus per-strategy summary and plot data. A
+setting is checked by its owner before any work: the run settings by
+pipeline._params, which SweepConfig calls for each listed strategy, and
+the instance settings by the factory make_instance hands the spec to;
+this module checks only its own keys and turns their ValueError into
+ConfigError. The verify section holds one function per core numerical
+property (water-filling optimality, the floor-free closed form, LP
+sparsity, the norm ceilings, Lasso/LP agreement, monotone and exact
+fitting); `amtrl verify` runs them on its own frozen draws at its own
+fixed tolerances, which no caller loosens, and emits a machine-readable
+report, and the acceptance gate calls the same functions with its own
+seeds and tolerances.
 """
 
 import contextlib
@@ -40,8 +43,7 @@ SWEEP_STRATEGIES = ("L1", "L2", "passive", "known_nu_q1", "known_nu_q2",
                     "multistage")
 
 _FACTORIES = {"random": instance.make_random_instance,
-              "almost_sparse": instance.make_almost_sparse_instance,
-              "aligned_worstcase": instance.make_aligned_worstcase_instance}
+              "almost_sparse": instance.make_almost_sparse_instance}
 
 INSTANCE_KINDS = tuple(_FACTORIES)
 
@@ -65,12 +67,12 @@ _OMITTED = object()
 @dataclass(frozen=True)
 class SweepConfig:
     """Declarative description of a sweep: instance, strategies, grid.
-    multistage takes S (default 3), L (default 2.0) and beta_1 (default: a
-    schedule summing to about each budget; a set beta_1 runs one schedule,
-    so it takes a single budget); lambda_value is the config's
-    "lambda". An omitted n_target or lambda takes pipeline._DEFAULTS'
-    value. pipeline._params checks the run settings, for every listed
-    strategy, when the config is built."""
+    multistage takes S (default 3) and L (default 2.0); each budget's
+    multistage run takes the schedule summing to about that budget
+    (_multistage_beta1). lambda_value is the config's "lambda". An omitted
+    n_target or lambda takes pipeline._DEFAULTS' value. pipeline._params
+    checks the run settings, for every listed strategy, when the config is
+    built."""
 
     instance: dict
     strategies: tuple
@@ -120,23 +122,16 @@ class SweepConfig:
         object.__setattr__(self, "n_target", p["n_target"])
         object.__setattr__(self, "N_floor", p["N_floor"])
         object.__setattr__(self, "lambda_value", p["lambda"])
-        unknown = set(self.multistage) - {"S", "L", "beta_1"}
+        unknown = set(self.multistage) - {"S", "L"}
         if unknown:
             raise ConfigError(f"unknown multistage keys: {sorted(unknown)}; "
-                              "choose from S, L, beta_1")
+                              "choose from S, L")
         ms = {"S": 3, "L": 2.0, **self.multistage}
         try:  # checked even when multistage is not listed
             p = pipeline._params(ms, "multistage")
         except ValueError as e:
             raise ConfigError(f"multistage {e}") from None
-        ms = {key: p[key] for key in ms}
-        if ("multistage" in self.strategies and "beta_1" in ms
-                and len(self.budgets) > 1):
-            raise ConfigError(
-                "multistage beta_1 fixes the whole schedule, so every budget "
-                "would repeat the same multistage runs; give one budget, got "
-                f"{list(self.budgets)}")
-        object.__setattr__(self, "multistage", ms)
+        object.__setattr__(self, "multistage", {"S": p["S"], "L": p["L"]})
 
 
 def config_from_dict(raw):
@@ -546,8 +541,8 @@ def _verify_noiseless_recovery(rng, n):
 
 _VERIFY_SUITE = (
     # name, reported key, runner(rng, n) -> worst value over n cases (the
-    # property passes when it is at most the tolerance), default tolerance,
-    # fast case count, full case count
+    # property passes when it is at most the tolerance), tolerance, fast
+    # case count, full case count
     ("allocation_optimality", "worst_excess", _verify_allocation_optimality,
      1e-9, 20, 100),
     ("floor_free_equality", "worst_rel_err", floor_free_error, 1e-12, 20, 100),
@@ -563,26 +558,14 @@ _VERIFY_SUITE = (
 )
 
 
-def cmd_verify(level="fast", tolerances=None, out_dir=None):
-    """Run the property suite; returns (report dict, exit code 0 or 1)."""
+def cmd_verify(level="fast", out_dir=None):
+    """Run the property suite at its own tolerances; returns (report dict,
+    exit code 0 or 1)."""
     if level not in ("fast", "full"):
         raise ConfigError(f"level must be 'fast' or 'full', got {level!r}")
-    overrides = dict(tolerances or {})
-    known = {name for name, *_ in _VERIFY_SUITE}
-    unknown = set(overrides) - known
-    if unknown:
-        raise ConfigError(f"unknown verify properties: {sorted(unknown)}")
-    # a NaN tolerance fails every property and an infinite one passes any;
-    # neither is a tolerance, and neither can be written as JSON
-    bad = {name: tol for name, tol in overrides.items()
-           if not (math.isfinite(tol) and tol >= 0)}
-    if bad:
-        raise ConfigError(f"verify tolerances must be finite and >= 0, got "
-                          f"{bad}")
     properties = []
     all_pass = True
-    for name, key, worst_of, default_tol, n_fast, n_full in _VERIFY_SUITE:
-        tol = overrides.get(name, default_tol)
+    for name, key, worst_of, tol, n_fast, n_full in _VERIFY_SUITE:
         n_cases = n_fast if level == "fast" else n_full
         rng = instance._rng(0xA5C3)
         t0 = time.perf_counter()

@@ -472,9 +472,10 @@ def sample_task(gt, task_index, n, seed, draw=0):
     """Draw n i.i.d. samples for one task, kept as their statistics.
 
     Deterministic in (seed, task_index, draw); distinct draw indices give
-    independent streams, so incremental sampling never replays data. n,
-    seed and draw follow integer()'s rule: 5.0 draws 5 samples, while 5.7
-    or True raises ValueError instead of being truncated.
+    independent streams, so incremental sampling never replays data.
+    task_index, n, seed and draw follow integer()'s rule: 5.0 draws 5
+    samples, while 5.7 or True raises ValueError instead of being
+    truncated; a task_index outside 0..gt.T raises ValueError too.
 
     The target task (task_index == gt.T) comes from a one-entry memo keyed
     by (gt's identity, n, seed, draw): a call repeating the previous target
@@ -485,6 +486,9 @@ def sample_task(gt, task_index, n, seed, draw=0):
     runs of a sweep seed share (see the module docstring); outside it they
     are drawn afresh.
     """
+    task_index = integer(task_index, "task_index")
+    if not 0 <= task_index <= gt.T:
+        raise ValueError(f"task_index must be in 0..{gt.T}, got {task_index}")
     n, draw = integer(n, "n"), integer(draw, "draw")
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -595,43 +599,6 @@ def make_almost_sparse_instance(d, k, T, sigma_z, seed=0, spectrum=None):
     gt = GroundTruth(d=d, k=k, T=T, B_star=B, W_star=W, w_target_star=w_target,
                      sigma_z=sigma_z, meta=meta)
     return gt, nu_ref
-
-
-def make_aligned_worstcase_instance(d, k, T, c_w=1.0, seed=0, sigma_z=0.0):
-    """Adversarial instance for L2-driven sampling.
-
-    The target direction is aligned with the dominant left singular vector of
-    W_star while the minimum-L2-norm mixture is the all-ones vector, so an
-    L2-proportional allocation spreads budget uniformly over all T tasks.
-    sigma_min(W_star) = c_w / (2 sqrt((k-1) T)) and ||w_target_star|| = c_w.
-    """
-    d, k, T, seed = map(integer, (d, k, T, seed), "d k T seed".split())
-    if not (2 <= k <= d and k <= T):
-        raise ValueError(f"need 2 <= k <= d and k <= T, got d={d}, k={k}, T={T}")
-    c_w = finite(c_w, "c_w")
-    if c_w <= 0:
-        raise ValueError("c_w must be > 0")
-    rng = _rng(seed, _GEN_KEY, 2)
-    B = _orthonormal_columns(rng, d, k)
-    U = np.linalg.qr(rng.standard_normal((k, k)))[0]
-    ones_dir = np.full(T, 1.0 / math.sqrt(T))
-    V = _complete_orthonormal(ones_dir, rng, k)
-    sigma_top = c_w / math.sqrt(T)
-    sigma_rest = c_w / (2.0 * math.sqrt((k - 1) * T))
-    spectrum = np.full(k, sigma_rest)
-    spectrum[0] = sigma_top
-    W = (U * spectrum) @ V.T
-    w_target = c_w * U[:, 0]
-    meta = {
-        "kind": "aligned_worstcase",
-        "seed": seed,
-        "c_w": c_w,
-        "diverse": True,
-        "highdim_regime": bool(d > T >= k),
-        "min_l2_direction": "all_ones",
-    }
-    return GroundTruth(d=d, k=k, T=T, B_star=B, W_star=W, w_target_star=w_target,
-                       sigma_z=sigma_z, meta=meta)
 
 
 def save_instance(gt, path):

@@ -43,7 +43,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocation import InfeasibleBudgetError, lpnq_allocation
+from .allocation import (MAX_COUNT, InfeasibleBudgetError, int64_count,
+                         lpnq_allocation)
 # not called here, but the benchmark's tracer wraps pipeline.allocate_fixed_nu
 # as well as pipeline.lpnq_allocation, through which the loop allocates
 from .allocation import allocate_fixed_nu  # noqa: F401
@@ -157,7 +158,10 @@ def _params(params, strategy):
             raise ValueError(f"unknown params for {strategy}: "
                              f"{sorted(unknown)}")
         merged.update(params)
-    for key in ("N_tot", "N_tot_phase2", "N_floor", "n_target", "S", "beta_1"):
+    for key in ("N_tot", "N_tot_phase2", "N_floor", "n_target"):
+        if key in merged:
+            merged[key] = int64_count(merged[key], key)
+    for key in ("S", "beta_1"):
         if key in merged:
             merged[key] = integer(merged[key], key)
     # these sample every task at the floor before they estimate nu
@@ -176,17 +180,24 @@ def _params(params, strategy):
         if L <= 1:
             raise ValueError(f"L must be a budget growth L > 1, got {L}")
     if "S" in merged and "L" in merged:
-        # the schedule's budgets beta_1 * L^i, i < S, and the sum L^S
-        # that a sweep's default beta_1 divides by must be finite floats
+        # the sum L^S that a sweep's beta_1 divides by must be a finite
+        # float, and the schedule's budgets round(beta_1 * L^i), i < S,
+        # int64 counts
         S, L = merged["S"], merged["L"]
-        if not _finite_product(L, S):
+        if not _finite_power(L, S):
             raise ValueError(f"S and L give a schedule too large for a "
                              f"float: L ** S overflows at S = {S}, L = {L}")
-        if "beta_1" in merged and not _finite_product(L, S - 1,
-                                                      merged["beta_1"]):
-            raise ValueError(f"beta_1 gives a schedule too large for a "
-                             f"float: beta_1 * L ** (S - 1) overflows at "
-                             f"beta_1 = {merged['beta_1']}, S = {S}, L = {L}")
+        if "beta_1" in merged:
+            beta_1 = merged["beta_1"]
+            try:  # the last stage's budget, the largest
+                largest = round(beta_1 * L ** (S - 1))
+            except OverflowError:  # beyond a float
+                largest = math.inf
+            if largest > MAX_COUNT:
+                raise ValueError(f"beta_1 gives a schedule too large for a "
+                                 f"float or an int64 count: beta_1 * L ** "
+                                 f"(S - 1) is above {MAX_COUNT} at beta_1 "
+                                 f"= {beta_1}, S = {S}, L = {L}")
     lam = merged["lambda"]
     if not (isinstance(lam, str) and lam in ("lazy", "theory")):
         lam = merged["lambda"] = finite(
@@ -196,10 +207,10 @@ def _params(params, strategy):
     return merged
 
 
-def _finite_product(L, power, factor=1):
-    """Whether factor * L ** power is a finite float."""
+def _finite_power(L, power):
+    """Whether L ** power is a finite float."""
     try:
-        return math.isfinite(factor * L ** power)
+        return math.isfinite(L ** power)
     except OverflowError:
         return False
 

@@ -95,7 +95,8 @@ def lasso(W, w, lam):
     Gram matrix stays invertible and the support never exceeds rank(W);
     zero-norm columns keep nu_t = 0. Ties pick the lowest index, the index
     that just entered or left is not re-processed at the same kink, and
-    kinks within round-off of lam = 0 are ignored.
+    kinks within round-off of lam = 0 are ignored. A lam that is not >= 0,
+    or a misshapen or non-finite W or w, raises ValueError.
 
     Returns (nu, info): info["sweeps"] counts path steps,
     "kkt_residual" is kkt_residual(W, w, nu, lam), "converged" is whether
@@ -110,6 +111,8 @@ def lasso(W, w, lam):
         raise ValueError("lam must be >= 0")
     if W.ndim != 2 or w.shape != (W.shape[0],):
         raise ValueError("need W of shape (k, T) and w of shape (k,)")
+    if not (np.all(np.isfinite(W)) and np.all(np.isfinite(w))):
+        raise ValueError("W and w must be finite")
     k, T = W.shape
     lam = float(lam)
     corr = W.T @ w

@@ -261,8 +261,8 @@ def fit_source(datasets, k, init_B=None):
             datasets[t]. Tasks with n = 0 are carried with a zero head and
             contribute nothing to the objective.
         k: latent dimension of the representation.
-        init_B: optional d x k warm start for the representation; it is
-            re-orthonormalized and replaces the spectral initialization.
+        init_B: optional finite d x k warm start for the representation; it
+            is re-orthonormalized and replaces the spectral initialization.
 
     Returns:
         FittedModel with a non-increasing train_loss_history. The fit stops
@@ -291,6 +291,8 @@ def fit_source(datasets, k, init_B=None):
         init_B = np.asarray(init_B, dtype=float)
         if init_B.shape != (d, k):
             raise ValueError(f"init_B must be {d} x {k}, got {init_B.shape}")
+        if not np.all(np.isfinite(init_B)):
+            raise ValueError("init_B must be finite")
         B = _orthonormalize(init_B)
     else:
         B = _spectral_init(u, H, G, k)

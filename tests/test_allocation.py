@@ -242,6 +242,27 @@ def test_non_finite_nu_is_rejected():
                 fn(np.array([bad, 1.0, 1.0, 1.0]), 400, 0)
 
 
+def test_budget_and_floor_are_int64_counts():
+    # 10.5 was truncated to a budget of 10, a floor of 1.5 water-filled at
+    # 1.5 but was recorded as 1, a floor of True was taken as 1, and a
+    # budget of 2**70 raised OverflowError after a cast warning
+    for N_tot, N_floor, name in ((10.5, 0, "N_tot"), (10, 1.5, "N_floor"),
+                                 (10, True, "N_floor"), (True, 0, "N_tot"),
+                                 ("10", 0, "N_tot")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            allocate_fixed_nu([1.0, 2.0], N_tot, N_floor)
+    for N_tot, N_floor, name in ((2**70, 0, "N_tot"), (2**63, 0, "N_tot"),
+                                 (10, 2**63, "N_floor")):
+        with pytest.raises(ValueError, match=f"{name} must be at most "
+                                             f"{2**63 - 1}"):
+            allocate_fixed_nu([1.0, 2.0], N_tot, N_floor)
+    # JSON's integral floats and numpy ints are counts, recorded as ints
+    alloc = allocate_fixed_nu([1.0, 2.0], 12.0, np.int64(3))
+    assert (alloc.N_tot, alloc.N_floor) == (12, 3)
+    assert type(alloc.N_tot) is int and type(alloc.N_floor) is int
+    assert alloc.n.tolist() == [4, 8]
+
+
 def test_water_filling_beats_random_allocations():
     rng = np.random.default_rng(5)
     for trial in range(10):

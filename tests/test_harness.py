@@ -71,11 +71,11 @@ def test_sweep_config_validation():
     cfg = SweepConfig(**{**good, "n_target": 100.0, "seeds": np.int64(2)})
     assert (cfg.n_target, cfg.seeds) == (100, 2)
     assert type(cfg.n_target) is int and type(cfg.seeds) is int
-    # multistage defaults are filled in once; S and beta_1 are counts too
+    # multistage defaults are filled in once; S is a count too
     assert SweepConfig(**good).multistage == {"S": 3, "L": 2.0}
-    assert SweepConfig(**good, multistage={"L": 3.0, "beta_1": 50.0}
-                       ).multistage == {"S": 3, "L": 3.0, "beta_1": 50}
-    for key, value in (("S", 2.7), ("beta_1", 100.5), ("S", True),
+    assert SweepConfig(**good, multistage={"L": 3.0, "S": 2.0}
+                       ).multistage == {"S": 2, "L": 3.0}
+    for key, value in (("S", 2.7), ("S", True),
                        ("S", 0), ("L", 1.0), ("L", 0.5), ("L", math.nan),
                        ("L", math.inf), ("L", "2"), ("L", True)):
         with pytest.raises(ConfigError, match=f"multistage {key}"):
@@ -143,29 +143,24 @@ def test_sweep_config_refuses_a_strategy_listed_twice(strategies):
     SweepConfig(**good, strategies=tuple(dict.fromkeys(strategies)))
 
 
-def test_sweep_config_refuses_beta_1_beside_several_budgets(tmp_path,
-                                                           monkeypatch):
-    # run_single runs a set beta_1's schedule whatever the budget, so each
-    # budget repeated the same multistage runs: budgets [600, 1200] at 3
-    # seeds wrote 6 rows all at N_tot 430, and summary.csv's iqr_ER counted
-    # each run twice
+def test_sweep_config_refuses_multistage_beta_1(tmp_path, monkeypatch):
+    # a set beta_1 fixed one schedule whatever the budget, so each budget
+    # repeated the same multistage runs; each budget's run now takes the
+    # schedule summing to about that budget, and beta_1 is no sweep key,
+    # one budget or several, multistage listed or not
     good = dict(instance={"kind": "random", "d": 6, "k": 2, "T": 4,
-                          "sigma_z": 0.3}, N_floor=10,
-                strategies=("passive", "multistage"),
-                multistage={"beta_1": 200})
-    with pytest.raises(ConfigError, match="beta_1"):
-        SweepConfig(**good, budgets=(600, 1200))
-    with pytest.raises(ConfigError, match="beta_1"):
-        config_from_dict({**good, "budgets": [600, 1200]})
-    # one budget, multistage not listed, or the default schedule: taken
-    SweepConfig(**good, budgets=(600,))
-    SweepConfig(**{**good, "strategies": ("passive",)}, budgets=(600, 1200))
-    SweepConfig(**{**good, "multistage": {"S": 2}}, budgets=(600, 1200))
+                          "sigma_z": 0.3}, N_floor=10)
+    for strategies in (("passive", "multistage"), ("passive",)):
+        for budgets in ((600,), (600, 1200)):
+            with pytest.raises(ConfigError,
+                               match=r"unknown multistage keys: \['beta_1'\]"):
+                SweepConfig(**good, strategies=strategies, budgets=budgets,
+                            multistage={"beta_1": 200})
     # refused at config time: the command exits 2 before any run
     monkeypatch.setattr(harness, "run_single", None)
     out = tmp_path / "out"
     assert amtrl.cli.main(["sweep", "--config", _write_cfg(
-        tmp_path, strategies=["multistage"], budgets=[600, 1200],
+        tmp_path, strategies=["multistage"], budgets=[600],
         N_floor=10, multistage={"beta_1": 200}), "--out", str(out)]) == 2
     assert not (out / "runs.csv").exists()
 
@@ -206,9 +201,7 @@ def test_make_instance_kinds_and_file(tmp_path):
     gt2 = make_instance({"kind": "almost_sparse", "d": 5, "k": 2, "T": 6,
                          "sigma_z": 0.2})
     assert "reference_nu" in gt2.meta
-    gt3 = make_instance({"kind": "aligned_worstcase", "d": 5, "k": 2,
-                         "T": 6, "c_w": 1.5})
-    assert gt3.meta["kind"] == "aligned_worstcase"
+    assert harness.INSTANCE_KINDS == ("random", "almost_sparse")
     cfg = _small_cfg()
     path = cmd_gen(cfg, out_dir=str(tmp_path))
     gt4 = make_instance({"file": path})
@@ -229,6 +222,36 @@ def test_make_instance_kinds_and_file(tmp_path):
                        "sigma_z": 0.2, "spectrum": [float("nan"), 1.0]})
 
 
+# an instance file the aligned_worstcase factory wrote, (6, 2, 4) at c_w 1.5,
+# seed 3 and sigma_z 0.1, before that kind was removed
+ALIGNED_FILE = os.path.join(os.path.dirname(__file__), "data",
+                            "aligned_worstcase.json")
+
+
+def test_a_removed_kind_is_refused_but_its_file_still_runs(tmp_path):
+    spec = {"kind": "aligned_worstcase", "d": 6, "k": 2, "T": 4, "c_w": 1.5}
+    with pytest.raises(ConfigError, match="unknown instance kind "
+                                          "'aligned_worstcase'"):
+        make_instance(spec)
+    assert amtrl.cli.main(["gen", "--config", _write_cfg(
+        tmp_path, instance=spec), "--out", str(tmp_path / "gen")]) == 2
+    gt = make_instance({"file": ALIGNED_FILE})
+    assert (gt.d, gt.k, gt.T) == (6, 2, 4)
+    assert gt.meta["kind"] == "aligned_worstcase" and gt.meta["c_w"] == 1.5
+    # every strategy runs on it, with the ER the removed factory's instance
+    # gave before the removal, bit for bit
+    rows, _ = run_sweep(SweepConfig(
+        instance={"file": ALIGNED_FILE}, strategies=harness.SWEEP_STRATEGIES,
+        budgets=(600,), N_floor=10, n_target=200), str(tmp_path / "out"))
+    assert {r["strategy"]: (r["N_tot"], r["ER"], r["status"]) for r in rows} \
+        == {"L1": (600, 0.0016281392264632848, "ok"),
+            "L2": (600, 0.00031815739825962375, "ok"),
+            "known_nu_q1": (600, 0.02156630850503198, "ok"),
+            "known_nu_q2": (600, 0.0021205860948040616, "ok"),
+            "multistage": (366, 0.001876034917064117, "ok"),
+            "passive": (600, 0.0021205860948040616, "ok")}
+
+
 def test_make_instance_numbers_are_checked():
     # counts and seeds follow the integer rule (int() used to build
     # {"d": 8.7, "k": 2.9, "T": 4.5, "seed": 3.9} as (8, 2, 4) at seed 3),
@@ -247,12 +270,9 @@ def test_make_instance_numbers_are_checked():
                        ("sigma_min_floor", math.inf)):
         with pytest.raises(ConfigError, match=f"{key} must be a finite"):
             make_instance({**spec, key: value})
-    for kind, key in (("almost_sparse", "sigma_z"),
-                      ("aligned_worstcase", "c_w"),
-                      ("aligned_worstcase", "sigma_z")):
-        with pytest.raises(ConfigError, match=f"{key} must be a finite"):
-            make_instance({"kind": kind, "d": 5, "k": 2, "T": 6,
-                           "sigma_z": 0.1, key: "1"})
+    with pytest.raises(ConfigError, match="sigma_z must be a finite"):
+        make_instance({"kind": "almost_sparse", "d": 5, "k": 2, "T": 6,
+                       "sigma_z": "1"})
 
 
 def test_reference_nu_sources():
@@ -697,19 +717,30 @@ def test_cmd_verify_passes(tmp_path, level):
     assert (tmp_path / "verify.json").exists()
     with pytest.raises(ConfigError):
         cmd_verify(level="huh")
-    with pytest.raises(ConfigError):
-        cmd_verify(tolerances={"not_a_property": 1.0})
-    for tol in (math.nan, math.inf, -math.inf, -1.0, -1e-300):
-        with pytest.raises(ConfigError):
-            cmd_verify(tolerances={"lasso_matches_lp": tol})
+    # the tolerances are the suite's own: no caller can loosen them
+    with pytest.raises(TypeError):
+        cmd_verify(tolerances={"lasso_matches_lp": 1.0})
 
 
-def test_cmd_verify_reports_failure_on_impossible_tolerance():
-    report, code = cmd_verify(level="fast",
-                              tolerances={"lasso_matches_lp": 1e-30})
+def _failing_suite(monkeypatch, failing="lasso_matches_lp"):
+    """Make the property named failing report a worst value 10^4 times
+    its tolerance; the other properties run as they are."""
+    monkeypatch.setattr(harness, "_VERIFY_SUITE", tuple(
+        (name, key, (lambda rng, n, tol=tol: 1e4 * tol) if name == failing
+         else run, tol, *counts)
+        for name, key, run, tol, *counts in harness._VERIFY_SUITE))
+
+
+def test_cmd_verify_reports_a_failing_property(monkeypatch):
+    _failing_suite(monkeypatch)
+    report, code = cmd_verify(level="fast")
     assert code == 1 and not report["all_pass"]
     failed = [p["name"] for p in report["properties"] if not p["passed"]]
     assert failed == ["lasso_matches_lp"]
+    # the report keeps the failing property's own tolerance and worst value
+    prop = next(p for p in report["properties"]
+                if p["name"] == "lasso_matches_lp")
+    assert (prop["tolerance"], prop["worst_l1_gap"]) == (1e-4, 1.0)
 
 
 def _write_cfg(tmp_path, name="cfg.json", **over):
@@ -766,27 +797,27 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_verify_failure_names_property(tmp_path, capsys):
+def test_cli_verify_failure_names_property(tmp_path, capsys, monkeypatch):
+    _failing_suite(monkeypatch)
     code = amtrl.cli.main(["verify", "--level", "fast",
-                           "--tolerance", "lasso_matches_lp=1e-30",
                            "--out", str(tmp_path)])
     captured = capsys.readouterr()
     assert code == 1
-    assert "lasso_matches_lp" in captured.err
+    assert "FAILED properties: lasso_matches_lp" in captured.err
     report = json.loads(captured.out)
     assert not report["all_pass"]
+    assert json.loads((tmp_path / "verify.json").read_text()) == report
 
 
-def test_cli_rejects_malformed_tolerance(capsys):
-    assert amtrl.cli.main(["verify", "--tolerance", "nonsense"]) == 2
-    for value in ("nan", "inf", "-inf", "-1"):
-        assert amtrl.cli.main(["verify", "--tolerance",
-                               f"lasso_matches_lp={value}"]) == 2
-    captured = capsys.readouterr()
-    # rejected before any property runs: no report, and no NaN or Infinity
-    assert captured.out == ""
-    assert "finite" in captured.err
-    # zero is a tolerance: lp_support_sparsity's default
-    assert amtrl.cli.main(["verify", "--tolerance",
-                           "lp_support_sparsity=0"]) == 0
-    capsys.readouterr()
+def test_cli_verify_refuses_tolerance_overrides(capsys, monkeypatch):
+    # a bound the caller can loosen until it passes checks nothing, so the
+    # flag is gone: a usage error, exit 2, before any property runs
+    monkeypatch.setattr(harness, "_VERIFY_SUITE", None)
+    for argv in (["--tolerance", "lasso_matches_lp=1"],
+                 ["--level", "fast", "--tolerance", "nonsense"]):
+        with pytest.raises(SystemExit) as exit_:
+            amtrl.cli.main(["verify", *argv])
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --tolerance" in captured.err

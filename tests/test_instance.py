@@ -13,7 +13,6 @@ from amtrl import (
     GroundTruth,
     almost_sparse_nu,
     load_instance,
-    make_aligned_worstcase_instance,
     make_almost_sparse_instance,
     make_random_instance,
     min_l2_solution,
@@ -82,7 +81,7 @@ def test_sample_task_zero_samples_and_bad_index():
     assert ds.X.shape == (0, 5) and ds.Y.shape == (0,)
     # index T is the target task; T+1 is out of range
     sample_task(gt, gt.T, 4, seed=1)
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError, match=r"task_index must be in 0\.\.3"):
         sample_task(gt, gt.T + 1, 4, seed=1)
     with pytest.raises(ValueError):
         sample_task(gt, 0, -1, seed=1)
@@ -103,6 +102,24 @@ def test_sample_task_counts_are_integers():
     for seed in (3.9, True, "3"):
         with pytest.raises(ValueError, match="seed must be an integer"):
             sample_task(gt, 0, 5, seed=seed)
+
+
+def test_sample_task_index_is_an_integer_in_range():
+    # a task index of 1.0 raised TypeError from a tuple index, and True
+    # masked the seed table ("PCG64 takes 4 seed words, got shape
+    # (1, 5, 4)"); both follow the integer rule now, and a task index
+    # outside 0..T is a ValueError, not an IndexError
+    gt = make_random_instance(5, 2, 4, sigma_z=0.1, seed=0)
+    for whole in (1.0, np.int64(1)):
+        assert sample_task(gt, whole, 5, seed=0).G.tobytes() == \
+            sample_task(gt, 1, 5, seed=0).G.tobytes()
+    assert sample_task(gt, 4.0, 5, seed=0).task_index == gt.T
+    for bad in (True, False, 1.5, "1"):
+        with pytest.raises(ValueError, match="task_index must be an integer"):
+            sample_task(gt, bad, 5, seed=0)
+    for bad in (-1, gt.T + 1):
+        with pytest.raises(ValueError, match=r"task_index must be in 0\.\.4"):
+            sample_task(gt, bad, 5, seed=0)
 
 
 def test_regression_vector_target_vs_source():
@@ -141,18 +158,6 @@ def test_almost_sparse_instance_spectrum():
     np.testing.assert_allclose(svals, spectrum, atol=1e-10)
     with pytest.raises(ValueError):
         make_almost_sparse_instance(8, 5, 20, sigma_z=0.5, spectrum=(1.0, 2.0))
-
-
-def test_aligned_worstcase_geometry():
-    c_w = 2.0
-    gt = make_aligned_worstcase_instance(12, 4, 9, c_w=c_w, seed=3)
-    np.testing.assert_allclose(np.linalg.norm(gt.w_target_star), c_w, atol=1e-10)
-    np.testing.assert_allclose(
-        gt.sigma_min_w(), c_w / (2.0 * math.sqrt(3 * 9)), atol=1e-10)
-    # minimum-L2 mixture is uniform across tasks
-    nu2 = min_l2_solution(gt.W_star, gt.w_target_star)
-    np.testing.assert_allclose(nu2, np.full(9, nu2[0]), atol=1e-8)
-    assert nu2[0] > 0
 
 
 def test_save_load_round_trip(tmp_path):
@@ -490,8 +495,6 @@ _FACTORY_CALLS = {
         **{"d": 6, "k": 2, "T": 4, "sigma_z": 0.1, "seed": 3, **kw}),
     "almost_sparse": lambda **kw: make_almost_sparse_instance(
         **{"d": 6, "k": 2, "T": 4, "sigma_z": 0.1, "seed": 3, **kw})[0],
-    "aligned_worstcase": lambda **kw: make_aligned_worstcase_instance(
-        **{"d": 6, "k": 2, "T": 4, "c_w": 1.5, "seed": 3, **kw}),
 }
 
 
@@ -512,8 +515,6 @@ def test_factories_check_their_own_settings(kind):
     if kind == "random":
         refused.append(("sigma_min_floor", math.nan,
                         "sigma_min_floor must be a finite"))
-    if kind == "aligned_worstcase":
-        refused.append(("c_w", math.inf, "c_w must be a finite"))
     for key, value, message in refused:
         with pytest.raises(ValueError, match=message):
             make(**{key: value})

@@ -22,7 +22,6 @@ from amtrl import (
     excess_risk,
     fit_target_head,
     lpnq_allocation,
-    make_aligned_worstcase_instance,
     make_random_instance,
     run_known_nu,
     run_l1_amtrl,
@@ -447,6 +446,41 @@ def test_a_schedule_too_large_for_a_float_is_refused(params, setting):
     assert oracle.total_drawn == 0
 
 
+@pytest.mark.parametrize("run, params, setting", [
+    (run_passive, {"N_tot": 10**20}, "N_tot"),
+    (run_passive, {"N_tot": 2**63}, "N_tot"),
+    (run_l1_amtrl, {"N_tot_phase2": 2**63, "N_floor": 1}, "N_tot_phase2"),
+    (run_passive, {"N_tot": 100, "N_floor": 2**63}, "N_floor"),
+    (run_passive, {"N_tot": 100, "n_target": 2**63}, "n_target"),
+    (run_multistage, {"S": 3, "L": 1e100, "beta_1": 40, "N_floor": 1},
+     "beta_1"),
+    (run_multistage, {"S": 1, "L": 2.0, "beta_1": 2**63, "N_floor": 1},
+     "beta_1"),
+    (run_multistage, {"S": 2, "L": 2.0, "beta_1": 2**62, "N_floor": 1},
+     "beta_1"),
+], ids=["passive-1e20", "passive", "L1", "floor", "n_target",
+        "multistage-L", "multistage-S1", "multistage-edge"])
+def test_a_count_beyond_int64_is_refused_before_any_draw(run, params,
+                                                         setting):
+    # a budget of 10**20 raised OverflowError from the allocation's int
+    # cast after the target draw (50 samples drawn), and a schedule of
+    # S 3, L 1e100, beta_1 40 after the exploration stage (90 drawn)
+    gt = make_random_instance(6, 2, 4, sigma_z=0.1, seed=0)
+    oracle = _oracle(gt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{setting} (must be at most|"
+                                             "gives a schedule too large for "
+                                             "a float or an int64 count)"):
+            run(oracle, 6, 2, 4, {"n_target": 50, **params})
+    assert oracle.total_drawn == 0
+    # the largest int64 count itself is taken, as is a schedule whose last
+    # budget rounds to at most it
+    assert pipeline._params({"N_tot": 2**63 - 1}, "passive")["N_tot"] \
+        == 2**63 - 1
+    pipeline._params({"S": 2, "L": 2.0, "beta_1": 2**62 - 512}, "multistage")
+
+
 def test_passive_and_known_nu_runs_keep_the_shared_stage():
     # they never take stage 0 from the memo, so they do not evict the entry
     # that the runs of the same seed around them share
@@ -525,16 +559,6 @@ def test_one_sparse_target_concentrates_budget():
         assert n2[2] >= 4800
         assert np.all(np.delete(n2, 2) <= 300)
         assert res.support_size <= gt.k
-
-
-def test_aligned_worstcase_l2_spreads_uniformly():
-    gt = make_aligned_worstcase_instance(10, 3, 8, c_w=2.0, seed=4,
-                                         sigma_z=0.01)
-    params = {"N_tot_phase2": 4000, "N_floor": 300, "n_target": 500}
-    for seed in range(3):
-        res = run_l2_amtrl(_oracle(gt, seed=seed), gt.d, gt.k, gt.T, params)
-        n2 = res.allocations[1].n
-        assert n2.max() <= 1.25 * n2.min()
 
 
 def test_square_system_strategies_agree_on_nu():

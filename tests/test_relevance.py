@@ -1,5 +1,7 @@
 """Relevance-vector solvers: exact LP, Lasso, and minimum-L2."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -138,6 +140,24 @@ def test_lasso_input_validation():
         lasso(W, w, -1.0)
     with pytest.raises(ValueError):
         lasso(W, w[:-1], 0.1)
+
+
+def test_lasso_refuses_non_finite_inputs():
+    # a NaN in W raised LinAlgError from an SVD, an inf in W returned
+    # [nan, 0] with RuntimeWarnings, and a NaN in w returned zeros marked
+    # unconverged; min_l2_solution and l1_oracle_lp refuse them too
+    W, w = np.array([[1.0, 0.5], [0.0, 1.0]]), np.array([1.0, 0.5])
+    for bad in (np.nan, np.inf, -np.inf):
+        for at in (0, 1):
+            W_bad = W.copy()
+            W_bad[at, at] = bad
+            w_bad = w.copy()
+            w_bad[at] = bad
+            for args in ((W_bad, w), (W, w_bad)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(ValueError, match="must be finite"):
+                        lasso(*args, 0.1)
 
 
 def test_lasso_lazy_lambda_matches_lp_on_conditioned_instances():

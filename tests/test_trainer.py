@@ -136,6 +136,19 @@ def test_fit_source_input_validation():
         fit_source(data + [other], gt.k)
 
 
+def test_fit_source_refuses_a_non_finite_warm_start(capfd):
+    # LAPACK printed "On entry to DLASCL parameter number 4 had an illegal
+    # value" six times to stderr, and then LinAlgError was raised
+    gt = make_random_instance(6, 2, 4, sigma_z=0.1, seed=0)
+    data = _datasets(gt, 20, seed=0)
+    for bad in (np.nan, np.inf):
+        init_B = np.eye(6, 2)
+        init_B[3, 1] = bad
+        with pytest.raises(ValueError, match="init_B must be finite"):
+            fit_source(data, gt.k, init_B=init_B)
+    assert capfd.readouterr().err == ""
+
+
 class _DimensionOnly:
     """A dataset of which the fit may read only n and d."""
 
