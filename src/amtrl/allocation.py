@@ -15,11 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instance import integer
+from .instance import int64_count
 from .relevance import dead_banded
-
-# the largest count an Allocation's int64 counts hold
-MAX_COUNT = int(np.iinfo(np.int64).max)
 
 
 class InfeasibleBudgetError(ValueError):
@@ -55,22 +52,15 @@ class Allocation:
             object.__setattr__(self, "continuous", c)
 
 
-def int64_count(value, name):
-    """The count called name by instance.integer's rule, refused with
-    ValueError when it is above MAX_COUNT."""
-    value = integer(value, name)
-    if value > MAX_COUNT:
-        raise ValueError(f"{name} must be at most {MAX_COUNT}, the largest "
-                         f"int64 count, got {value}")
-    return value
-
-
-def _check_budget(T, N_tot, N_floor):
-    if N_floor < 0 or N_tot < 0:
-        raise ValueError("budgets must be non-negative")
+def _check_budget(T, N_tot, N_floor, name="N_tot"):
+    """Refuse a negative budget, called name, or floor (ValueError), and a
+    budget below T floors (InfeasibleBudgetError)."""
+    for key, value in ((name, N_tot), ("N_floor", N_floor)):
+        if value < 0:
+            raise ValueError(f"{key} must be >= 0, got {value}")
     if N_tot < T * N_floor:
         raise InfeasibleBudgetError(
-            f"N_tot = {N_tot} cannot cover {T} floors of {N_floor}")
+            f"{name} = {N_tot} cannot cover {T} floors of {N_floor}")
 
 
 def continuous_allocation(nu, N_tot, N_floor):
@@ -89,9 +79,9 @@ def continuous_allocation(nu, N_tot, N_floor):
     T = a.size
     if T == 0:
         raise ValueError("empty nu")
+    _check_budget(T, N_tot, N_floor)
     if not np.all(np.isfinite(a)):
         raise ValueError(f"nu must be finite, got {nu!r}")
-    _check_budget(T, N_tot, N_floor)
     amax = float(a.max())
     if amax == 0.0:
         raise ValueError("nu is identically zero")
@@ -124,17 +114,25 @@ def continuous_allocation(nu, N_tot, N_floor):
 
 def _round_largest_remainder(x, N_tot, N_floor):
     """Integerize a continuous allocation, preserving the exact budget and
-    the floors. Remainder units go first to tasks whose positive share
-    rounded down to zero, then by largest remainder; ties broken toward the
-    lower task index. x sums to N_tot and is at least the integer floor, so
-    floor(x) keeps the floors and leaves a deficit of 0..T units."""
+    the floors. Spare units go first to tasks whose positive share rounded
+    down to zero, then by largest remainder; ties broken toward the lower
+    task index. From budgets of about 2**53 on, floor(x) can overshoot:
+    the overshoot is taken back from the counts above the floor, in
+    proportion to them, the last units by smallest remainder. Counts are
+    summed in Python ints, since an int64 sum can wrap near 2**63."""
     T = x.size
     x = np.maximum(x, float(N_floor))
-    base = np.maximum(np.floor(x).astype(int), N_floor)
-    rem = x - base
-    deficit = int(N_tot - base.sum())
+    base = [min(max(int(v), N_floor), N_tot) for v in x.tolist()]
+    rem = x - np.array(base, dtype=float)
+    deficit = N_tot - sum(base)
     if deficit < 0:
-        raise RuntimeError(f"rounding overshot the budget by {-deficit}")
+        room = sum(base) - T * N_floor  # above the floors
+        base = [b - -deficit * (b - N_floor) // room for b in base]
+        deficit = N_tot - sum(base)  # minus the units left, fewer than T
+    base = np.array(base)
+    if deficit < 0:
+        base[np.lexsort((np.arange(T), rem, base == N_floor))[:-deficit]] -= 1
+        return base
     bump, extra = divmod(deficit, T)
     base += bump
     starved = (x > 0.0) & (base == 0)
@@ -150,15 +148,15 @@ def allocate_fixed_nu(nu, N_tot, N_floor):
     the continuous counts are rounded by largest remainder, keeping the
     budget exact and every task at or above the floor; a nonzero-nu task
     whose count rounds down to zero gets a spare unit first. nu = 0
-    degenerates to a uniform allocation with a warning; a non-finite entry
-    raises ValueError. N_tot and N_floor are counts (int64_count).
+    degenerates to a uniform allocation with a warning; an empty or
+    non-finite nu raises ValueError; N_tot and N_floor are int64_count counts.
     """
     N_tot, N_floor = int64_count(N_tot, "N_tot"), int64_count(N_floor,
                                                                "N_floor")
     nu = np.asarray(nu, dtype=float)
     T = nu.size
-    _check_budget(T, N_tot, N_floor)
-    if np.all(nu == 0.0):
+    if T and not np.any(nu):
+        _check_budget(T, N_tot, N_floor)
         # name the first caller outside this module, past its wrappers
         frame, level = sys._getframe(), 1
         while frame.f_code.co_filename == __file__ and frame.f_back:

@@ -86,7 +86,7 @@ class SweepConfig:
     def __post_init__(self):
         object.__setattr__(self, "strategies", tuple(self.strategies))
         try:
-            budgets = tuple(instance.integer(b, "budget")
+            budgets = tuple(instance.int64_count(b, "budget")
                             for b in self.budgets)
         except ValueError as e:
             raise ConfigError(f"budgets must be integers: {e}") from None
@@ -106,7 +106,7 @@ class SweepConfig:
             raise ConfigError("budgets must be strictly increasing")
         if self.budgets[0] < 0:
             raise ConfigError(f"budgets must be >= 0, got {self.budgets[0]}")
-        seeds = _checked(instance.integer, self.seeds, "seeds")
+        seeds = _checked(instance.int64_count, self.seeds, "seeds")
         if seeds < 1:
             raise ConfigError("seeds must be >= 1")
         object.__setattr__(self, "seeds", seeds)

@@ -94,6 +94,33 @@ def integer(value, name):
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+# the largest count an int64 holds, the dtype of every count array
+MAX_COUNT = int(np.iinfo(np.int64).max)
+
+
+def int64_count(value, name):
+    """The count called name by integer()'s rule, refused with ValueError
+    when it is above MAX_COUNT: the one rule for a count from outside."""
+    value = integer(value, name)
+    if value > MAX_COUNT:
+        raise ValueError(f"{name} must be at most {MAX_COUNT}, the largest "
+                         f"int64 count, got {value}")
+    return value
+
+
+def draw_arguments(T, task_index, n, draw):
+    """A draw's (task_index, n, draw), checked: the task index in 0..T (T
+    is the target), n a count (int64_count) and the draw index an integer,
+    both >= 0. Raises ValueError naming the argument."""
+    task_index = integer(task_index, "task_index")
+    if not 0 <= task_index <= T:
+        raise ValueError(f"task_index must be in 0..{T}, got {task_index}")
+    n, draw = int64_count(n, "n"), integer(draw, "draw")
+    if n < 0 or draw < 0:
+        raise ValueError(f"n and draw must be >= 0, got n={n}, draw={draw}")
+    return task_index, n, draw
+
+
 def finite(value, name):
     """The real number called name as a float. Ints, floats and their numpy
     kinds are taken; bools, strings, NaN, infinities and ints too large for
@@ -109,9 +136,11 @@ def finite(value, name):
 def finite_vector(value, n, name):
     """The vector called name as a float array of n finite entries."""
     v = np.asarray(value, dtype=float)
-    if v.shape != (n,) or not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} must be a finite vector of shape ({n},), "
-                         f"got {value!r}")
+    need = f"{name} must be a finite vector of shape ({n},)"
+    if v.shape != (n,):
+        raise ValueError(f"{need}, got {value!r}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{need}: its entries must be finite, got {value!r}")
     return v
 
 
@@ -472,26 +501,14 @@ def sample_task(gt, task_index, n, seed, draw=0):
     """Draw n i.i.d. samples for one task, kept as their statistics.
 
     Deterministic in (seed, task_index, draw); distinct draw indices give
-    independent streams, so incremental sampling never replays data.
-    task_index, n, seed and draw follow integer()'s rule: 5.0 draws 5
-    samples, while 5.7 or True raises ValueError instead of being
-    truncated; a task_index outside 0..gt.T raises ValueError too.
-
-    The target task (task_index == gt.T) comes from a one-entry memo keyed
-    by (gt's identity, n, seed, draw): a call repeating the previous target
-    draw returns the read-only dataset that call formed, equal bit for bit
-    to a fresh draw. It covers the target alone because the runs of one
-    seed share their target set. Inside shared_streams every task's draw
-    reads its normals from the stream store, which serves the prefixes the
-    runs of a sweep seed share (see the module docstring); outside it they
-    are drawn afresh.
+    independent streams, so incremental sampling never replays data. The
+    arguments are checked by draw_arguments and the seed by integer(), so
+    5.0 draws 5 samples while 5.7 or True raises ValueError. The target
+    task comes from _target_draw's memo and, inside shared_streams, every
+    task's normals from the stream store (see the module docstring); both
+    give a fresh draw's data bit for bit.
     """
-    task_index = integer(task_index, "task_index")
-    if not 0 <= task_index <= gt.T:
-        raise ValueError(f"task_index must be in 0..{gt.T}, got {task_index}")
-    n, draw = integer(n, "n"), integer(draw, "draw")
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    task_index, n, draw = draw_arguments(gt.T, task_index, n, draw)
     seed = integer(seed, "seed")
     if task_index == gt.T:
         return _target_draw(gt, n, seed, draw)

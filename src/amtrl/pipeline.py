@@ -43,12 +43,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocation import (MAX_COUNT, InfeasibleBudgetError, int64_count,
-                         lpnq_allocation)
+from .allocation import _check_budget, lpnq_allocation
 # not called here, but the benchmark's tracer wraps pipeline.allocate_fixed_nu
 # as well as pipeline.lpnq_allocation, through which the loop allocates
 from .allocation import allocate_fixed_nu  # noqa: F401
-from .instance import finite, finite_vector, integer, sample_task
+from .instance import (MAX_COUNT, draw_arguments, finite, finite_vector,
+                       int64_count, integer, sample_task)
 from .relevance import (LAZY_LAMBDA, lambda_rule, lasso, min_l2_solution,
                         support_size)
 from .trainer import (excess_risk, fit_source, fit_target_head,
@@ -79,9 +79,9 @@ class TaskOracle:
     record(task_index, n, draw) consumes a draw without drawing it, for
     samples the caller drew from this oracle's stream itself (the stage
     loop, whose stages draw through sample_task): it is accounted and
-    guarded as sample() would. Both take the task index (0..gt.T), n and
-    draw, and the constructor the seed, by instance.integer's rule, and a
-    refused draw records nothing.
+    guarded as sample() would. Both check their arguments by
+    instance.draw_arguments, and the constructor the seed by
+    instance.integer's rule; a refused draw records nothing.
     """
 
     def __init__(self, gt, seed=0):
@@ -94,18 +94,12 @@ class TaskOracle:
         return self.gt.T
 
     def _claim(self, task_index, n, draw):
-        t = integer(task_index, "task_index")
-        if not 0 <= t <= self.gt.T:
-            raise ValueError(f"task_index must be in 0..{self.gt.T}, got "
-                             f"{task_index!r}")
-        n, key = integer(n, "n"), (t, integer(draw, "draw"))
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        if key in self._drawn:
+        t, n, draw = draw_arguments(self.gt.T, task_index, n, draw)
+        if (t, draw) in self._drawn:
             raise RuntimeError(
-                f"draw {draw} of task {task_index} was already consumed; "
+                f"draw {draw} of task {t} was already consumed; "
                 "use a fresh draw index for incremental samples")
-        return key, n
+        return (t, draw), n
 
     def record(self, task_index, n, draw=0):
         key, n = self._claim(task_index, n, draw)
@@ -172,9 +166,6 @@ def _params(params, strategy):
     for key in ("n_target", "S"):
         if merged.get(key, 1) < 1:
             raise ValueError(f"{key} must be >= 1, got {merged[key]}")
-    for key in ("N_tot", "N_tot_phase2", "beta_1"):
-        if merged.get(key, 0) < 0:
-            raise ValueError(f"{key} must be >= 0, got {merged[key]}")
     if "L" in merged:
         L = merged["L"] = finite(merged["L"], "L (a budget growth L > 1)")
         if L <= 1:
@@ -184,9 +175,12 @@ def _params(params, strategy):
         # float, and the schedule's budgets round(beta_1 * L^i), i < S,
         # int64 counts
         S, L = merged["S"], merged["L"]
-        if not _finite_power(L, S):
+        try:
+            L ** S  # a float power raises OverflowError instead of inf
+        except OverflowError:
             raise ValueError(f"S and L give a schedule too large for a "
-                             f"float: L ** S overflows at S = {S}, L = {L}")
+                             f"float: L ** S overflows at S = {S}, L = {L}"
+                             ) from None
         if "beta_1" in merged:
             beta_1 = merged["beta_1"]
             try:  # the last stage's budget, the largest
@@ -207,14 +201,6 @@ def _params(params, strategy):
     return merged
 
 
-def _finite_power(L, power):
-    """Whether L ** power is a finite float."""
-    try:
-        return math.isfinite(L ** power)
-    except OverflowError:
-        return False
-
-
 def _require(p, key):
     if key not in p:
         raise ValueError(f"params must set {key!r} for this strategy")
@@ -222,12 +208,10 @@ def _require(p, key):
 
 
 def _budget(p, key, T):
-    """p[key], a budget that must cover T floors of N_floor: raises
-    InfeasibleBudgetError, before any draw, when it cannot."""
-    budget, N_floor = _require(p, key), p.get("N_floor", 0)
-    if budget < T * N_floor:
-        raise InfeasibleBudgetError(f"{key} = {budget} cannot cover {T} "
-                                    f"floors of {N_floor}")
+    """p[key], a budget that must be >= 0 and cover T floors of N_floor,
+    checked by allocation._check_budget before any draw."""
+    budget = _require(p, key)
+    _check_budget(T, budget, p.get("N_floor", 0), key)
     return budget
 
 

@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from . import simplex
+from .instance import finite_vector
 
 _RANK_RTOL = 1e-10
 
@@ -33,23 +34,31 @@ def support_size(nu):
     return int(np.count_nonzero(dead_banded(nu)))
 
 
-def _check_diverse(W):
+def _system(W, w):
+    """The relevance system W @ nu = w as float arrays, checked (ValueError)
+    by the one rule: W a k x T matrix and w a vector of k entries, finite."""
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or not np.all(np.isfinite(W)):
-        raise ValueError("W must be a finite k x T matrix")
+        raise ValueError(f"W must be a k x T matrix and its entries must be "
+                         f"finite, got shape {W.shape}")
+    return W, finite_vector(w, W.shape[0], "w")
+
+
+def _check_diverse(W, w):
+    """_system(W, w), refused with ValueError when W is rank-deficient."""
+    W, w = _system(W, w)
     svals = np.linalg.svd(W, compute_uv=False)
     if svals.size == 0 or svals[-1] <= _RANK_RTOL * max(1.0, svals[0]):
         raise ValueError(
             "source heads are not diverse: W is rank-deficient, so the "
             "relevance system W @ nu = w is not solvable for generic targets"
         )
-    return W
+    return W, w
 
 
 def min_l2_solution(W, w):
     """Minimum-L2-norm solution of W @ nu = w (requires full row rank)."""
-    W = _check_diverse(W)
-    w = np.asarray(w, dtype=float)
+    W, w = _check_diverse(W, w)
     return np.linalg.lstsq(W, w, rcond=None)[0]
 
 
@@ -59,9 +68,8 @@ def l1_oracle_lp(W, w):
     Solved as a split-variable linear program; the simplex returns a vertex
     of the feasible polytope, so the support size never exceeds rank(W) = k.
     """
-    W = _check_diverse(W)
-    w = np.asarray(w, dtype=float)
-    k, T = W.shape
+    W, w = _check_diverse(W, w)
+    T = W.shape[1]
     A = np.hstack([W, -W])
     try:
         res = simplex.solve_lp(np.ones(2 * T), A, w)
@@ -105,14 +113,9 @@ def lasso(W, w, lam):
     it (False also when the path runs out of steps), and "degenerate" flags
     lam = 0 on a wide system, where the minimizer need not be unique.
     """
-    W = np.asarray(W, dtype=float)
-    w = np.asarray(w, dtype=float)
     if not lam >= 0:  # NaN too
         raise ValueError("lam must be >= 0")
-    if W.ndim != 2 or w.shape != (W.shape[0],):
-        raise ValueError("need W of shape (k, T) and w of shape (k,)")
-    if not (np.all(np.isfinite(W)) and np.all(np.isfinite(w))):
-        raise ValueError("W and w must be finite")
+    W, w = _system(W, w)
     k, T = W.shape
     lam = float(lam)
     corr = W.T @ w
@@ -203,8 +206,7 @@ def kkt_residual(W, w, nu, lam):
     lam * sign(nu_t); for zero coordinates it must lie in [-lam, lam].
     Zero at any exact minimizer.
     """
-    W = np.asarray(W, dtype=float)
-    w = np.asarray(w, dtype=float)
+    W, w = _system(W, w)
     nu = np.asarray(nu, dtype=float)
     g = W.T @ (w - W @ nu)
     violation = np.where(nu != 0.0, np.abs(g - lam * np.copysign(1.0, nu)),
@@ -246,12 +248,10 @@ def norm_bound_check(W, w):
     closed-form norm ceilings, to a relative slack of 1e-9:
     ||nu1||_1 <= sqrt(k) ||w|| / sigma_min(W) and
     ||nu2||_2 <= ||w|| / sigma_min(W)."""
-    W = _check_diverse(W)
-    w = np.asarray(w, dtype=float)
-    k = W.shape[0]
-    sigma_min = float(np.linalg.svd(W, compute_uv=False)[-1])
-    nu1 = l1_oracle_lp(W, w)
+    nu1 = l1_oracle_lp(W, w)  # checks W and w
     nu2 = min_l2_solution(W, w)
+    k = np.shape(W)[0]
+    sigma_min = float(np.linalg.svd(W, compute_uv=False)[-1])
     rtol = 1e-9
     wn = float(np.linalg.norm(w))
     l1_norm = float(np.linalg.norm(nu1, 1))

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from amtrl import (
@@ -115,6 +115,40 @@ def test_floored_water_filling_leaves_a_deficit_of_zero_to_T(problem):
     deficit = N - int(np.floor(x).astype(int).sum())
     assert 0 <= deficit <= nu.size
     assert allocate_fixed_nu(nu, N, F).n.sum() == N
+
+
+@st.composite
+def _int64_budget_problems(draw):
+    """(nu, N_tot, N_floor): 1..30 tasks, |nu| spread over 60 decades with
+    zeros and both signs, a budget in [2**52, 2**63 - 1] and a floor from 0
+    to the largest the budget covers."""
+    T = draw(st.integers(1, 30))
+    exponents = draw(st.lists(st.none() | st.floats(-30, 30),
+                              min_size=T, max_size=T))
+    assume(any(e is not None for e in exponents))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=T,
+                          max_size=T))
+    nu = np.array([0.0 if e is None else s * 10.0 ** e
+                   for e, s in zip(exponents, signs)])
+    N_tot = draw(st.integers(2 ** 52, 2 ** 63 - 1))
+    N_floor = draw(st.sampled_from([0, 1, N_tot // T])
+                   | st.integers(0, N_tot // T))
+    return nu, N_tot, N_floor
+
+
+@settings(max_examples=300, deadline=None)
+@given(_int64_budget_problems())
+@example((np.array([1.0, 2.0]), 2 ** 63 - 1024, 0))
+@example((np.array([1.0, 2.0]), 2 ** 53 + 7, 0))
+def test_water_filling_counts_exactly_up_to_the_largest_int64_count(problem):
+    # from about 2**53 on, floor(x) of the float water-filling can overshoot
+    # the budget ([1, 2] at 2**63 - 1024 by 512, at 2**53 + 7 by 1), which
+    # the rounding refused with RuntimeError; it now takes the overshoot
+    # back from the tasks above the floor
+    nu, N, F = problem
+    n = allocate_fixed_nu(nu, N, F).n.tolist()
+    assert sum(n) == N
+    assert min(n) >= F
 
 
 @settings(max_examples=300, deadline=None)

@@ -178,6 +178,15 @@ def test_sweep_budgets_must_be_integers():
                 (100, float("inf"))):
         with pytest.raises(ConfigError, match="budgets must be integers"):
             config_from_dict({**raw, "budgets": list(bad)})
+    # and counts: budgets [600, 1e20] passed the config, and the sweep ran
+    # the budget 600 before a run error stopped it at 1e20
+    for big in (2**63, 1e20):
+        with pytest.raises(ConfigError, match="budgets must be integers: "
+                                              "budget must be at most "
+                                              f"{2**63 - 1}"):
+            config_from_dict({**raw, "budgets": [600, big]})
+    assert config_from_dict({**raw, "budgets": [600, 2**63 - 1]}).budgets \
+        == (600, 2**63 - 1)
 
 
 def test_config_from_dict():

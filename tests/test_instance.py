@@ -85,6 +85,8 @@ def test_sample_task_zero_samples_and_bad_index():
         sample_task(gt, gt.T + 1, 4, seed=1)
     with pytest.raises(ValueError):
         sample_task(gt, 0, -1, seed=1)
+    with pytest.raises(ValueError, match=f"^n must be at most {2**63 - 1}"):
+        sample_task(gt, 0, 2**63, seed=1)
 
 
 def test_sample_task_counts_are_integers():

@@ -93,6 +93,15 @@ def test_oracle_replay_guard_and_accounting():
             oracle.sample(t, n, draw=0)
     with pytest.raises(ValueError, match="must be an integer"):
         oracle.record(1, 5.7, draw=0)
+    # as do an n above the largest int64 count and a negative draw index,
+    # which record took
+    for claim in (oracle.sample, oracle.record):
+        with pytest.raises(ValueError, match=f"^n must be at most "
+                                             f"{2**63 - 1}"):
+            claim(1, 2**63, draw=0)
+        with pytest.raises(ValueError, match="^n and draw must be >= 0, "
+                                             "got n=5, draw=-1"):
+            claim(1, 5, draw=-1)
     assert oracle.total_drawn == 22
     assert oracle.sample(1, 5.0, draw=0).n == 5
     # record consumes a draw like sample, without drawing it

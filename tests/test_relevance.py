@@ -145,8 +145,10 @@ def test_lasso_input_validation():
 def test_lasso_refuses_non_finite_inputs():
     # a NaN in W raised LinAlgError from an SVD, an inf in W returned
     # [nan, 0] with RuntimeWarnings, and a NaN in w returned zeros marked
-    # unconverged; min_l2_solution and l1_oracle_lp refuse them too
+    # unconverged; min_l2_solution and l1_oracle_lp refuse them too (they
+    # returned [nan, nan] and raised simplex.UnboundedError for a NaN in w)
     W, w = np.array([[1.0, 0.5], [0.0, 1.0]]), np.array([1.0, 0.5])
+    solvers = (lambda W, w: lasso(W, w, 0.1), min_l2_solution, l1_oracle_lp)
     for bad in (np.nan, np.inf, -np.inf):
         for at in (0, 1):
             W_bad = W.copy()
@@ -154,10 +156,17 @@ def test_lasso_refuses_non_finite_inputs():
             w_bad = w.copy()
             w_bad[at] = bad
             for args in ((W_bad, w), (W, w_bad)):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    with pytest.raises(ValueError, match="must be finite"):
-                        lasso(*args, 0.1)
+                for solve in solvers:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        with pytest.raises(ValueError,
+                                           match="must be finite"):
+                            solve(*args)
+    # and a w whose length is not W's row count
+    for solve in solvers:
+        with pytest.raises(ValueError, match=r"w must be a finite vector "
+                                             r"of shape \(2,\)"):
+            solve(W, np.ones(3))
 
 
 def test_lasso_lazy_lambda_matches_lp_on_conditioned_instances():
