@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instance import int64_count
+from .instance import finite, int64_count
 from .relevance import dead_banded
 
 
@@ -42,8 +42,8 @@ class Allocation:
         n = np.asarray(self.n, dtype=int)
         n.setflags(write=False)
         object.__setattr__(self, "n", n)
-        if np.any(n < 0):
-            raise ValueError("negative sample count")
+        if np.any(n < self.N_floor):
+            raise ValueError(f"a sample count is below the floor {self.N_floor}")
         if int(n.sum()) != int(self.N_tot):
             raise ValueError("allocation does not exhaust the budget")
         if self.continuous is not None:
@@ -113,43 +113,40 @@ def continuous_allocation(nu, N_tot, N_floor):
 
 
 def _round_largest_remainder(x, N_tot, N_floor):
-    """Integerize a continuous allocation, preserving the exact budget and
-    the floors. Spare units go first to tasks whose positive share rounded
-    down to zero, then by largest remainder; ties broken toward the lower
-    task index. From budgets of about 2**53 on, floor(x) can overshoot:
-    the overshoot is taken back from the counts above the floor, in
-    proportion to them, the last units by smallest remainder. Counts are
-    summed in Python ints, since an int64 sum can wrap near 2**63."""
-    T = x.size
-    x = np.maximum(x, float(N_floor))
-    base = [min(max(int(v), N_floor), N_tot) for v in x.tolist()]
+    """Integerize a continuous allocation by one rule, keeping the budget
+    exact and every count at or above N_floor. Counts start at floor(x), a
+    share at the floor at N_floor. A gap that one unit per share above the
+    floor cannot close (an overshoot, or a larger shortfall, as float shares
+    give from budgets of about 2**52 on) moves once in proportion to the
+    counts above the floor (evenly if none is), each move rounded down. The
+    units left go one each: to positive shares rounded down to zero, then by
+    largest remainder, then lower index; shares at the floor last, so they
+    stay there while any share is above it. Sums are Python ints, as an
+    int64 sum can wrap near 2**63."""
+    T, F = x.size, float(N_floor)  # F can round past N_floor from 2**53 on
+    base = [N_floor if v <= F else int(v) for v in x.tolist()]
     rem = x - np.array(base, dtype=float)
-    deficit = N_tot - sum(base)
-    if deficit < 0:
+    gap = N_tot - sum(base)
+    if not 0 <= gap <= np.count_nonzero(x > F):
         room = sum(base) - T * N_floor  # above the floors
-        base = [b - -deficit * (b - N_floor) // room for b in base]
-        deficit = N_tot - sum(base)  # minus the units left, fewer than T
+        weight = [b - N_floor for b in base] if room else [1] * T
+        base = [b + gap * w // (room or T) for b, w in zip(base, weight)]
+        gap = N_tot - sum(base)
     base = np.array(base)
-    if deficit < 0:
-        base[np.lexsort((np.arange(T), rem, base == N_floor))[:-deficit]] -= 1
-        return base
-    bump, extra = divmod(deficit, T)
-    base += bump
     starved = (x > 0.0) & (base == 0)
-    order = np.lexsort((np.arange(T), -rem, ~starved))
-    base[order[:extra]] += 1
+    base[np.lexsort((np.arange(T), -rem, ~starved, x <= F))[:gap]] += 1
     return base
 
 
 def allocate_fixed_nu(nu, N_tot, N_floor):
     """Water-filling allocation n_t = max(c'|nu_t|, N_floor), integerized.
 
-    c' is solved exactly from the piecewise-linear budget equation, then
-    the continuous counts are rounded by largest remainder, keeping the
-    budget exact and every task at or above the floor; a nonzero-nu task
-    whose count rounds down to zero gets a spare unit first. nu = 0
-    degenerates to a uniform allocation with a warning; an empty or
-    non-finite nu raises ValueError; N_tot and N_floor are int64_count counts.
+    c' is solved exactly from the piecewise-linear budget equation and the
+    shares rounded by _round_largest_remainder: the budget exact, every
+    count at or above the floor, a share at the floor kept there while any
+    is above it, a nonzero-nu share rounded down to zero fed first. nu = 0
+    gives a uniform allocation with a warning; an empty or non-finite nu
+    raises ValueError; N_tot and N_floor are int64_count counts.
     """
     N_tot, N_floor = int64_count(N_tot, "N_tot"), int64_count(N_floor,
                                                                "N_floor")
@@ -172,16 +169,28 @@ def allocate_fixed_nu(nu, N_tot, N_floor):
                       c_prime=float(c_prime), continuous=x)
 
 
+def _lpnq_weights(nu, q, name="nu"):
+    """|nu|^q, refused (ValueError naming q, name or |name|^q) unless q is
+    a finite number (instance.finite) > 0 and every weight is finite."""
+    q = finite(q, "q")
+    if q <= 0:
+        raise ValueError(f"q must be > 0, got {q!r}")
+    with np.errstate(over="ignore"):
+        weights = np.abs(np.asarray(nu, dtype=float)) ** q
+    if not np.all(np.isfinite(weights)):
+        what = f"|{name}|^q" if np.all(np.isfinite(nu)) else name
+        raise ValueError(f"{what} must be finite, got q = {q!r} and "
+                         f"{name} = {nu!r}")
+    return weights
+
+
 def lpnq_allocation(nu_p, q, N_tot, N_floor):
     """Allocation proportional to |nu_p|^q with the same floor rule.
 
     q = 1 reproduces allocate_fixed_nu exactly; q = 2 on the min-L2
     relevance vector is the classic squared-weights split.
     """
-    if q <= 0:
-        raise ValueError("q must be positive")
-    nu_p = np.asarray(nu_p, dtype=float)
-    return allocate_fixed_nu(np.abs(nu_p) ** q, N_tot, N_floor)
+    return allocate_fixed_nu(_lpnq_weights(nu_p, q), N_tot, N_floor)
 
 
 def nu_tilde_objective(nu, allocation):

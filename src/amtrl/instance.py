@@ -300,7 +300,8 @@ class GroundTruth:
         object.__setattr__(self, "w_target_star", w)
         object.__setattr__(self, "sigma_z", sigma_z)
         if self.meta.get("diverse"):
-            if self.sigma_min_w() <= 1e-12 * max(1.0, self.sigma_max_w()):
+            sv = np.linalg.svd(W, compute_uv=False)
+            if sv[-1] <= 1e-12 * max(1.0, sv[0]):
                 raise ValueError("instance flagged diverse but W_star is rank-deficient")
 
     def sigma_min_w(self):
@@ -547,15 +548,9 @@ def make_random_instance(d, k, T, sigma_z, sigma_min_floor=0.0, seed=0):
         raise ValueError(f"need 1 <= k <= d and k <= T, got d={d}, k={k}, T={T}")
     rng = _rng(seed, _GEN_KEY, 0)
     B = _orthonormal_columns(rng, d, k)
-    for _ in range(50):
-        W = rng.standard_normal((k, T))
-        svals = np.linalg.svd(W, compute_uv=False)
-        if svals[-1] > 1e-12 * max(1.0, svals[0]):
-            break
-    else:
-        raise RuntimeError("could not draw a full-rank W_star")
-    if svals[-1] < sigma_min_floor:
-        W = W * (sigma_min_floor / svals[-1])
+    # full rank with probability one, and GroundTruth checks it
+    W = rng.standard_normal((k, T))
+    W = W * max(1.0, sigma_min_floor / np.linalg.svd(W, compute_uv=False)[-1])
     nu_mix = rng.standard_normal(T)
     nu_mix = nu_mix / np.linalg.norm(nu_mix)
     w_target = W @ nu_mix

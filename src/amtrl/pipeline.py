@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocation import _check_budget, lpnq_allocation
+from .allocation import _check_budget, _lpnq_weights, lpnq_allocation
 # not called here, but the benchmark's tracer wraps pipeline.allocate_fixed_nu
 # as well as pipeline.lpnq_allocation, through which the loop allocates
 from .allocation import allocate_fixed_nu  # noqa: F401
@@ -382,14 +382,9 @@ def run_known_nu(oracle, d, k, T, nu_ref, q, params=None):
     nu_ref must be a finite vector of T entries, q a finite number > 0 and
     |nu_ref|^q finite, all checked before any draw."""
     _check_dims(oracle, d, k, T)
-    p = {"q": finite(q, "q"), **_params(params, "known_nu")}
-    if p["q"] <= 0:
-        raise ValueError(f"q must be > 0, got {q!r}")
     nu = finite_vector(nu_ref, T, "nu_ref")
-    with np.errstate(over="ignore"):
-        if not np.all(np.isfinite(np.abs(nu) ** p["q"])):
-            raise ValueError(f"|nu_ref|^q must be finite, got q = {q!r} "
-                             f"and nu_ref = {nu_ref!r}")
+    _lpnq_weights(nu, q, "nu_ref")
+    p = {"q": float(q), **_params(params, "known_nu")}
     return _run_stages("known_nu", oracle, k, p, [_budget(p, "N_tot", T)],
                        p["q"], nu=nu)
 

@@ -1,16 +1,18 @@
 """Independent numerical oracles used by the test suite.
 
-The projected-gradient allocation and the Lasso enumeration deliberately
-avoid the library's own solvers, so agreement between the two routes is
-evidence, not circularity. The bilevel and cheapest-support searches are
-desk-scale brute force built on the library's exact pieces (water-filling,
-the LP): they test claims about the joint problem, not those pieces. The
-alternating-fit references take each half-step task by task (one np.kron or
-lstsq per task) and check the trainer's stacked-array contractions.
+The projected-gradient allocation, the exact Fraction water-filling and
+the Lasso enumeration deliberately avoid the library's own solvers, so
+agreement between the two routes is evidence, not circularity. The
+bilevel and cheapest-support searches are desk-scale brute force built on
+the library's exact pieces (water-filling, the LP): they test claims about
+the joint problem, not those pieces. The alternating-fit references take
+each half-step task by task (one np.kron or lstsq per task) and check the
+trainer's stacked-array contractions.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
@@ -84,6 +86,26 @@ def pg_continuous_allocation(nu, N_tot, N_floor, max_iters=20000,
         else:
             stall = 0
     return x, fx
+
+
+def exact_water_filling(nu, N_tot, N_floor):
+    """Water-filling shares max(c|nu_t|, N_floor) summing to N_tot, as
+    Fractions: exact arithmetic on the float entries of nu, free of the
+    library's float solve. The level rises through the tasks by
+    decreasing |nu| and stops at the first active set whose level leaves
+    the next task at or below the floor."""
+    a = [abs(Fraction(float(v))) for v in nu]
+    T, F = len(a), Fraction(N_floor)
+    if not any(a):
+        raise ValueError("nu is identically zero")
+    order = sorted(range(T), key=lambda t: -a[t])
+    csum = 0
+    for i, t in enumerate(order, 1):
+        csum += a[t]
+        c = (N_tot - (T - i) * F) / csum
+        if i == T or c * a[order[i]] <= F:
+            break
+    return [max(c * v, F) for v in a]
 
 
 def lasso_oracle(W, w, lam):

@@ -1,5 +1,8 @@
 """Budget water-filling, rounding, and cost-aware task selection."""
 
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -21,7 +24,7 @@ from amtrl import (
 )
 from amtrl.harness import rival_excess
 from oracles import (bilevel_oracle, cost_support_oracle,
-                     pg_continuous_allocation)
+                     exact_water_filling, pg_continuous_allocation)
 
 
 @st.composite
@@ -151,6 +154,51 @@ def test_water_filling_counts_exactly_up_to_the_largest_int64_count(problem):
     assert min(n) >= F
 
 
+@st.composite
+def _any_budget_problems(draw):
+    """(nu, N_tot, N_floor): 1..30 tasks, |nu| spread over 60 decades with
+    zeros and both signs, a budget from T to 2**63 - 1 whose magnitude is
+    drawn first, so every scale is common, and a floor from 0 to the
+    largest the budget covers."""
+    T = draw(st.integers(1, 30))
+    exponents = draw(st.lists(st.none() | st.floats(-30, 30),
+                              min_size=T, max_size=T))
+    assume(any(e is not None for e in exponents))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=T,
+                          max_size=T))
+    nu = np.array([0.0 if e is None else s * 10.0 ** e
+                   for e, s in zip(exponents, signs)])
+    bits = draw(st.integers(T.bit_length(), 63))
+    N_tot = draw(st.integers(max(T, 2 ** (bits - 1)), 2 ** bits - 1))
+    N_floor = draw(st.sampled_from([0, 1, N_tot // (2 * T), N_tot // T])
+                   | st.integers(0, N_tot // T))
+    return nu, N_tot, N_floor
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_budget_problems())
+@example((np.array([0, 0, 0, 0, 0, -1.0]), 144115188075855687, 0))
+@example((np.array([1e-9, 0, 0, 3, 0, -1.0]), 2 ** 62 + 12345, 2))
+def test_rounding_keeps_floor_shares_at_the_floor_at_every_budget(problem):
+    # from about 2**52 on, a float shortfall of T units or more was handed
+    # out evenly, so [0, 0, 0, 0, 0, -1] at 144115188075855687 gave the
+    # zero-nu tasks [2, 1, 1, 1, 1] and [1e-9, 0, 0, 3, 0, -1] at
+    # 2**62 + 12345 gave tasks 1, 2 and 4 the counts 27, 27 and 26
+    nu, N, F = problem
+    alloc = allocate_fixed_nu(nu, N, F)
+    n = alloc.n.tolist()
+    assert sum(n) == N
+    assert min(n) >= F
+    at_floor = alloc.continuous <= float(F)
+    if not at_floor.all():
+        assert np.all(alloc.n[at_floor] == F)
+    # every count is within one unit, plus the float solve's round-off, of
+    # its share in exact arithmetic
+    slack = 1 + nu.size * Fraction(float(np.spacing(alloc.continuous.max())))
+    exact = exact_water_filling(nu, N, F)
+    assert all(abs(c - e) <= slack for c, e in zip(n, exact))
+
+
 @settings(max_examples=300, deadline=None)
 @given(_budget_problems())
 def test_rounding_budget_floors_and_proximity(problem):
@@ -274,6 +322,24 @@ def test_non_finite_nu_is_rejected():
                    lambda nu, N, F: lpnq_allocation(nu, 2, N, F)):
             with pytest.raises(ValueError, match="nu must be finite"):
                 fn(np.array([bad, 1.0, 1.0, 1.0]), 400, 0)
+
+
+@pytest.mark.parametrize("q", [0, -1.0, np.nan, np.inf, True, "2"])
+def test_lpnq_exponent_is_a_finite_positive_number(q):
+    # True ran as q = 1, NaN and inf were refused as "nu must be finite"
+    # and "2" raised TypeError
+    with pytest.raises(ValueError, match="^q must be"):
+        lpnq_allocation([1.0, 2.0], q, 30, 0)
+
+
+def test_lpnq_weights_that_overflow_name_the_power():
+    # |nu|^q overflowed with a RuntimeWarning, then was refused as a
+    # non-finite nu
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^\|nu\|\^q must be finite"):
+            lpnq_allocation([1e200, 1.0], 2, 30, 0)
+    assert lpnq_allocation([1e200, 1.0], 1, 30, 0).n.tolist() == [30, 0]
 
 
 def test_budget_and_floor_are_int64_counts():
@@ -459,3 +525,7 @@ def test_allocation_dataclass_validation():
         Allocation(n=np.array([5, 5]), N_tot=11, N_floor=0, c_prime=1.0)
     with pytest.raises(ValueError):
         Allocation(n=np.array([-1, 12]), N_tot=11, N_floor=0, c_prime=1.0)
+    # only n >= 0 was checked, so a count below N_floor was accepted
+    with pytest.raises(ValueError, match="below the floor 2"):
+        Allocation(n=[1, 10], N_tot=11, N_floor=2, c_prime=1.0)
+    assert Allocation(n=[2, 9], N_tot=11, N_floor=2, c_prime=1.0).n[0] == 2
