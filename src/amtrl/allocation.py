@@ -8,7 +8,6 @@ linear or saltus per-task costs. The brute-force joint-optimum and
 cheapest-support searches that check these routes live with the tests.
 """
 
-import math
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -66,9 +65,10 @@ def _check_budget(T, N_tot, N_floor, name="N_tot"):
 def continuous_allocation(nu, N_tot, N_floor):
     """Exact water-filling solution x_t = max(c'|nu_t|, N_floor).
 
-    The map c' -> sum_t max(c'|nu_t|, N_floor) is piecewise linear with at
-    most T breakpoints, so c' is solved on every piece at once, not by
-    bisection.
+    The map c' -> sum_t max(c'|nu_t|, N_floor) is piecewise linear and
+    non-decreasing with at most T breakpoints, so c' is solved on the last
+    piece whose breakpoint sum fits N_tot, found by one sorted search: no
+    bisection and no tolerance.
     Internally |nu| is normalized by its max, which makes the result
     exactly invariant under rescaling nu by a power of two; other positive
     factors can move the normalized weights by an ulp.
@@ -95,19 +95,16 @@ def continuous_allocation(nu, N_tot, N_floor):
     with np.errstate(divide="ignore", over="ignore"):
         u = F / a
     pos = np.isfinite(u)
-    u = u[pos]
-    order = np.argsort(u, kind="stable")
-    lo = u[order]
-    hi = np.append(lo[1:], math.inf)
-    # piece i (i = 1..P, c' in [u_i, u_i+1]) has i active tasks, so its
-    # budget equation gives c' = (N - (T - i) F) / csum_i; take the first
-    # candidate that lies within its own piece. One always does: at u_1 the
-    # floored sum is T F <= N_tot, and the last piece is unbounded.
-    i = np.arange(1, lo.size + 1)
-    cand = (float(N_tot) - (T - i) * F) / np.cumsum(a[pos][order])
-    inside = ((cand >= lo - 1e-12 * (1.0 + lo))
-              & (cand <= hi + 1e-12 * (1.0 + hi)))
-    c = max(float(cand[np.argmax(inside)]), 0.0)
+    order = np.argsort(u[pos], kind="stable")
+    u, csum = u[pos][order], np.cumsum(a[pos][order])
+    # piece i (c' from u_i on) has i active tasks and the budget equation
+    # c' = (N - (T - i) F) / csum_i. The floored sum at u_i, u_i csum_i +
+    # (T - i) F, rises with i, so the level is on the last piece whose sum
+    # is <= N_tot, or on the first, whose T F rounding can push past it.
+    i = np.arange(1, u.size + 1)
+    p = max(int(np.searchsorted(u * csum + (T - i) * F, float(N_tot),
+                                side="right")), 1)
+    c = (float(N_tot) - (T - p) * F) / float(csum[p - 1])
     x = np.maximum(c * a, F)
     return x, c / amax
 
@@ -117,12 +114,13 @@ def _round_largest_remainder(x, N_tot, N_floor):
     exact and every count at or above N_floor. Counts start at floor(x), a
     share at the floor at N_floor. A gap that one unit per share above the
     floor cannot close (an overshoot, or a larger shortfall, as float shares
-    give from budgets of about 2**52 on) moves once in proportion to the
-    counts above the floor (evenly if none is), each move rounded down. The
-    units left go one each: to positive shares rounded down to zero, then by
-    largest remainder, then lower index; shares at the floor last, so they
-    stay there while any share is above it. Sums are Python ints, as an
-    int64 sum can wrap near 2**63."""
+    give at large budgets) moves once in proportion to the counts above the
+    floor (evenly if none is), each move rounded down. The units left go
+    one each: to positive shares rounded down to zero, then by largest
+    remainder (after a move, the move's exact residue, as a float share's
+    remainder is 0 from 2**53 on), then lower index; shares at the floor
+    last, so they stay there while any share is above it. Sums are Python
+    ints, as an int64 sum can wrap near 2**63."""
     T, F = x.size, float(N_floor)  # F can round past N_floor from 2**53 on
     base = [N_floor if v <= F else int(v) for v in x.tolist()]
     rem = x - np.array(base, dtype=float)
@@ -130,7 +128,9 @@ def _round_largest_remainder(x, N_tot, N_floor):
     if not 0 <= gap <= np.count_nonzero(x > F):
         room = sum(base) - T * N_floor  # above the floors
         weight = [b - N_floor for b in base] if room else [1] * T
-        base = [b + gap * w // (room or T) for b, w in zip(base, weight)]
+        moves = [divmod(gap * w, room or T) for w in weight]
+        base = [b + m for b, (m, _) in zip(base, moves)]
+        rem = np.array([r for _, r in moves], dtype=object)
         gap = N_tot - sum(base)
     base = np.array(base)
     starved = (x > 0.0) & (base == 0)

@@ -65,6 +65,7 @@ _GEN_KEY = 0x6765
 _SAMPLE_KEY = 0x7361
 
 _ORTHO_TOL = 1e-10
+_RANK_RTOL = 1e-10
 
 # SeedSequence's pool size and hashing constants
 _POOL = 4
@@ -142,6 +143,13 @@ def finite_vector(value, n, name):
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{need}: its entries must be finite, got {value!r}")
     return v
+
+
+def full_rank(W):
+    """Whether the head matrix W has full row rank by the one rule: its
+    smallest singular value above _RANK_RTOL * max(1, its largest)."""
+    sv = np.linalg.svd(W, compute_uv=False)
+    return sv.size > 0 and bool(sv[-1] > _RANK_RTOL * max(1.0, sv[0]))
 
 
 def _uint32_words(n):
@@ -299,10 +307,8 @@ class GroundTruth:
         object.__setattr__(self, "W_star", W)
         object.__setattr__(self, "w_target_star", w)
         object.__setattr__(self, "sigma_z", sigma_z)
-        if self.meta.get("diverse"):
-            sv = np.linalg.svd(W, compute_uv=False)
-            if sv[-1] <= 1e-12 * max(1.0, sv[0]):
-                raise ValueError("instance flagged diverse but W_star is rank-deficient")
+        if self.meta.get("diverse") and not full_rank(W):
+            raise ValueError("instance flagged diverse but W_star is rank-deficient")
 
     def sigma_min_w(self):
         return float(np.linalg.svd(self.W_star, compute_uv=False)[-1])

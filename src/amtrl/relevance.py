@@ -14,9 +14,7 @@ import math
 import numpy as np
 
 from . import simplex
-from .instance import finite_vector
-
-_RANK_RTOL = 1e-10
+from .instance import finite_vector, full_rank
 
 
 def dead_banded(nu):
@@ -47,8 +45,7 @@ def _system(W, w):
 def _check_diverse(W, w):
     """_system(W, w), refused with ValueError when W is rank-deficient."""
     W, w = _system(W, w)
-    svals = np.linalg.svd(W, compute_uv=False)
-    if svals.size == 0 or svals[-1] <= _RANK_RTOL * max(1.0, svals[0]):
+    if not full_rank(W):
         raise ValueError(
             "source heads are not diverse: W is rank-deficient, so the "
             "relevance system W @ nu = w is not solvable for generic targets"

@@ -179,11 +179,15 @@ def _any_budget_problems(draw):
 @given(_any_budget_problems())
 @example((np.array([0, 0, 0, 0, 0, -1.0]), 144115188075855687, 0))
 @example((np.array([1e-9, 0, 0, 3, 0, -1.0]), 2 ** 62 + 12345, 2))
+@example((np.array([1.0, 1.0 + 39 * 2 ** -52]), 2 * 10 ** 17 + 50000,
+          10 ** 17))
 def test_rounding_keeps_floor_shares_at_the_floor_at_every_budget(problem):
     # from about 2**52 on, a float shortfall of T units or more was handed
     # out evenly, so [0, 0, 0, 0, 0, -1] at 144115188075855687 gave the
     # zero-nu tasks [2, 1, 1, 1, 1] and [1e-9, 0, 0, 3, 0, -1] at
-    # 2**62 + 12345 gave tasks 1, 2 and 4 the counts 27, 27 and 26
+    # 2**62 + 12345 gave tasks 1, 2 and 4 the counts 27, 27 and 26; and a
+    # 1e-12 band on the water level took the first piece for the nearly
+    # tied [1, 1 + 39 ulp], whose counts landed 216 units from their shares
     nu, N, F = problem
     alloc = allocate_fixed_nu(nu, N, F)
     n = alloc.n.tolist()
@@ -197,6 +201,24 @@ def test_rounding_keeps_floor_shares_at_the_floor_at_every_budget(problem):
     slack = 1 + nu.size * Fraction(float(np.spacing(alloc.continuous.max())))
     exact = exact_water_filling(nu, N, F)
     assert all(abs(c - e) <= slack for c, e in zip(n, exact))
+
+
+def test_water_level_shares_sum_to_the_budget():
+    # the 1e-12 band took a piece too early for nearly tied weights and
+    # large floors: these shares summed 49,120 and 0.999 over the budget
+    for nu, N, F in (([1.0, 1.0 + 39 * 2 ** -52], 2 * 10 ** 17 + 50000,
+                      10 ** 17),
+                     ([1.0] * 50, 50 * 10 ** 11 + 4, 10 ** 11)):
+        x, _ = continuous_allocation(nu, N, F)
+        ulp = Fraction(float(np.spacing(x.max())))
+        assert abs(sum(map(Fraction, x.tolist())) - N) <= len(nu) * ulp
+
+
+def test_units_left_after_the_proportional_pass_go_by_exact_remainder():
+    # the float shares' remainders are 0 from 2**53 on, so the units left
+    # went by task index and each count landed 2/3 from its exact share
+    n = allocate_fixed_nu([1, 2], 2 ** 63 - 1024, 0).n.tolist()
+    assert n == [3074457345618258261, 6148914691236516523]
 
 
 @settings(max_examples=300, deadline=None)

@@ -12,6 +12,7 @@ from amtrl import instance
 from amtrl import (
     GroundTruth,
     almost_sparse_nu,
+    l1_oracle_lp,
     load_instance,
     make_almost_sparse_instance,
     make_random_instance,
@@ -256,6 +257,25 @@ def test_ground_truth_validation():
     with pytest.raises(ValueError):
         GroundTruth(d=5, k=2, T=3, B_star=B, W_star=np.ones((2, 3)),
                     w_target_star=w, sigma_z=0.1, meta={"diverse": True})
+
+
+def test_diverse_instances_and_relevance_solvers_share_one_rank_rule():
+    # GroundTruth's check used 1e-12 and relevance's 1e-10, so a W with
+    # sigma_min 1e-11 built a diverse instance that l1_oracle_lp refused
+    B = np.linalg.qr(np.random.default_rng(0).standard_normal((5, 2)))[0]
+    W = np.array([[1.0, 0.0, 1.0], [0.0, 1e-11, 0.0]])
+    w = np.array([1.0, 1e-11])
+    diverse = dict(d=5, k=2, T=3, B_star=B, sigma_z=0.1,
+                   meta={"diverse": True})
+    assert not instance.full_rank(W)
+    with pytest.raises(ValueError, match="rank-deficient"):
+        GroundTruth(W_star=W, w_target_star=w, **diverse)
+    with pytest.raises(ValueError, match="not diverse"):
+        l1_oracle_lp(W, w)
+    W[1, 1] = w[1] = 1e-9  # above the rule, so both accept it
+    assert instance.full_rank(W)
+    GroundTruth(W_star=W, w_target_star=w, **diverse)
+    l1_oracle_lp(W, w)
 
 
 def test_non_finite_instance_and_dataset_inputs_are_refused(tmp_path):
